@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonConvergenceError
-from .grids import GridFunction, RasterSet
+from .grids import GridFunction, RasterSet, legendre_rule
 from .hausdorff import SingularMapError, lebesgue_measure
 from .pointwise import gradient_fd
 
@@ -251,7 +251,7 @@ def curve_length(phi: ParametricMap, nodes: int = 1024) -> float:
     if not phi.injective:
         raise ValueError("curve must be flagged injective")
     a, b = float(phi.domain_lo[0]), float(phi.domain_hi[0])
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = legendre_rule(nodes)
     t = 0.5 * (b - a) * x + 0.5 * (a + b)
     speed = phi.j_at(t[:, None], step=(b - a) * 1e-6)
     return float(0.5 * (b - a) * (w * speed).sum())
@@ -319,11 +319,15 @@ def _hit_components(hits: np.ndarray) -> int:
     return int(n)
 
 
-def _partition_hits(
-    phi: ParametricMap, E: RasterSet | None, depth: int, y: np.ndarray
-) -> np.ndarray:
-    """Boolean mask over the depth-indexed partition: cell image bounding
-    box (corner samples, inflated by half its own extent) contains y.
+def _partition_boxes(
+    phi: ParametricMap, E: RasterSet | None, depth: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Padded image boxes of the cells of the depth-indexed partition.
+
+    Returns ``(lo, hi, member)``: ``lo`` and ``hi`` have shape
+    ``(2**depth,) * k + (n,)`` and bound each cell's image box (corner
+    samples, inflated by half its own extent); ``member`` marks the cells
+    whose center lies in E, or is None without E.
     """
     lo, hi = phi.domain_lo, phi.domain_hi
     k = phi.k
@@ -343,7 +347,7 @@ def _partition_hits(
         box_lo = np.minimum(box_lo[tuple(sl_a)], box_lo[tuple(sl_b)])
         box_hi = np.maximum(box_hi[tuple(sl_a)], box_hi[tuple(sl_b)])
     pad = 0.25 * (box_hi - box_lo) + 1e-12
-    hits = np.all((y >= box_lo - pad) & (y <= box_hi + pad), axis=-1)
+    member = None
     if E is not None:
         center_axes = [lo[d] + (np.arange(m) + 0.5) * steps[d] for d in range(k)]
         cgrids = np.meshgrid(*center_axes, indexing="ij")
@@ -352,8 +356,80 @@ def _partition_hits(
         inside = np.all((idx >= 0) & (idx < np.array(E.extents)), axis=1)
         member = np.zeros(len(centers), dtype=bool)
         member[inside] = E.mask[tuple(idx[inside].T)]
-        hits = hits & member.reshape(hits.shape)
+        member = member.reshape((m,) * k)
+    return box_lo - pad, box_hi + pad, member
+
+
+def _partition_hits(
+    phi: ParametricMap, E: RasterSet | None, depth: int, y: np.ndarray
+) -> np.ndarray:
+    """Boolean mask over the depth-indexed partition: the padded cell image
+    box contains y (and, with E, the cell center lies in E).
+    """
+    box_lo, box_hi, member = _partition_boxes(phi, E, depth)
+    hits = np.all((y >= box_lo) & (y <= box_hi), axis=-1)
+    if member is not None:
+        hits = hits & member
     return hits
+
+
+def _multiplicity_grid_2d(
+    phi: ParametricMap, E: RasterSet | None, depth: int, y_axes: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Hit-cluster counts for k = n = 2 at every y of the tensor grid
+    ``y_axes[0] x y_axes[1]`` (both ascending), as an array of that shape.
+
+    Each entry equals ``_hit_components(_partition_hits(phi, E, depth, y))``
+    at that y.  The partition is built once; every (cell, y) pair whose
+    padded box contains y becomes a graph node, same-y nodes of
+    8-adjacent cells are joined, and the components are counted per y.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    box_lo, box_hi, member = _partition_boxes(phi, E, depth)
+    m = box_lo.shape[0]
+    n_b = len(y_axes[1])
+    cells = np.arange(m * m) if member is None else np.flatnonzero(member)
+    box_lo = box_lo.reshape(m * m, 2)[cells]
+    box_hi = box_hi.reshape(m * m, 2)[cells]
+    # searchsorted makes the comparisons y >= lo and y <= hi of
+    # _partition_hits on each ascending axis; a NaN bound (always NaN on
+    # both sides) sorts past the end and leaves the range empty
+    first = [np.searchsorted(ax, box_lo[:, d], side="left") for d, ax in enumerate(y_axes)]
+    width = [
+        np.maximum(np.searchsorted(ax, box_hi[:, d], side="right") - first[d], 0)
+        for d, ax in enumerate(y_axes)
+    ]
+    per_cell = width[0] * width[1]
+    owner = np.repeat(np.arange(len(cells)), per_cell)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(per_cell) - per_cell, per_cell)
+    y_flat = (first[0][owner] + rank // width[1][owner]) * n_b + (
+        first[1][owner] + rank % width[1][owner]
+    )
+    cell = cells[owner]
+    # node key (y, cell) in row-major order; neighbours are looked up by key
+    key = y_flat * (m * m) + cell
+    order = np.argsort(key)
+    key_sorted = key[order]
+    row, col = cell // m, cell % m
+    src, dst = [], []
+    for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        ok = (row + dr < m) & (col + dc >= 0) & (col + dc < m)
+        nodes = np.flatnonzero(ok)
+        want = key[nodes] + dr * m + dc
+        pos = np.minimum(np.searchsorted(key_sorted, want), len(key_sorted) - 1)
+        found = key_sorted[pos] == want
+        src.append(nodes[found])
+        dst.append(order[pos[found]])
+    src = np.concatenate(src)
+    dst = np.concatenate(dst)
+    graph = coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(len(key),) * 2)
+    n_comp, labels = connected_components(graph, directed=False)
+    comp_y = np.zeros(n_comp, dtype=np.int64)
+    comp_y[labels] = y_flat
+    counts = np.bincount(comp_y, minlength=len(y_axes[0]) * n_b)
+    return counts.reshape(len(y_axes[0]), n_b)
 
 
 def multiplicity(
@@ -374,10 +450,14 @@ def multiplicity(
     return MultiplicityProfile(y, tuple(counts), None, False)
 
 
-def _multiplicity_row_1d(
-    phi: ParametricMap, E: RasterSet | None, depth: int, ys: np.ndarray
-) -> np.ndarray:
-    """Vectorized N(y) over a 1-D y-grid for k = n = 1 at a fixed depth."""
+def _partition_boxes_1d(
+    phi: ParametricMap, E: RasterSet | None, depth: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The k = n = 1 form of ``_partition_boxes``: ``(lo, hi, member,
+    centers)`` over the 2**depth cells, with linspace corners and
+    corner-midpoint centers (which round differently from the k-D builder,
+    so the 1-D operations keep this one).
+    """
     lo, hi = float(phi.domain_lo[0]), float(phi.domain_hi[0])
     m = 2**depth
     corners = np.linspace(lo, hi, m + 1)
@@ -385,19 +465,27 @@ def _multiplicity_row_1d(
     box_lo = np.minimum(vals[:-1], vals[1:])
     box_hi = np.maximum(vals[:-1], vals[1:])
     pad = 0.25 * (box_hi - box_lo) + 1e-12
+    centers = 0.5 * (corners[:-1] + corners[1:])
     if E is not None:
-        centers = 0.5 * (corners[:-1] + corners[1:])
         idx = np.floor((centers - E.origin[0]) / E.h).astype(int)
         inside = (idx >= 0) & (idx < E.extents[0])
         member = np.zeros(m, dtype=bool)
         member[inside] = E.mask[idx[inside]]
     else:
         member = np.ones(m, dtype=bool)
-    hits = (
-        (ys[:, None] >= box_lo - pad) & (ys[:, None] <= box_hi + pad) & member
-    )
-    h = hits.astype(np.int8)
-    return h[:, 0] + ((h[:, 1:] == 1) & (h[:, :-1] == 0)).sum(axis=1)
+    return box_lo - pad, box_hi + pad, member, centers
+
+
+def _multiplicity_row_1d(
+    phi: ParametricMap, E: RasterSet | None, depth: int, ys: np.ndarray
+) -> np.ndarray:
+    """Vectorized N(y) over a 1-D y-grid for k = n = 1 at a fixed depth."""
+    box_lo, box_hi, member, _ = _partition_boxes_1d(phi, E, depth)
+    # in place: the (len(ys), 2**depth) masks are the peak memory of the scan
+    hits = ys[:, None] >= box_lo
+    hits &= ys[:, None] <= box_hi
+    hits &= member
+    return hits[:, 0] + (hits[:, 1:] > hits[:, :-1]).sum(axis=1)
 
 
 def _y_grid_1d(phi: ParametricMap, n_y: int, probe: int = 4096) -> tuple[np.ndarray, float]:
@@ -476,24 +564,11 @@ def change_of_variables(
     lhs = float((uvals * J * member).sum() * steps)
 
     ys, dy = _y_grid_1d(phi, n_y)
-    m = 2**depth
-    corners = np.linspace(lo, hi, m + 1)
-    vals = phi(corners[:, None])[:, 0]
-    box_lo = np.minimum(vals[:-1], vals[1:])
-    box_hi = np.maximum(vals[:-1], vals[1:])
-    pad = 0.25 * (box_hi - box_lo) + 1e-12
-    cell_centers = 0.5 * (corners[:-1] + corners[1:])
+    box_lo, box_hi, memb, cell_centers = _partition_boxes_1d(phi, E, depth)
     cell_vals = phi(cell_centers[:, None])[:, 0]
-    if E is not None:
-        idx = np.floor((cell_centers - E.origin[0]) / E.h).astype(int)
-        inside = (idx >= 0) & (idx < E.extents[0])
-        memb = np.zeros(m, dtype=bool)
-        memb[inside] = E.mask[idx[inside]]
-    else:
-        memb = np.ones(m, dtype=bool)
     rhs = 0.0
     for y in ys:
-        hits = (y >= box_lo - pad) & (y <= box_hi + pad) & memb
+        hits = (y >= box_lo) & (y <= box_hi) & memb
         if not hits.any():
             continue
         h = hits.astype(np.int8)
@@ -555,13 +630,22 @@ def _change_of_variables_2d(
 def jacobian_l1_check(
     phi: ParametricMap, E: RasterSet | None = None, m_cells: int = 4096
 ) -> tuple[float, float]:
-    """(int |det DPhi|, int N(Phi, E, y) dy) for k = n; they must agree."""
+    """(int |det DPhi|, int N(Phi, E, y) dy) for k = n <= 2; they must agree.
+
+    For k = 1 the rhs is ``area_formula_with_multiplicity``.  For k = 2 the
+    lhs is a midpoint sum on sqrt(m_cells) cells per axis and the rhs sums
+    N over a 64 x 64 y-grid spanning the image (plus 2 % per side), each N
+    being the hit-cluster count of ``multiplicity`` at partition depth 7;
+    the counts of all y-grid points come from one pass over the partition.
+    """
     if phi.k != phi.n:
         raise ValueError("needs k = n")
     if phi.k == 1:
         lhs = _cell_sum(phi, E, m_cells)
         rhs, _ = area_formula_with_multiplicity(phi, E, m_cells=m_cells)
         return lhs, rhs
+    if phi.k != 2:
+        raise ValueError("implemented for k = n <= 2")
     lhs = _cell_sum(phi, E, int(round(math.sqrt(m_cells))))
     # 2-D multiplicity integral over a tensor y-grid
     n_y = 64
@@ -575,11 +659,12 @@ def jacobian_l1_check(
     y_lo -= 0.02 * span
     y_hi += 0.02 * span
     dy = (y_hi - y_lo) / n_y
+    y_axes = [y_lo[d] + (np.arange(n_y) + 0.5) * dy[d] for d in range(2)]
+    counts = _multiplicity_grid_2d(phi, E, 7, y_axes)
+    # a running sum in row-major order, not numpy's pairwise sum, so the
+    # rounding is that of the plain per-y integral
+    cell = float(np.prod(dy))
     rhs = 0.0
-    depth = 7
-    for i in range(n_y):
-        for j in range(n_y):
-            y = y_lo + (np.array([i, j]) + 0.5) * dy
-            hits = _partition_hits(phi, E, depth, y)
-            rhs += _hit_components(hits) * float(np.prod(dy))
-    return lhs, float(rhs)
+    for c in counts.ravel().tolist():
+        rhs += c * cell
+    return lhs, rhs

@@ -6,7 +6,8 @@ plus optional standalone SVG plots.  All randomness flows from a single
 --seed flag, so identical configs produce identical outputs; the one
 timestamp field can be disabled for byte-stable runs.
 
-Exit codes: 0 success, 1 validation error, 2 numerical non-convergence.
+Exit codes: 0 success, 1 validation error (argv usage errors included),
+2 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import datetime
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -209,16 +211,16 @@ def _cmd_sobolev(args) -> dict:
     if p < n:
         lhs, rhs, C = sb.gns_check(f, p)
         result["regime"] = "gns"
-        result["embedding"] = {"lhs": lhs, "rhs": rhs, "constant": C, "holds": lhs <= rhs}
+        result["embedding"] = {"lhs": lhs, "rhs": rhs, "constant": C, "holds": bool(lhs <= rhs)}
     elif p == n:
         b = sb.bmo_seminorm(f)
         bound = 2 * float(np.abs(f.values).max())
         result["regime"] = "bmo"
-        result["embedding"] = {"bmo_seminorm": b, "bound": bound, "holds": b <= bound}
+        result["embedding"] = {"bmo_seminorm": b, "bound": bound, "holds": bool(b <= bound)}
     else:
         worst = sb.morrey_check(f, p, seed=args.seed)
         result["regime"] = "morrey"
-        result["embedding"] = {"worst_ratio": worst, "holds": worst <= 1.0}
+        result["embedding"] = {"worst_ratio": worst, "holds": bool(worst <= 1.0)}
     return result
 
 
@@ -395,8 +397,25 @@ _PLOT_KIND = {"dim": "loglog", "bv": "levels"}
 # -------------------------------------------------------------------- main
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse held to the exit-code contract.
+
+    A token that starts with '-' and a digit (``--point -0.5,0``) is a
+    value, never a flag; a usage error raises ValidationFailure (exit 1)
+    where argparse would exit 2, the code for non-convergence.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes only a single number (-1, -.5)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def error(self, message):
+        raise ValidationFailure(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gmtkit",
         description="Batch front end for the gmtkit analysis library.",
     )
@@ -421,12 +440,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _argv_output(argv: list[str]) -> Path:
+    """The --output directory named in an argv that failed to parse."""
+    for i, token in enumerate(argv):
+        if token == "--output" and i + 1 < len(argv):
+            return Path(argv[i + 1])
+        if token.startswith("--output="):
+            return Path(token.split("=", 1)[1])
+    return Path(".")
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = build_parser().parse_args(argv)
+    except ValidationFailure as exc:
+        _write_error(_argv_output(argv), "validation", str(exc))
+        return EXIT_VALIDATION
     out_dir = Path(args.output)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        kind = None
+        if args.plot == "svg":
+            kind = _PLOT_KIND.get(args.command)
+            if kind is None:
+                raise ValidationFailure(f"command {args.command!r} has no plot")
         results = COMMANDS[args.command](args)
         report = {
             "schema": SCHEMA,
@@ -436,12 +474,11 @@ def run(argv: list[str] | None = None) -> int:
         }
         if not args.no_timestamp:
             report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        _write_report(report, out_dir, args.format)
-        if args.plot == "svg":
-            kind = _PLOT_KIND.get(args.command)
-            if kind is None:
-                raise ValidationFailure(f"command {args.command!r} has no plot")
+        # the plot goes first: a report that cannot be plotted (1-D bv has
+        # no per_level series) fails the job before report.json exists
+        if kind is not None:
             emit_plot(report, kind, out_dir)
+        _write_report(report, out_dir, args.format)
         return EXIT_OK
     except ValidationFailure as exc:
         _write_error(out_dir, "validation", str(exc))

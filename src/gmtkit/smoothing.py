@@ -17,7 +17,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .errors import UnderResolvedKernelError
-from .grids import GridFunction
+from .grids import GridFunction, legendre_rule
 from .hausdorff import omega
 from .pointwise import gradient_fd
 
@@ -49,7 +49,7 @@ def _unscaled_standard(r2: np.ndarray) -> np.ndarray:
 
 
 def _gauss_legendre(a: float, b: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = legendre_rule(nodes)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

@@ -30,3 +30,15 @@ def cantor_ifs_json(depth=12):
         '{"ratio": 0.3333333333333333, "offset": [0.6666666666666666]}], '
         f'"depth": {depth}}}'
     )
+
+
+def z_squared_map(lo, hi):
+    """z -> z^2 on a box of C = R^2: two preimages when the box is symmetric."""
+    from gmtkit.area import ParametricMap
+
+    return ParametricMap(
+        lambda p: np.stack([p[:, 0] ** 2 - p[:, 1] ** 2, 2 * p[:, 0] * p[:, 1]], axis=1),
+        lo,
+        hi,
+        n=2,
+    )

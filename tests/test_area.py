@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import z_squared_map
 from gmtkit import area as ar
 from gmtkit.grids import GridFunction, RasterSet
 from gmtkit.hausdorff import SingularMapError
@@ -263,3 +264,72 @@ def test_jacobian_l1_fold():
     lhs, rhs = ar.jacobian_l1_check(ar.builtin_map("fold", laps=2))
     assert lhs == pytest.approx(2.0, abs=0.01)
     assert rhs == pytest.approx(2.0, abs=0.02)
+
+
+def _polar_disk(radius):
+    """The parameter set r < radius of the polar chart, as a raster."""
+    h = 2 * math.pi / 256
+    return RasterSet.from_predicate(
+        lambda r, t: r < radius, [0.0, -math.pi], [int(1 / h) + 1, 256], h
+    )
+
+
+def test_jacobian_l1_polar_disk():
+    lhs, rhs = ar.jacobian_l1_check(ar.builtin_map("polar"))
+    assert lhs == pytest.approx(math.pi, rel=1e-9)
+    assert rhs == pytest.approx(math.pi, rel=0.05)
+
+
+def test_jacobian_l1_z_squared_counts_both_preimages():
+    lhs, rhs = ar.jacobian_l1_check(z_squared_map([-1.0, -1.0], [1.0, 1.0]))
+    # |det Dphi| = 4|z|^2 integrates to 32/3 over the square
+    assert lhs == pytest.approx(32 / 3, rel=1e-3)
+    assert rhs == pytest.approx(lhs, rel=0.05)
+    # the right half-square is mapped injectively onto the same image, so
+    # N = 2 almost everywhere on it and the full integral doubles the half
+    _, rhs_half = ar.jacobian_l1_check(z_squared_map([0.0, -1.0], [1.0, 1.0]))
+    assert rhs == pytest.approx(2 * rhs_half, rel=0.05)
+
+
+def test_jacobian_l1_restricted_to_raster():
+    radius = 0.75
+    E = _polar_disk(radius)
+    lhs, rhs = ar.jacobian_l1_check(ar.builtin_map("polar"), E=E)
+    # the disk edge is resolved to one raster cell and one of the 64 cells
+    # per axis of the lhs sum: a ring of width h + 1/64
+    ring = 2 * math.pi * radius * (E.h + 1 / 64)
+    assert lhs == pytest.approx(math.pi * radius**2, abs=ring)
+    assert rhs == pytest.approx(lhs, rel=0.05)
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+def test_multiplicity_grid_matches_per_point_scan(restricted):
+    phi = ar.builtin_map("polar")
+    E = _polar_disk(0.6) if restricted else None
+    depth = 7
+    rng = np.random.default_rng(7)
+    box_lo, box_hi, member = ar._partition_boxes(phi, E, depth)
+    keep = np.ones(box_lo.shape[:2], dtype=bool) if member is None else member
+    lo, hi = box_lo[keep], box_hi[keep]
+    # the outermost bounds are reached by edge cells alone, so at these y
+    # the inclusive >= and <= of the containment test decide the count
+    right, bottom = np.argmax(hi[:, 0]), np.argmin(lo[:, 1])
+    axes = [
+        np.sort(np.concatenate([
+            rng.uniform(-1.05, 1.05, 5),
+            [hi[right, 0], 0.5 * (lo[bottom, 0] + hi[bottom, 0])],
+        ])),
+        np.sort(np.concatenate([
+            rng.uniform(-1.05, 1.05, 5),
+            [lo[bottom, 1], 0.5 * (lo[right, 1] + hi[right, 1])],
+        ])),
+    ]
+    got = ar._multiplicity_grid_2d(phi, E, depth, axes)
+    want = np.array([
+        [ar._hit_components(ar._partition_hits(phi, E, depth, np.array([a, b])))
+         for b in axes[1]]
+        for a in axes[0]
+    ])
+    assert got.shape == (7, 7)
+    assert np.array_equal(got, want)
+    assert want.max() >= 1

@@ -177,3 +177,64 @@ def test_plot_unavailable_for_command(tmp_path):
         ["measure", "--input", str(mu), "--output", str(out), "--plot", "svg"]
     )
     assert code == cli.EXIT_VALIDATION
+
+
+def test_sobolev_morrey_regime_writes_report(tmp_path):
+    f = GridFunction.from_callable(
+        lambda x, y: np.sin(3 * x) * np.cos(2 * y), [0, 0], [64, 64], 1 / 64
+    )
+    grid = tmp_path / "f.csv"
+    f.to_csv(grid)
+    out = tmp_path / "out"
+    code = cli.run(
+        ["sobolev", "--input", str(grid), "--p", "3", "--output", str(out), "--no-timestamp"]
+    )
+    assert code == cli.EXIT_OK
+    res = read_report(out)["results"]
+    assert res["regime"] == "morrey"
+    assert isinstance(res["embedding"]["holds"], bool)
+
+
+def test_negative_point_is_a_value(tmp_path):
+    E = RasterSet.from_predicate(
+        lambda x, y: x**2 + y**2 <= 0.25, [-1, -1], [128, 128], 2 / 128
+    )
+    raster = tmp_path / "disk.csv"
+    E.to_csv(raster)
+    out = tmp_path / "out"
+    code = cli.run(
+        ["density", "--input", str(raster), "--point", "-0.2,0", "--output", str(out),
+         "--no-timestamp"]
+    )
+    assert code == cli.EXIT_OK
+    res = read_report(out)["results"]
+    assert res["point"] == [-0.2, 0.0]
+    assert res["classification"] == "density-1"
+
+
+def test_negative_range_is_a_value(tmp_path):
+    out = tmp_path / "out"
+    code = cli.run(
+        ["area", "--map", "helix", "--range", "-1,1", "--output", str(out), "--no-timestamp"]
+    )
+    assert code == cli.EXIT_OK
+    assert read_report(out)["results"]["length"] == pytest.approx(2 * math.sqrt(2), abs=1e-8)
+
+
+def test_unknown_flag_is_validation_error(tmp_path):
+    out = tmp_path / "out"
+    code = cli.run(["dim", "--bogus", "1", "--output", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"]["kind"] == "validation"
+    assert "--bogus" in err["error"]["message"]
+
+
+def test_levels_plot_of_1d_bv_writes_only_error(tmp_path):
+    f = GridFunction.from_callable(lambda x: np.sign(x - 0.5), [0.0], [256], 1 / 256)
+    grid = tmp_path / "f.csv"
+    f.to_csv(grid)
+    out = tmp_path / "out"
+    code = cli.run(["bv", "--input", str(grid), "--plot", "svg", "--output", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]

@@ -1,0 +1,119 @@
+"""Exact (==) reference outputs of the geometry kernels.
+
+The expected values come from the straightforward forms of these
+kernels: one partition scan and one ``ndimage.label`` per y-point in
+``jacobian_l1_check``, and ``len(np.unique(idx, axis=0))`` for occupied
+boxes.  The array-at-once kernels must reproduce every value bit for bit,
+so no tolerance is used here.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from conftest import z_squared_map
+from gmtkit import area as ar
+from gmtkit import hausdorff as hd
+from gmtkit.grids import RasterSet
+
+
+Z_SQUARED = z_squared_map([-1.0, -1.0], [1.0, 1.0])
+
+
+def _polar_half_disk_raster():
+    h = 2 * math.pi / 64
+    return RasterSet.from_predicate(lambda r, t: r < 0.5, [0.0, -math.pi], [64, 64], h)
+
+
+def test_jacobian_l1_exact():
+    assert ar.jacobian_l1_check(ar.builtin_map("polar")) == (
+        3.141592653589793, 3.2699638732848415
+    )
+    assert ar.jacobian_l1_check(Z_SQUARED) == (10.6640625, 11.069329765474512)
+    assert ar.jacobian_l1_check(ar.builtin_map("polar"), E=_polar_half_disk_raster()) == (
+        0.7370777685790506, 0.7752433730590808
+    )
+
+
+@pytest.mark.parametrize(
+    "phi, y, restricted, counts",
+    [
+        (ar.builtin_map("polar"), [-0.5, 0.0], False, (2, 2)),
+        (ar.builtin_map("polar"), [-0.5, 0.0], True, (2, 2)),
+        (ar.builtin_map("polar"), [1.0, 0.0], False, (1, 1)),
+        (ar.builtin_map("polar"), [1.0, 0.0], True, (0, 0)),
+        (Z_SQUARED, [0.25, -0.3], False, (1, 2, 2)),
+        (Z_SQUARED, [0.0, 0.0], False, (1, 1)),
+        (ar.builtin_map("square"), [0.25], False, (1, 2, 2)),
+    ],
+)
+def test_multiplicity_profiles_exact(phi, y, restricted, counts):
+    E = _polar_half_disk_raster() if restricted else None
+    prof = ar.multiplicity(phi, y, E=E, depths=range(2, 9))
+    assert prof.counts == counts
+    assert prof.count == counts[-1] and prof.stabilized
+
+
+def test_box_counts_exact():
+    corners = np.array([[0.0, 0.0], [0.5, 0.0], [0.25, math.sqrt(3) / 4]])
+    shift = np.array([0.3, 0.7])
+    sierpinski = hd.ifs_points(hd.IfsSystem(
+        maps=tuple(hd.SimilarityMap(0.5, b + 0.5 * shift) for b in corners), depth=9
+    ))
+    assert hd.box_counts(sierpinski, hd.default_scales(3, 7)).tolist() == [
+        41.75, 120.875, 358.25, 1047.625, 3005.5
+    ]
+
+    n = 128
+    axis = (np.arange(n) + 0.5) / n
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    grid = hd.PointCloud(np.stack([gx.ravel(), gy.ravel()], axis=1) + np.array([0.2, 0.6]) / n)
+    assert hd.box_counts(grid, hd.default_scales(4, 7)).tolist() == [
+        284.8125, 1072.625, 4160.3125, 16384.0
+    ]
+
+    cantor = hd.ifs_points(hd.IfsSystem.from_json(json.dumps({
+        "maps": [{"ratio": 1 / 3, "offset": [b + 0.2]} for b in (0.0, 2 / 3)],
+        "depth": 12,
+    })))
+    assert hd.box_counts(cantor, hd.default_scales(3, 10)).tolist() == [
+        7.375, 11.125, 17.5, 26.9375, 41.25, 65.6875, 99.3125, 153.8125
+    ]
+
+
+def test_premeasure_delta_exact():
+    cloud = hd.PointCloud(np.random.default_rng(3).random((4000, 2)))
+    got = []
+    for s in (0.5, 1.0, 1.5):
+        got += [hd.premeasure_delta(cloud, s, d, refine_floor=2.0**-8) for d in (0.4, 0.2, 0.1)]
+        got.append(hd.premeasure_delta(cloud.scale(0.6), s, 0.06))
+    assert got == [
+        9.880953887567335, 27.947557993961773, 79.04763110053868, 56.47808806640119,
+        5.65685424949238, 11.31370849898476, 21.46731993508534, 13.319999999999999,
+        1.4483972687492914, 1.4483972687492914, 1.4483972687492914, 2.9617759493296574,
+    ]
+
+    cloud3 = hd.PointCloud(np.random.default_rng(5).random((20000, 3)))
+    got3 = [hd.premeasure_delta(cloud3, s, d, refine_floor=2.0**-8)
+            for s in (0.5, 1.5) for d in (0.4, 0.1)]
+    assert got3 == [247.43245705354943, 1707.494565516012, 10.097199978333075, 10.097199978333075]
+
+
+def test_one_dimensional_multiplicity_scans_exact():
+    E = RasterSet.from_predicate(lambda x: x < 0.6, [0.0], [100], 0.01)
+    fold3 = ar.builtin_map("fold", laps=3)
+    assert ar.area_formula_with_multiplicity(fold3, n_y=8192) == (
+        2.9992187500000003, 2.99951171875
+    )
+    assert ar.area_formula_with_multiplicity(fold3, E=E, n_y=2048) == (
+        1.7998535156250002, 1.800048828125
+    )
+    fold2 = ar.builtin_map("fold", laps=2)
+    assert ar.change_of_variables(fold2, lambda p: p[:, 0], n_y=1024) == (
+        1.0, 1.0003902792726658
+    )
+    assert ar.change_of_variables(fold2, lambda p: p[:, 0], E=E, n_y=1024) == (
+        0.36011719703674316, 0.36009790411216774
+    )

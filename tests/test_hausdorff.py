@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cantor_ifs_json
 from gmtkit import hausdorff as hd
@@ -165,3 +167,23 @@ def test_lipschitz_image_bound():
     f = lambda pts: L * pts  # exactly L-Lipschitz
     image_pm, bound = hd.lipschitz_image_bound_check(f, L, cloud, s=1.5, delta=0.1)
     assert image_pm <= bound + 1e-9
+
+
+# one coordinate: a few small values (so rows repeat), or anything in int64,
+# so that the index box of a sample can span more than 2^63 cells
+_coordinate = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([-(2**63), -(2**62), 2**62, 2**63 - 1]),
+    st.integers(-(2**63), 2**63 - 1),
+)
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(_coordinate, min_size=n, max_size=n), max_size=40)
+        .map(lambda rows, n=n: np.array(rows, dtype=np.int64).reshape(-1, n))
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_distinct_rows_matches_unique(idx):
+    assert hd._distinct_rows(idx) == len(np.unique(idx, axis=0))
