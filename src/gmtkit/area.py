@@ -17,9 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonConvergenceError
-from .grids import GridFunction, RasterSet, legendre_rule
+from .grids import GridFunction, RasterSet, _centers_1d, legendre_rule, tensor_points
 from .hausdorff import SingularMapError, lebesgue_measure
-from .pointwise import gradient_fd
+from .pointwise import _central_differences, gradient_fd
 
 __all__ = [
     "LinearMap",
@@ -127,12 +127,7 @@ class ParametricMap:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.jacobian is not None:
             return np.asarray(self.jacobian(pts), dtype=float)
-        cols = []
-        for d in range(self.k):
-            e = np.zeros(self.k)
-            e[d] = step
-            cols.append((self(pts + e) - self(pts - e)) / (2 * step))
-        return np.stack(cols, axis=-1)
+        return _central_differences(self, pts, step)
 
     def j_at(self, pts: np.ndarray, step: float) -> np.ndarray:
         """Pointwise J(Phi) = sqrt(det(DPhi^t DPhi)), shape (N,)."""
@@ -266,20 +261,28 @@ def graph_area(f: GridFunction, mask: np.ndarray | None = None) -> float:
     return float(integrand.sum() * f.h**f.ndim)
 
 
-def _cell_sum(phi: ParametricMap, E: RasterSet | None, m: int) -> float:
+def _cell_centers(phi: ParametricMap, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Centers of the m cells per axis of phi's domain box, shape (m**k, k),
+    and the cell steps per axis."""
     lo, hi = phi.domain_lo, phi.domain_hi
-    k = phi.k
     steps = (hi - lo) / m
-    axes = [lo[d] + (np.arange(m) + 0.5) * steps[d] for d in range(k)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    return tensor_points([_centers_1d(lo[d], m, steps[d]) for d in range(phi.k)]), steps
+
+
+def _cell_sum(
+    phi: ParametricMap,
+    E: RasterSet | None,
+    m: int,
+    u: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> float:
+    """Midpoint sum of u J(Phi) (J(Phi) without u) over the m cells per axis
+    whose centers lie in E."""
+    pts, steps = _cell_centers(phi, m)
     J = phi.j_at(pts, step=float(steps.min()) / 4)
+    if u is not None:
+        J = np.asarray(u(pts), dtype=float).reshape(-1) * J
     if E is not None:
-        idx = np.floor((pts - E.origin) / E.h).astype(int)
-        inside = np.all((idx >= 0) & (idx < np.array(E.extents)), axis=1)
-        member = np.zeros(len(pts), dtype=bool)
-        member[inside] = E.mask[tuple(idx[inside].T)]
-        J = np.where(member, J, 0.0)
+        J = np.where(E.contains(pts), J, 0.0)
     return float(J.sum() * np.prod(steps))
 
 
@@ -307,11 +310,18 @@ class MultiplicityProfile:
     stabilized: bool
 
 
+def _run_starts(hits: np.ndarray) -> np.ndarray:
+    """Mask of the cells that start a run of hits along the last axis."""
+    starts = np.empty_like(hits)
+    starts[..., 0] = hits[..., 0]
+    np.greater(hits[..., 1:], hits[..., :-1], out=starts[..., 1:])
+    return starts
+
+
 def _hit_components(hits: np.ndarray) -> int:
     """Connected components (full adjacency) of a boolean partition mask."""
     if hits.ndim == 1:
-        h = hits.astype(np.int8)
-        return int(h[0] + ((h[1:] == 1) & (h[:-1] == 0)).sum())
+        return int(_run_starts(hits).sum())
     from scipy import ndimage
 
     structure = np.ones((3,) * hits.ndim, dtype=int)
@@ -333,9 +343,7 @@ def _partition_boxes(
     k = phi.k
     m = 2**depth
     steps = (hi - lo) / m
-    corner_axes = [lo[d] + np.arange(m + 1) * steps[d] for d in range(k)]
-    grids = np.meshgrid(*corner_axes, indexing="ij")
-    corners = np.stack([g.ravel() for g in grids], axis=-1)
+    corners = tensor_points([lo[d] + np.arange(m + 1) * steps[d] for d in range(k)])
     vals = phi(corners).reshape(*(m + 1,) * k, phi.n)
     box_lo = vals.copy()
     box_hi = vals.copy()
@@ -347,16 +355,7 @@ def _partition_boxes(
         box_lo = np.minimum(box_lo[tuple(sl_a)], box_lo[tuple(sl_b)])
         box_hi = np.maximum(box_hi[tuple(sl_a)], box_hi[tuple(sl_b)])
     pad = 0.25 * (box_hi - box_lo) + 1e-12
-    member = None
-    if E is not None:
-        center_axes = [lo[d] + (np.arange(m) + 0.5) * steps[d] for d in range(k)]
-        cgrids = np.meshgrid(*center_axes, indexing="ij")
-        centers = np.stack([g.ravel() for g in cgrids], axis=-1)
-        idx = np.floor((centers - E.origin) / E.h).astype(int)
-        inside = np.all((idx >= 0) & (idx < np.array(E.extents)), axis=1)
-        member = np.zeros(len(centers), dtype=bool)
-        member[inside] = E.mask[tuple(idx[inside].T)]
-        member = member.reshape((m,) * k)
+    member = None if E is None else E.contains(_cell_centers(phi, m)[0]).reshape((m,) * k)
     return box_lo - pad, box_hi + pad, member
 
 
@@ -450,42 +449,35 @@ def multiplicity(
     return MultiplicityProfile(y, tuple(counts), None, False)
 
 
-def _partition_boxes_1d(
-    phi: ParametricMap, E: RasterSet | None, depth: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The k = n = 1 form of ``_partition_boxes``: ``(lo, hi, member,
-    centers)`` over the 2**depth cells, with linspace corners and
-    corner-midpoint centers (which round differently from the k-D builder,
-    so the 1-D operations keep this one).
+def _partition_hits_1d(
+    phi: ParametricMap, E: RasterSet | None, depth: int, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k = n = 1 form of ``_partition_hits`` for every y of ``ys`` at
+    once: the (len(ys), 2**depth) hit mask and the cell centers.
+
+    Corners come from linspace and centers are corner midpoints, which
+    round differently from the k-D builder, so the 1-D scans keep this one.
     """
     lo, hi = float(phi.domain_lo[0]), float(phi.domain_hi[0])
-    m = 2**depth
-    corners = np.linspace(lo, hi, m + 1)
+    corners = np.linspace(lo, hi, 2**depth + 1)
     vals = phi(corners[:, None])[:, 0]
     box_lo = np.minimum(vals[:-1], vals[1:])
     box_hi = np.maximum(vals[:-1], vals[1:])
     pad = 0.25 * (box_hi - box_lo) + 1e-12
     centers = 0.5 * (corners[:-1] + corners[1:])
+    # in place: the mask is the peak memory of the 1-D scans
+    hits = ys[:, None] >= box_lo - pad
+    hits &= ys[:, None] <= box_hi + pad
     if E is not None:
-        idx = np.floor((centers - E.origin[0]) / E.h).astype(int)
-        inside = (idx >= 0) & (idx < E.extents[0])
-        member = np.zeros(m, dtype=bool)
-        member[inside] = E.mask[idx[inside]]
-    else:
-        member = np.ones(m, dtype=bool)
-    return box_lo - pad, box_hi + pad, member, centers
+        hits &= E.contains(centers[:, None])
+    return hits, centers
 
 
 def _multiplicity_row_1d(
     phi: ParametricMap, E: RasterSet | None, depth: int, ys: np.ndarray
 ) -> np.ndarray:
     """Vectorized N(y) over a 1-D y-grid for k = n = 1 at a fixed depth."""
-    box_lo, box_hi, member, _ = _partition_boxes_1d(phi, E, depth)
-    # in place: the (len(ys), 2**depth) masks are the peak memory of the scan
-    hits = ys[:, None] >= box_lo
-    hits &= ys[:, None] <= box_hi
-    hits &= member
-    return hits[:, 0] + (hits[:, 1:] > hits[:, :-1]).sum(axis=1)
+    return _run_starts(_partition_hits_1d(phi, E, depth, ys)[0]).sum(axis=1)
 
 
 def _y_grid_1d(phi: ParametricMap, n_y: int, probe: int = 4096) -> tuple[np.ndarray, float]:
@@ -497,7 +489,7 @@ def _y_grid_1d(phi: ParametricMap, n_y: int, probe: int = 4096) -> tuple[np.ndar
     y0 -= 0.05 * span
     y1 += 0.05 * span
     dy = (y1 - y0) / n_y
-    return y0 + (np.arange(n_y) + 0.5) * dy, dy
+    return _centers_1d(y0, n_y, dy), dy
 
 
 def area_formula_with_multiplicity(
@@ -550,36 +542,28 @@ def change_of_variables(
         return _change_of_variables_2d(phi, u, E, n_y, m_cells)
     if phi.k != 1 or phi.n != 1:
         raise ValueError("implemented for k = n <= 2")
-    lo, hi = float(phi.domain_lo[0]), float(phi.domain_hi[0])
-    steps = (hi - lo) / m_cells
-    centers = lo + (np.arange(m_cells) + 0.5) * steps
-    J = phi.j_at(centers[:, None], step=steps / 4)
-    uvals = np.asarray(u(centers[:, None]), dtype=float).reshape(-1)
-    member = np.ones(m_cells, dtype=bool)
-    if E is not None:
-        idx = np.floor((centers - E.origin[0]) / E.h).astype(int)
-        inside = (idx >= 0) & (idx < E.extents[0])
-        member[:] = False
-        member[inside] = E.mask[idx[inside]]
-    lhs = float((uvals * J * member).sum() * steps)
+    lhs = _cell_sum(phi, E, m_cells, u)
 
     ys, dy = _y_grid_1d(phi, n_y)
-    box_lo, box_hi, memb, cell_centers = _partition_boxes_1d(phi, E, depth)
-    cell_vals = phi(cell_centers[:, None])[:, 0]
+    hits, centers = _partition_hits_1d(phi, E, depth, ys)
+    rows, cols = np.nonzero(hits)
+    first = _run_starts(hits)[rows, cols]
+    run = np.cumsum(first) - 1
+    # the best cell of a run has the image value nearest y (the leftmost
+    # on ties: lexsort is stable)
+    dist = np.abs(phi(centers[:, None])[:, 0][cols] - ys[rows])
+    order = np.lexsort((dist, run))
+    sizes = np.bincount(run)
+    best = cols[order[np.cumsum(sizes) - sizes]]
+    u_best = np.asarray(u(centers[best][:, None]), dtype=float).reshape(-1)
+    # running sums left to right, per y and then over y, so the rounding is
+    # that of the plain per-y integral
+    totals = np.zeros(len(ys))
+    np.add.at(totals, rows[first], u_best)
     rhs = 0.0
-    for y in ys:
-        hits = (y >= box_lo) & (y <= box_hi) & memb
-        if not hits.any():
-            continue
-        h = hits.astype(np.int8)
-        starts = np.flatnonzero(np.diff(np.concatenate([[0], h])) == 1)
-        ends = np.flatnonzero(np.diff(np.concatenate([h, [0]])) == -1)
-        total = 0.0
-        for s, e in zip(starts, ends):
-            best = s + int(np.argmin(np.abs(cell_vals[s : e + 1] - y)))
-            total += float(np.asarray(u(cell_centers[best : best + 1, None])).reshape(-1)[0])
+    for total in totals.tolist():
         rhs += total * dy
-    return lhs, float(rhs)
+    return lhs, rhs
 
 
 def _change_of_variables_2d(
@@ -592,19 +576,10 @@ def _change_of_variables_2d(
     from scipy.spatial import cKDTree
 
     m = int(round(math.sqrt(m_cells))) if m_cells > 4096 else 512
-    lo, hi = phi.domain_lo, phi.domain_hi
-    steps = (hi - lo) / m
-    axes = [lo[d] + (np.arange(m) + 0.5) * steps[d] for d in range(2)]
-    g = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([a.ravel() for a in g], axis=-1)
+    pts, steps = _cell_centers(phi, m)
     J = phi.j_at(pts, step=float(steps.min()) / 4)
     uvals = np.asarray(u(pts), dtype=float).reshape(-1)
-    member = np.ones(len(pts), dtype=bool)
-    if E is not None:
-        idx = np.floor((pts - E.origin) / E.h).astype(int)
-        inside = np.all((idx >= 0) & (idx < np.array(E.extents)), axis=1)
-        member[:] = False
-        member[inside] = E.mask[tuple(idx[inside].T)]
+    member = np.ones(len(pts), dtype=bool) if E is None else E.contains(pts)
     lhs = float((uvals * J * member).sum() * np.prod(steps))
 
     img = phi(pts[member])
@@ -613,9 +588,7 @@ def _change_of_variables_2d(
     y_hi = img.max(axis=0)
     dy = (y_hi - y_lo) / max(n_y, 64)
     ny = max(n_y, 64)
-    y_axes = [y_lo[d] + (np.arange(ny) + 0.5) * dy[d] for d in range(2)]
-    yg = np.meshgrid(*y_axes, indexing="ij")
-    ys = np.stack([a.ravel() for a in yg], axis=-1)
+    ys = tensor_points([_centers_1d(y_lo[d], ny, dy[d]) for d in range(2)])
     # a y-cell counts when an image sample lies within one image-grid step
     cutoff = 2.0 * float(np.linalg.norm(
         np.abs(phi.jacobian_at(pts[:1], float(steps.min()) / 4)[0]) @ steps
@@ -650,16 +623,14 @@ def jacobian_l1_check(
     # 2-D multiplicity integral over a tensor y-grid
     n_y = 64
     lo, hi = phi.domain_lo, phi.domain_hi
-    probe_axes = [np.linspace(lo[d], hi[d], 256) for d in range(2)]
-    g = np.meshgrid(*probe_axes, indexing="ij")
-    img = phi(np.stack([a.ravel() for a in g], axis=-1))
+    img = phi(tensor_points([np.linspace(lo[d], hi[d], 256) for d in range(2)]))
     y_lo = img.min(axis=0)
     y_hi = img.max(axis=0)
     span = y_hi - y_lo
     y_lo -= 0.02 * span
     y_hi += 0.02 * span
     dy = (y_hi - y_lo) / n_y
-    y_axes = [y_lo[d] + (np.arange(n_y) + 0.5) * dy[d] for d in range(2)]
+    y_axes = [_centers_1d(y_lo[d], n_y, dy[d]) for d in range(2)]
     counts = _multiplicity_grid_2d(phi, E, 7, y_axes)
     # a running sum in row-major order, not numpy's pairwise sum, so the
     # rounding is that of the plain per-y integral

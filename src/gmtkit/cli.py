@@ -6,8 +6,9 @@ plus optional standalone SVG plots.  All randomness flows from a single
 --seed flag, so identical configs produce identical outputs; the one
 timestamp field can be disabled for byte-stable runs.
 
-Exit codes: 0 success, 1 validation error (argv usage errors included),
-2 numerical non-convergence.
+Exit codes: 0 success, 1 validation error (argv usage errors and every
+library input error, i.e. any ValueError, included), 2 numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import measures as ms
 from . import pointwise as pw
 from . import smoothing as sm
 from . import sobolev_bv as sb
-from .errors import NonConvergenceError, UnderResolvedKernelError
+from .errors import NonConvergenceError
 from .grids import GridFunction, RasterSet
 
 SCHEMA = "gmtkit/1"
@@ -47,6 +48,8 @@ def _parse_floats(text: str, count: int | None = None) -> list[float]:
     vals = [float(p) for p in parts]
     if count is not None and len(vals) != count:
         raise ValidationFailure(f"expected {count} comma-separated values, got {text!r}")
+    if not all(math.isfinite(v) for v in vals):
+        raise ValidationFailure(f"values must be finite, got {text!r}")
     return vals
 
 
@@ -59,59 +62,37 @@ def _parse_scales(text: str) -> np.ndarray:
         raise ValidationFailure(f"bad --scales {text!r}; expected 'a..b'") from exc
 
 
+def _load(path: str, kind: str, parse):
+    """``parse(path)`` of one input file; a missing or empty file, and any
+    parse failure, is a ValidationFailure naming the file and its ``kind``."""
+    p = Path(path)
+    if not p.is_file():
+        raise ValidationFailure(f"input file not found: {path}")
+    if p.stat().st_size == 0:
+        raise ValidationFailure(f"input file is empty: {path}")
+    try:
+        return parse(p)
+    except Exception as exc:
+        raise ValidationFailure(f"cannot parse {kind} {path}: {exc}") from exc
+
+
 def _load_grid(path: str) -> GridFunction:
-    p = Path(path)
-    if not p.is_file():
-        raise ValidationFailure(f"input file not found: {path}")
-    if p.stat().st_size == 0:
-        raise ValidationFailure(f"input file is empty: {path}")
-    try:
-        return GridFunction.from_csv(p)
-    except Exception as exc:
-        raise ValidationFailure(f"cannot parse grid CSV {path}: {exc}") from exc
+    return _load(path, "grid CSV", GridFunction.from_csv)
 
 
-def _load_measure(path: str) -> ms.AtomicMeasure:
-    p = Path(path)
-    if not p.is_file():
-        raise ValidationFailure(f"input file not found: {path}")
-    if p.stat().st_size == 0:
-        raise ValidationFailure(f"input file is empty: {path}")
-    try:
-        data = json.loads(p.read_text())
-        weights = np.asarray(data["weights"], dtype=float)
-        if weights.ndim == 1:
-            weights = weights[:, None]
-        return ms.AtomicMeasure(atoms=tuple(data["atoms"]), weights=weights)
-    except ValidationFailure:
-        raise
-    except Exception as exc:
-        raise ValidationFailure(f"cannot parse measure JSON {path}: {exc}") from exc
-
-
-def _load_cloud_or_ifs(path: str, scales: np.ndarray) -> hd.PointCloud:
-    p = Path(path)
-    if not p.is_file():
-        raise ValidationFailure(f"input file not found: {path}")
-    if p.stat().st_size == 0:
-        raise ValidationFailure(f"input file is empty: {path}")
-    if p.suffix == ".json":
-        try:
-            ifs = hd.IfsSystem.from_json(p.read_text())
-        except Exception as exc:
-            raise ValidationFailure(f"cannot parse IFS JSON {path}: {exc}") from exc
-        return hd.ifs_points(ifs, depth=ifs.depth or None, min_scale=float(scales.min()))
-    try:
-        return hd.PointCloud.from_csv(p)
-    except Exception as exc:
-        raise ValidationFailure(f"cannot parse point CSV {path}: {exc}") from exc
+def _parse_measure(p: Path) -> ms.AtomicMeasure:
+    data = json.loads(p.read_text())
+    weights = np.asarray(data["weights"], dtype=float)
+    if weights.ndim == 1:
+        weights = weights[:, None]
+    return ms.AtomicMeasure(atoms=tuple(data["atoms"]), weights=weights)
 
 
 # ---------------------------------------------------------------- commands
 
 
 def _cmd_measure(args) -> dict:
-    mu = _load_measure(_single_input(args))
+    mu = _load(_single_input(args), "measure JSON", _parse_measure)
     result = {
         "atoms": list(mu.atoms),
         "m": mu.m,
@@ -130,7 +111,12 @@ def _cmd_measure(args) -> dict:
 
 def _cmd_dim(args) -> dict:
     scales = _parse_scales(args.scales)
-    cloud = _load_cloud_or_ifs(_single_input(args), scales)
+    path = _single_input(args)
+    if Path(path).suffix == ".json":
+        ifs = _load(path, "IFS JSON", lambda p: hd.IfsSystem.from_json(p.read_text()))
+        cloud = hd.ifs_points(ifs, depth=ifs.depth or None, min_scale=float(scales.min()))
+    else:
+        cloud = _load(path, "point CSV", hd.PointCloud.from_csv)
     est = hd.dimension_estimate(cloud, scales)
     return {
         "slope": est.slope,
@@ -143,14 +129,7 @@ def _cmd_dim(args) -> dict:
 
 
 def _cmd_density(args) -> dict:
-    path = _single_input(args)
-    p = Path(path)
-    if not p.is_file() or p.stat().st_size == 0:
-        raise ValidationFailure(f"input file missing or empty: {path}")
-    try:
-        E = RasterSet.from_csv(p)
-    except Exception as exc:
-        raise ValidationFailure(f"cannot parse raster CSV {path}: {exc}") from exc
+    E = _load(_single_input(args), "raster CSV", RasterSet.from_csv)
     if args.point is None:
         raise ValidationFailure("density requires --point")
     x = _parse_floats(args.point, E.ndim)
@@ -169,10 +148,7 @@ def _cmd_mollify(args) -> dict:
     if args.eps is None:
         raise ValidationFailure("mollify requires --eps")
     kernel = sm.make_standard_mollifier(f.ndim, args.eps)
-    try:
-        out = sm.mollify(f, kernel)
-    except UnderResolvedKernelError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    out = sm.mollify(f, kernel)
     out_path = Path(args.output) / "mollified.csv"
     out.to_csv(out_path)
     return {
@@ -251,10 +227,7 @@ def _cmd_area(args) -> dict:
     if args.range is not None:
         lo, hi = _parse_floats(args.range, 2)
         params = {"lo": lo, "hi": hi}
-    try:
-        phi = ar.builtin_map(args.map, **params)
-    except (ValueError, TypeError) as exc:
-        raise ValidationFailure(str(exc)) from exc
+    phi = ar.builtin_map(args.map, **params)
     if phi.k == 1 and phi.injective:
         return {"map": args.map, "length": ar.curve_length(phi)}
     if phi.injective:
@@ -427,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p", type=float, default=2.0, help="Lebesgue/Sobolev exponent")
     parser.add_argument("--eps", type=float, default=None, help="mollifier width")
     parser.add_argument("--scales", default="3..10", help="dyadic scale range a..b")
-    parser.add_argument("--depth", type=int, default=0, help="IFS/partition depth override")
     parser.add_argument("--map", default=None,
                         help="builtin map name: helix, polar, sphere, fold, square")
     parser.add_argument("--range", default=None, help="parameter range lo,hi for --map")
@@ -480,12 +452,13 @@ def run(argv: list[str] | None = None) -> int:
             emit_plot(report, kind, out_dir)
         _write_report(report, out_dir, args.format)
         return EXIT_OK
-    except ValidationFailure as exc:
-        _write_error(out_dir, "validation", str(exc))
-        return EXIT_VALIDATION
     except NonConvergenceError as exc:
         _write_error(out_dir, "non-convergence", str(exc))
         return EXIT_NONCONVERGENCE
+    except ValueError as exc:
+        # every library input error (ResolutionError, RegimeError, ...) is one
+        _write_error(out_dir, "validation", str(exc))
+        return EXIT_VALIDATION
 
 
 def _write_error(out_dir: Path, kind: str, message: str) -> None:

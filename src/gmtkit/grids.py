@@ -13,11 +13,23 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["GridFunction", "RasterSet"]
+__all__ = ["GridFunction", "RasterSet", "tensor_points"]
 
 
 def _centers_1d(origin: float, count: int, h: float) -> np.ndarray:
     return origin + (np.arange(count) + 0.5) * h
+
+
+def _center_grids(origin: np.ndarray, extents: Sequence[int], h: float) -> list[np.ndarray]:
+    axes = [_centers_1d(origin[d], extents[d], h) for d in range(len(origin))]
+    return list(np.meshgrid(*axes, indexing="ij"))
+
+
+def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Points of the tensor grid ``axes[0] x ... x axes[k-1]`` in row-major
+    order, shape (N, k)."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -67,13 +79,11 @@ class GridFunction:
         return _centers_1d(self.origin[d], self.values.shape[d], self.h)
 
     def meshgrid(self) -> list[np.ndarray]:
-        axes = [self.axis_centers(d) for d in range(self.ndim)]
-        return list(np.meshgrid(*axes, indexing="ij"))
+        return _center_grids(self.origin, self.extents, self.h)
 
     def points(self) -> np.ndarray:
         """All cell centers, shape (ncells, ndim)."""
-        grids = self.meshgrid()
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return tensor_points([self.axis_centers(d) for d in range(self.ndim)])
 
     @classmethod
     def from_callable(
@@ -85,9 +95,7 @@ class GridFunction:
     ) -> "GridFunction":
         """Sample ``fn(x1, ..., xn)`` (vectorized) at cell centers."""
         origin = np.atleast_1d(np.asarray(origin, dtype=float))
-        axes = [_centers_1d(origin[d], extents[d], h) for d in range(len(origin))]
-        grids = np.meshgrid(*axes, indexing="ij")
-        values = np.asarray(fn(*grids), dtype=float)
+        values = np.asarray(fn(*_center_grids(origin, extents, h)), dtype=float)
         return cls(values=values, origin=origin, h=h)
 
     def integral(self) -> float:
@@ -155,6 +163,21 @@ class RasterSet:
     def axis_centers(self, d: int) -> np.ndarray:
         return _centers_1d(self.origin[d], self.mask.shape[d], self.h)
 
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Membership of each row of an (N, ndim) point array: True iff the
+        point lies in a member cell (cells are half-open, outside is False).
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.ndim:
+            raise ValueError(
+                f"points of shape {points.shape} do not match a {self.ndim}-D raster"
+            )
+        idx = np.floor((points - self.origin) / self.h).astype(int)
+        inside = np.all((idx >= 0) & (idx < np.array(self.extents)), axis=1)
+        member = np.zeros(len(points), dtype=bool)
+        member[inside] = self.mask[tuple(idx[inside].T)]
+        return member
+
     def true_centers(self) -> np.ndarray:
         """Centers of member cells, shape (count, ndim)."""
         idx = np.argwhere(self.mask)
@@ -169,9 +192,8 @@ class RasterSet:
         h: float,
     ) -> "RasterSet":
         origin = np.atleast_1d(np.asarray(origin, dtype=float))
-        axes = [_centers_1d(origin[d], extents[d], h) for d in range(len(origin))]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return cls(mask=np.asarray(pred(*grids), dtype=bool), origin=origin, h=h)
+        mask = np.asarray(pred(*_center_grids(origin, extents, h)), dtype=bool)
+        return cls(mask=mask, origin=origin, h=h)
 
     def complement(self) -> "RasterSet":
         return RasterSet(mask=~self.mask, origin=self.origin, h=self.h)

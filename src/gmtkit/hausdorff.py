@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import RasterSet
+from .grids import RasterSet, _centers_1d, tensor_points
 
 __all__ = [
     "PointCloud",
@@ -327,14 +327,8 @@ def linear_image_measure_check(raster: RasterSet, T: np.ndarray) -> tuple[float,
     lo = img.min(axis=0) - h
     hi = img.max(axis=0) + h
     ext = np.maximum(1, np.ceil((hi - lo) / h).astype(int))
-    axes = [lo[d] + (np.arange(ext[d]) + 0.5) * h for d in range(n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    ycenters = np.stack([g.ravel() for g in grids], axis=-1)
-    back = ycenters @ np.linalg.inv(T).T
-    idx = np.floor((back - raster.origin) / h).astype(int)
-    inside = np.all((idx >= 0) & (idx < np.array(raster.extents)), axis=1)
-    hit = np.zeros(len(ycenters), dtype=bool)
-    hit[inside] = raster.mask[tuple(idx[inside].T)]
+    ycenters = tensor_points([_centers_1d(lo[d], ext[d], h) for d in range(n)])
+    hit = raster.contains(ycenters @ np.linalg.inv(T).T)
     lhs = float(hit.sum()) * h**n
     return lhs, rhs
 

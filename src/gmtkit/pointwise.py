@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonConvergenceError, ResolutionError
-from .grids import GridFunction, RasterSet
+from .grids import GridFunction, RasterSet, tensor_points
 from .hausdorff import omega
 
 __all__ = [
@@ -102,16 +102,25 @@ def jacobian_fd(
 
     ``phi`` maps a point array of shape (k,) to an array of shape (n,).
     """
-    x = np.asarray(x, dtype=float)
-    k = x.shape[0]
+    J = _central_differences(phi, np.asarray(x, dtype=float), step)
+    det = float(np.linalg.det(J)) if J.shape[0] == J.shape[1] else None
+    return J, det
+
+
+def _central_differences(
+    phi: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float
+) -> np.ndarray:
+    """Central-difference derivatives of ``phi`` along each coordinate of
+    ``x`` (the last axis of x), stacked on a new last axis: a (k,) point
+    gives an (n, k) Jacobian, an (N, k) point array an (N, n, k) one.
+    """
+    k = x.shape[-1]
     cols = []
     for j in range(k):
         e = np.zeros(k)
         e[j] = step
         cols.append((np.asarray(phi(x + e)) - np.asarray(phi(x - e))) / (2 * step))
-    J = np.stack(cols, axis=-1)
-    det = float(np.linalg.det(J)) if J.shape[0] == J.shape[1] else None
-    return J, det
+    return np.stack(cols, axis=-1)
 
 
 def default_radii(f: GridFunction | RasterSet, x: Sequence[float], count: int = 8) -> np.ndarray:
@@ -171,9 +180,7 @@ def _ball_samples(values: np.ndarray, origin: np.ndarray, h: float, x: np.ndarra
         return empty, np.empty(0, dtype=values.dtype)
     sl = tuple(slice(a, b) for a, b in zip(lo, hi))
     block = values[sl]
-    axes = [origin[d] + (np.arange(lo[d], hi[d]) + 0.5) * h for d in range(n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = tensor_points([origin[d] + (np.arange(lo[d], hi[d]) + 0.5) * h for d in range(n)])
     inside = ((pts - x) ** 2).sum(axis=1) <= r * r
     return pts[inside], block.ravel()[inside]
 

@@ -92,14 +92,14 @@ def _standard_normalization(n: int, nodes: int = 64) -> float:
 
 
 def make_standard_mollifier(n: int, eps: float) -> MollifierKernel:
-    if n < 1 or eps <= 0:
-        raise ValueError("need n >= 1 and eps > 0")
+    if n < 1 or not 0 < eps < math.inf:
+        raise ValueError("need n >= 1 and finite eps > 0")
     return MollifierKernel("standard", n, eps, _standard_normalization(n))
 
 
 def make_ball_mollifier(n: int, eps: float) -> MollifierKernel:
-    if n < 1 or eps <= 0:
-        raise ValueError("need n >= 1 and eps > 0")
+    if n < 1 or not 0 < eps < math.inf:
+        raise ValueError("need n >= 1 and finite eps > 0")
     return MollifierKernel("ball-indicator", n, eps, 1.0 / omega(n))
 
 
@@ -241,6 +241,8 @@ def weak_derivative_residual(
     """
     if g.values.shape != f.values.shape:
         raise ValueError("candidate must share the lattice of f")
+    if not -f.ndim <= axis < f.ndim:
+        raise ValueError(f"axis {axis} out of range for a {f.ndim}-D grid")
     _check_support_inside(f, battery)
     pts = f.points()
     cell = f.h**f.ndim

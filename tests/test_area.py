@@ -245,6 +245,42 @@ def test_change_of_variables_substitution():
     assert rhs == pytest.approx(2 / 3, abs=5e-3)
 
 
+def _preimage_sum_per_y(phi, u, E, n_y, depth):
+    """Reference rhs of the 1-D change of variables: one scan per y, the
+    nearest-image cell of each hit run, sums running left to right."""
+    ys, dy = ar._y_grid_1d(phi, n_y)
+    corners = np.linspace(phi.domain_lo[0], phi.domain_hi[0], 2**depth + 1)
+    vals = phi(corners[:, None])[:, 0]
+    pad = 0.25 * np.abs(vals[1:] - vals[:-1]) + 1e-12
+    box_lo = np.minimum(vals[:-1], vals[1:]) - pad
+    box_hi = np.maximum(vals[:-1], vals[1:]) + pad
+    centers = 0.5 * (corners[:-1] + corners[1:])
+    member = np.ones(len(centers), dtype=bool) if E is None else E.contains(centers[:, None])
+    cell_vals = phi(centers[:, None])[:, 0]
+    rhs = 0.0
+    for y in ys:
+        hits = np.concatenate([[0], (y >= box_lo) & (y <= box_hi) & member, [0]]).astype(int)
+        starts = np.flatnonzero(np.diff(hits) == 1)
+        ends = np.flatnonzero(np.diff(hits) == -1)
+        total = 0.0
+        for s, e in zip(starts, ends):
+            best = s + int(np.argmin(np.abs(cell_vals[s:e] - y)))
+            total += float(u(centers[best : best + 1, None])[0])
+        rhs += total * dy
+    return rhs
+
+
+@pytest.mark.parametrize("laps", [3, 5])
+@pytest.mark.parametrize("restricted", [False, True])
+def test_change_of_variables_rhs_matches_per_y_scan(laps, restricted):
+    phi = ar.builtin_map("fold", laps=laps)
+    E = RasterSet.from_predicate(lambda x: np.sin(20 * x) > 0, [0.0], [64], 1 / 64)
+    E = E if restricted else None
+    u = lambda p: np.exp(p[:, 0]) * p[:, 0] ** 3 + 0.1
+    _, rhs = ar.change_of_variables(phi, u, E=E, n_y=300, depth=9, m_cells=256)
+    assert rhs == _preimage_sum_per_y(phi, u, E, 300, 9)
+
+
 def test_change_of_variables_polar():
     lhs, rhs = ar.change_of_variables(
         ar.builtin_map("polar"), lambda p: np.ones(len(p))
@@ -333,3 +369,21 @@ def test_multiplicity_grid_matches_per_point_scan(restricted):
     assert got.shape == (7, 7)
     assert np.array_equal(got, want)
     assert want.max() >= 1
+
+
+E_2D = RasterSet.from_predicate(lambda x, y: x < 0.5, [0.0, 0.0], [8, 8], 1 / 8)
+E_1D = RasterSet.from_predicate(lambda x: x < 0.5, [0.0], [8], 1 / 8)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ar.surface_measure(ar.builtin_map("helix"), E_2D),
+        lambda: ar.area_formula_with_multiplicity(ar.builtin_map("fold"), E_2D),
+        lambda: ar.jacobian_l1_check(ar.builtin_map("polar"), E_1D),
+    ],
+    ids=["surface-helix-2d-raster", "area-formula-fold-2d-raster", "jacobian-l1-polar-1d-raster"],
+)
+def test_raster_of_wrong_dimension_is_rejected(call):
+    with pytest.raises(ValueError, match="do not match a"):
+        call()

@@ -1,8 +1,12 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import cantor_ifs_json
 from gmtkit import cli
@@ -238,3 +242,144 @@ def test_levels_plot_of_1d_bv_writes_only_error(tmp_path):
     code = cli.run(["bv", "--input", str(grid), "--plot", "svg", "--output", str(out)])
     assert code == cli.EXIT_VALIDATION
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("mollify", ["--eps", "-1"]),
+        ("sobolev", ["--p", "0.5"]),
+        ("dim", ["--scales", "3..4"]),
+        ("mollify", ["--eps", "inf"]),
+        ("weakdiff", ["--axis", "2"]),
+    ],
+)
+def test_library_input_errors_write_error_json(tmp_path, command, flags):
+    f = GridFunction.from_callable(lambda x, y: x * y, [0, 0], [16, 16], 1 / 16)
+    grid = tmp_path / "f.csv"
+    f.to_csv(grid)
+    ifs = tmp_path / "cantor.json"
+    ifs.write_text(cantor_ifs_json(depth=4))
+    inputs = {"dim": [ifs], "weakdiff": [grid, grid]}.get(command, [grid])
+    out = tmp_path / "out"
+    argv = [command, *(a for p in inputs for a in ("--input", str(p))), *flags]
+    code = cli.run([*argv, "--output", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    assert json.loads((out / "error.json").read_text())["error"]["kind"] == "validation"
+
+
+def test_depth_flag_is_unknown(tmp_path):
+    ifs = tmp_path / "cantor.json"
+    ifs.write_text(cantor_ifs_json(depth=4))
+    out = tmp_path / "out"
+    code = cli.run(["dim", "--input", str(ifs), "--depth", "3", "--output", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert "--depth" in json.loads((out / "error.json").read_text())["error"]["message"]
+
+
+# ------------------------------------------------------------- fuzzed argv
+
+# every flag with values of its type, bad ones included; None leaves the
+# flag without a value
+FUZZ_FLAG_VALUES = {
+    "--seed": ["-1", "0", "7", "abc", None],
+    "--p": ["-1", "0", "0.5", "1", "2", "3", "inf", "nan", "abc", None],
+    "--eps": ["-1", "0", "1e-3", "0.25", "3", "inf", "nan", None],
+    "--scales": ["3..6", "2..9", "3..4", "6..3", "-1..3", "a..b", "3"],
+    "--map": ["helix", "polar", "sphere", "fold", "square", "nope", None],
+    "--range": ["0,1", "-0.5,0.5", "1,0", "0,0", "nan,1", "1", "abc"],
+    "--point": ["0.5,0.5", "-0.25,0.5", "3,3", "0.5", "nan,0", "abc", None],
+    "--axis": ["-1", "0", "1", "2", "abc"],
+    "--format": ["json", "csv", "xml"],
+    "--plot": ["none", "svg", "png"],
+    "--no-timestamp": [None],
+    "--depth": ["3"],
+    "--bogus": ["1", None],
+}
+FUZZ_FILES = [
+    "grid2.csv", "grid1.csv", "raster.csv", "cloud.csv", "ifs.json", "mu.json",
+    "empty.csv", "empty.json", "garbage.csv", "garbage.json", "truncated.csv",
+    "truncated.json", "missing.csv",
+]
+# per command: input lists it accepts and the flags it reads
+FUZZ_COMMANDS = {
+    "measure": ([["mu.json"]], ["--format"]),
+    "dim": ([["ifs.json"], ["cloud.csv"]], ["--scales", "--plot"]),
+    "density": ([["raster.csv"]], ["--point"]),
+    "mollify": ([["grid2.csv"], ["grid1.csv"]], ["--eps"]),
+    "weakdiff": ([["grid2.csv", "grid2.csv"], ["grid1.csv", "grid1.csv"]], ["--axis", "--seed"]),
+    "sobolev": ([["grid2.csv"], ["grid1.csv"]], ["--p", "--seed"]),
+    "bv": ([["grid1.csv"], ["grid2.csv"]], ["--plot"]),
+    "area": ([[]], ["--map", "--range"]),
+    "nope": ([[]], []),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Tiny inputs (at most 16 x 16 cells or points): one valid file per
+    format, plus empty, garbage and header-truncated ones."""
+    root = tmp_path_factory.mktemp("fuzz")
+    GridFunction.from_callable(
+        lambda x, y: np.sin(3 * x) * y, [0, 0], [16, 16], 1 / 16
+    ).to_csv(root / "grid2.csv")
+    GridFunction.from_callable(lambda x: np.sign(x - 0.5), [0.0], [16], 1 / 16).to_csv(
+        root / "grid1.csv"
+    )
+    RasterSet.from_predicate(lambda x, y: x < 0.5, [0, 0], [16, 16], 1 / 16).to_csv(
+        root / "raster.csv"
+    )
+    pts = np.random.default_rng(0).random((256, 2))
+    np.savetxt(root / "cloud.csv", pts, delimiter=",", header="x1,x2", comments="")
+    (root / "ifs.json").write_text(cantor_ifs_json(depth=4))
+    (root / "mu.json").write_text(json.dumps({"atoms": ["a", "b"], "weights": [[1.0], [-2.0]]}))
+    (root / "empty.csv").touch()
+    (root / "empty.json").touch()
+    (root / "garbage.csv").write_text("garbage\n1,2,x\n")
+    (root / "garbage.json").write_text("{not json")
+    (root / "truncated.csv").write_text("dims=16x16;origin=0\n")
+    (root / "truncated.json").write_text('{"maps": [{"ratio": 0.3')
+    return root
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """(command, input names, [(flag, value or None)]): mostly a command's
+    own inputs and flags, sometimes any file and any flag."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    good_inputs, own_flags = FUZZ_COMMANDS[command]
+    inputs = draw(
+        st.sampled_from(good_inputs) | st.lists(st.sampled_from(FUZZ_FILES), max_size=2)
+    )
+    any_flag = st.sampled_from(sorted(FUZZ_FLAG_VALUES))
+    flags = draw(st.lists(st.sampled_from(own_flags) | any_flag if own_flags else any_flag,
+                          max_size=3))
+    options = [(flag, draw(st.sampled_from(FUZZ_FLAG_VALUES[flag]))) for flag in flags]
+    return command, inputs, options
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=fuzzed_argv())
+def test_exit_code_contract_under_fuzzed_argv(fuzz_files, case):
+    command, inputs, options = case
+    out = Path(tempfile.mkdtemp(dir=fuzz_files))
+    argv = [command, "--output", str(out)]
+    for name in inputs:
+        argv += ["--input", str(fuzz_files / name)]
+    for flag, value in options:
+        argv += [flag] if value is None else [flag, value]
+    code = cli.run(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NONCONVERGENCE)
+    assert (out / "error.json").exists() == (code != cli.EXIT_OK)
+    assert any(out.glob("report.*")) == (code == cli.EXIT_OK)
+
+
+def test_non_finite_point_is_validation_error(tmp_path):
+    raster = tmp_path / "r.csv"
+    RasterSet.from_predicate(lambda x, y: x < 0.5, [0, 0], [16, 16], 1 / 16).to_csv(raster)
+    out = tmp_path / "out"
+    code = cli.run(["density", "--input", str(raster), "--point", "nan,0", "--output", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert "finite" in json.loads((out / "error.json").read_text())["error"]["message"]

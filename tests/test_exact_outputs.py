@@ -16,6 +16,7 @@ import pytest
 from conftest import z_squared_map
 from gmtkit import area as ar
 from gmtkit import hausdorff as hd
+from gmtkit import pointwise as pw
 from gmtkit.grids import RasterSet
 
 
@@ -117,3 +118,49 @@ def test_one_dimensional_multiplicity_scans_exact():
     assert ar.change_of_variables(fold2, lambda p: p[:, 0], E=E, n_y=1024) == (
         0.36011719703674316, 0.36009790411216774
     )
+
+
+def test_surface_measure_on_raster_exact():
+    cap = RasterSet.from_predicate(lambda th, ph: th < 1.0, [0.0, 0.0], [32, 64], math.pi / 32)
+    assert ar.surface_measure(ar.builtin_map("sphere"), cap, m=64) == 2.792434577038275
+    assert ar.surface_measure(ar.builtin_map("polar"), _polar_half_disk_raster(), m=64) == (
+        0.7690357016600015
+    )
+
+
+def test_linear_image_measure_shear_exact():
+    disk = RasterSet.from_predicate(lambda x, y: x**2 + y**2 < 0.25, [-1, -1], [40, 40], 0.05)
+    assert hd.linear_image_measure_check(disk, [[1.0, 0.7], [0.0, 1.0]]) == (
+        0.7950000000000002, 0.7900000000000001
+    )
+
+
+def test_two_dimensional_change_of_variables_exact():
+    polar = ar.builtin_map("polar")
+    u = lambda p: p[:, 0] ** 2
+    assert ar.change_of_variables(polar, u) == (1.5707933307386701, 1.6041107748489707)
+    assert ar.change_of_variables(polar, u, E=_polar_half_disk_raster()) == (
+        0.09072593911095791, 0.09230425262951765
+    )
+
+
+def test_density_ratios_at_boundary_exact():
+    half = RasterSet.from_predicate(lambda x, y: x < 0.0, [-1, -1], [64, 64], 2 / 64)
+    assert pw.density(half, [0.0, 0.1]).ratios.tolist() == [
+        0.5007893912898346, 0.5041058773248666, 0.49273506806189965, 0.4851545285532551
+    ]
+
+
+def test_central_difference_jacobians_exact():
+    at_a = [[0.9210609940302206, -0.27259283957858926], [0.38941834229477834, 0.6447426957878477]]
+    J, det = pw.jacobian_fd(
+        lambda p: np.array([p[0] * math.cos(p[1]), p[0] * math.sin(p[1])]), [0.7, 0.4]
+    )
+    assert J.tolist() == at_a
+    assert det == 0.6999999999861998
+    polar = ar.builtin_map("polar")
+    no_jacobian = ar.ParametricMap(polar.evaluator, polar.domain_lo, polar.domain_hi, n=2)
+    assert no_jacobian.jacobian_at(np.array([[0.7, 0.4], [0.2, -2.0]]), 1e-6).tolist() == [
+        at_a,
+        [[-0.41614683654600526, 0.1818594853736366], [-0.9092974268265497, -0.08322936731475217]],
+    ]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gmtkit.grids import GridFunction, RasterSet
+from gmtkit.grids import GridFunction, RasterSet, tensor_points
 
 
 def test_cell_centers_are_midpoints():
@@ -78,3 +78,14 @@ def test_rejects_nonfinite_values():
 def test_rejects_bad_spacing():
     with pytest.raises(ValueError):
         GridFunction(np.zeros(3), origin=[0.0], h=0.0)
+
+
+def test_raster_contains_is_cell_membership():
+    E = RasterSet(mask=[[True, False], [False, True]], origin=[0.0, 0.0], h=0.5)
+    pts = np.array([[0.1, 0.1], [0.1, 0.6], [0.75, 0.75], [0.5, 0.5], [1.0, 0.2], [-0.1, 0.1]])
+    assert E.contains(pts).tolist() == [True, False, True, True, False, False]
+
+
+def test_tensor_points_row_major():
+    pts = tensor_points([np.array([0.0, 1.0]), np.array([5.0, 6.0, 7.0])])
+    assert pts.tolist() == [[0, 5], [0, 6], [0, 7], [1, 5], [1, 6], [1, 7]]
