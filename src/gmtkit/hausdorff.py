@@ -73,7 +73,12 @@ class PointCloud:
 
     @classmethod
     def from_csv(cls, path) -> "PointCloud":
-        pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        """One point per row after a header line; a grid or raster CSV,
+        whose first line is a lattice header, is a ValueError."""
+        with open(path) as fh:
+            if fh.readline().startswith("dims="):
+                raise ValueError("lattice CSV (dims=...;origin=...;h=... header), not a point CSV")
+            pts = np.loadtxt(fh, delimiter=",", ndmin=2)
         return cls(pts)
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import UnderResolvedKernelError
 from .grids import GridFunction, legendre_rule
@@ -103,11 +102,35 @@ def make_ball_mollifier(n: int, eps: float) -> MollifierKernel:
     return MollifierKernel("ball-indicator", n, eps, 1.0 / omega(n))
 
 
+def _kernel_radius(eps: float, h: float) -> int:
+    """Cells on each side of the center that the sampled kernel spans."""
+    return int(math.ceil(eps / h)) - 1
+
+
+def _fft_convolve_valid(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Valid-mode linear convolution of ``a`` with a kernel ``k`` that is
+    no longer than ``a`` and longer than one cell on every axis.
+
+    The step-by-step arithmetic of scipy.signal.fftconvolve(a, k, "valid")
+    on that domain: real FFTs padded to scipy.fft's fast lengths, product,
+    inverse, then the valid slice, so the result is the same to the bit.
+    scipy.fft is imported here, not with the module: importing
+    scipy.signal would load scipy.stats, scipy.interpolate and
+    scipy.optimize on every ``import gmtkit``.
+    """
+    from scipy import fft
+
+    fshape = [fft.next_fast_len(s1 + s2 - 1, True) for s1, s2 in zip(a.shape, k.shape)]
+    full = fft.irfftn(fft.rfftn(a, fshape) * fft.rfftn(k, fshape), fshape)
+    return full[tuple(slice(s2 - 1, s1) for s1, s2 in zip(a.shape, k.shape))].copy()
+
+
 def mollify(f: GridFunction, kernel: MollifierKernel, eps: float | None = None) -> GridFunction:
     """Discrete convolution f * phi_eps, restricted to the shrunken domain.
 
     The sampled kernel is renormalized to unit discrete mass so constants
-    mollify to themselves exactly.
+    mollify to themselves exactly.  A kernel wider than the grid on any
+    axis is a ValueError: the shrunken domain would be empty.
     """
     eps = kernel.eps if eps is None else eps
     if eps != kernel.eps:
@@ -115,13 +138,17 @@ def mollify(f: GridFunction, kernel: MollifierKernel, eps: float | None = None) 
     h = f.h
     if eps < 2 * h:
         raise UnderResolvedKernelError(f"eps = {eps} must be at least 2h = {2 * h}")
-    kr = int(math.ceil(eps / h)) - 1
+    kr = _kernel_radius(eps, h)
+    if min(f.extents) < 2 * kr + 1:
+        raise ValueError(
+            f"eps = {eps} spans {2 * kr + 1} cells, wider than the grid's {f.extents}"
+        )
     offsets = np.arange(-kr, kr + 1) * h
     grids = np.meshgrid(*([offsets] * f.ndim), indexing="ij")
     K = kernel.scaled(np.stack(grids, axis=-1))
     K /= K.sum() * h**f.ndim
     # K is even, so convolution and correlation coincide
-    out = fftconvolve(f.values, K, mode="valid") * h**f.ndim
+    out = _fft_convolve_valid(f.values, K) * h**f.ndim
     return GridFunction(values=out, origin=f.origin + kr * h, h=h)
 
 
@@ -266,9 +293,14 @@ def mollify_commutes_with_weak_derivative(
 ) -> float:
     """sup over the doubly-shrunken domain of |d_axis(f_eps) - (g)_eps|."""
     f_eps = mollify(f, kernel)
+    # drop another kernel radius so one-sided stencils never enter
+    kr = _kernel_radius(kernel.eps, f.h)
+    if min(f_eps.extents) <= 2 * kr:
+        raise ValueError(
+            f"eps = {kernel.eps} leaves no cell of the doubly-shrunken domain: "
+            f"the grid needs at least {4 * kr + 1} cells per axis, has {f.extents}"
+        )
     g_eps = mollify(g, kernel)
     d_f_eps = gradient_fd(f_eps)[axis]
-    # drop another kernel radius so one-sided stencils never enter
-    kr = int(math.ceil(kernel.eps / f.h)) - 1
     sl = tuple(slice(kr, s - kr) for s in f_eps.extents)
     return float(np.abs(d_f_eps[sl] - g_eps.values[sl]).max())

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -252,6 +255,7 @@ def test_levels_plot_of_1d_bv_writes_only_error(tmp_path):
         ("dim", ["--scales", "3..4"]),
         ("mollify", ["--eps", "inf"]),
         ("weakdiff", ["--axis", "2"]),
+        ("mollify", ["--eps", "3"]),
     ],
 )
 def test_library_input_errors_write_error_json(tmp_path, command, flags):
@@ -276,6 +280,28 @@ def test_depth_flag_is_unknown(tmp_path):
     code = cli.run(["dim", "--input", str(ifs), "--depth", "3", "--output", str(out)])
     assert code == cli.EXIT_VALIDATION
     assert "--depth" in json.loads((out / "error.json").read_text())["error"]["message"]
+
+
+def test_dim_refuses_lattice_csv(tmp_path):
+    grid = tmp_path / "grid2.csv"
+    GridFunction.from_callable(lambda x, y: np.sin(3 * x) * y, [0, 0], [16, 16], 1 / 16).to_csv(grid)
+    out = tmp_path / "out"
+    code = cli.run(["dim", "--input", str(grid), "--output", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    assert "lattice CSV" in json.loads((out / "error.json").read_text())["error"]["message"]
+
+
+def test_importing_cli_loads_no_scipy():
+    # each command imports the scipy submodule it needs on first use
+    code = ("import gmtkit.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------- fuzzed argv

@@ -29,6 +29,13 @@ def test_point_cloud_csv_roundtrip(tmp_path):
     assert np.array_equal(hd.PointCloud.from_csv(p).points, cloud.points)
 
 
+def test_point_cloud_csv_rejects_lattice_csv(tmp_path):
+    p = tmp_path / "r.csv"
+    RasterSet.from_predicate(lambda x, y: x < 0.5, [0, 0], [4, 4], 0.25).to_csv(p)
+    with pytest.raises(ValueError, match="lattice CSV"):
+        hd.PointCloud.from_csv(p)
+
+
 def test_ifs_json_roundtrip():
     ifs = hd.IfsSystem.from_json(cantor_ifs_json(depth=5))
     assert ifs.depth == 5

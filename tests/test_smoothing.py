@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from gmtkit import smoothing as sm
 from gmtkit.errors import UnderResolvedKernelError
@@ -62,6 +65,48 @@ def test_mollified_step_l1_convergence():
         sub = f.values[round((out.origin[0] - f.origin[0]) / h):][: out.extents[0]]
         errs.append(float(np.abs(out.values - sub).sum() * h))
     assert errs[1] < 0.6 * errs[0] and errs[2] < 0.6 * errs[1]
+
+
+def test_mollify_rejects_kernel_wider_than_grid():
+    f = GridFunction.from_callable(lambda x, y: x * y, [0, 0], [16, 16], 1 / 16)
+    with pytest.raises(ValueError, match="wider than the grid"):
+        sm.mollify(f, sm.make_standard_mollifier(2, 3.0))
+
+
+def test_mollify_kernel_as_wide_as_grid_gives_one_cell():
+    # eps = 0.25 on h = 1/16 spans 2 * 3 + 1 = 7 cells
+    f = GridFunction(np.full((7, 9), 2.0), [0.0, 0.0], 1 / 16)
+    out = sm.mollify(f, sm.make_standard_mollifier(2, 0.25))
+    assert out.extents == (1, 3)
+    assert np.allclose(out.values, 2.0, atol=1e-12)
+
+
+@st.composite
+def grids_with_fitting_kernels(draw):
+    """(values, h, eps): a 1-D to 3-D grid no narrower than the kernel."""
+    n = draw(st.integers(1, 3))
+    h = draw(st.sampled_from([1 / 16, 0.05, 0.1, 1 / 3]))
+    eps = draw(st.floats(2 * h, 6 * h))
+    kr = int(math.ceil(eps / h)) - 1
+    extents = draw(st.lists(st.integers(2 * kr + 1, 2 * kr + 24 // n), min_size=n, max_size=n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).standard_normal(extents), h, eps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=grids_with_fitting_kernels())
+def test_mollify_matches_scipy_signal_fftconvolve_bitwise(case):
+    values, h, eps = case
+    n = values.ndim
+    kernel = sm.make_standard_mollifier(n, eps)
+    kr = int(math.ceil(eps / h)) - 1
+    offsets = np.arange(-kr, kr + 1) * h
+    K = kernel.scaled(np.stack(np.meshgrid(*([offsets] * n), indexing="ij"), axis=-1))
+    K /= K.sum() * h**n
+    expected = fftconvolve(values, K, mode="valid") * h**n
+    out = sm.mollify(GridFunction(values, np.zeros(n), h), kernel)
+    assert out.values.shape == expected.shape
+    assert (out.values == expected).all()
 
 
 def test_difference_quotient_linear():
@@ -133,3 +178,10 @@ def test_mollify_commutes_for_smooth_pair():
         f, g, sm.make_standard_mollifier(1, 0.05)
     )
     assert disc < 1e-3
+
+
+def test_mollify_commutes_rejects_empty_doubly_shrunk_domain():
+    f = GridFunction.from_callable(lambda x: np.sin(3 * x), [0.0], [40], 1 / 40)
+    g = GridFunction.from_callable(lambda x: 3 * np.cos(3 * x), [0.0], [40], 1 / 40)
+    with pytest.raises(ValueError, match="doubly-shrunken domain"):
+        sm.mollify_commutes_with_weak_derivative(f, g, sm.make_standard_mollifier(1, 0.3))
