@@ -310,25 +310,6 @@ class MultiplicityProfile:
     stabilized: bool
 
 
-def _run_starts(hits: np.ndarray) -> np.ndarray:
-    """Mask of the cells that start a run of hits along the last axis."""
-    starts = np.empty_like(hits)
-    starts[..., 0] = hits[..., 0]
-    np.greater(hits[..., 1:], hits[..., :-1], out=starts[..., 1:])
-    return starts
-
-
-def _hit_components(hits: np.ndarray) -> int:
-    """Connected components (full adjacency) of a boolean partition mask."""
-    if hits.ndim == 1:
-        return int(_run_starts(hits).sum())
-    from scipy import ndimage
-
-    structure = np.ones((3,) * hits.ndim, dtype=int)
-    _, n = ndimage.label(hits, structure=structure)
-    return int(n)
-
-
 def _partition_boxes(
     phi: ParametricMap, E: RasterSet | None, depth: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -359,76 +340,95 @@ def _partition_boxes(
     return box_lo - pad, box_hi + pad, member
 
 
-def _partition_hits(
-    phi: ParametricMap, E: RasterSet | None, depth: int, y: np.ndarray
-) -> np.ndarray:
-    """Boolean mask over the depth-indexed partition: the padded cell image
-    box contains y (and, with E, the cell center lies in E).
+def _same_y_links(key: np.ndarray, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Links between hits at the same y whose cells are neighbours (full
+    adjacency: indices differ by at most 1 on every axis), as index pairs
+    ``(src, dst)`` into ``key``, the ascending pair keys ``y * m**k + cell``.
+    Only forward offsets (lexicographically positive) are looked up, so
+    each neighbouring pair is linked once, from its lower cell.
     """
-    box_lo, box_hi, member = _partition_boxes(phi, E, depth)
-    hits = np.all((y >= box_lo) & (y <= box_hi), axis=-1)
-    if member is not None:
-        hits = hits & member
-    return hits
+    coords = np.unravel_index(key % m**k, (m,) * k)
+    src, dst = [], []
+    forward = [o for o in itertools.product((-1, 0, 1), repeat=k) if o > (0,) * k]
+    for offset in forward:
+        ok = np.ones(len(key), dtype=bool)
+        for c, o in zip(coords, offset):
+            ok &= (c + o >= 0) & (c + o < m)
+        nodes = np.flatnonzero(ok)
+        want = key[nodes] + sum(o * m ** (k - 1 - d) for d, o in enumerate(offset))
+        pos = np.minimum(np.searchsorted(key, want), len(key) - 1)
+        found = key[pos] == want
+        src.append(nodes[found])
+        dst.append(pos[found])
+    return np.concatenate(src), np.concatenate(dst)
 
 
-def _multiplicity_grid_2d(
+def _hit_pairs(
     phi: ParametricMap, E: RasterSet | None, depth: int, y_axes: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Hit-cluster counts for k = n = 2 at every y of the tensor grid
-    ``y_axes[0] x y_axes[1]`` (both ascending), as an array of that shape.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every (y, cell) pair of the depth-indexed partition whose padded cell
+    image box contains y, for the y of the tensor grid ``y_axes[0] x ... x
+    y_axes[n-1]`` (each axis ascending); with E, only cells whose center
+    lies in E.
 
-    Each entry equals ``_hit_components(_partition_hits(phi, E, depth, y))``
-    at that y.  The partition is built once; every (cell, y) pair whose
-    padded box contains y becomes a graph node, same-y nodes of
-    8-adjacent cells are joined, and the components are counted per y.
+    Returns ``(y, cell, src, dst)``: the row-major flat indices of the
+    pairs, sorted by y and then by cell, and their same-y neighbour links
+    (``_same_y_links``).  The partition is built once and only the pairs
+    are listed, so memory grows with the hits, not with the grid.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     box_lo, box_hi, member = _partition_boxes(phi, E, depth)
-    m = box_lo.shape[0]
-    n_b = len(y_axes[1])
-    cells = np.arange(m * m) if member is None else np.flatnonzero(member)
-    box_lo = box_lo.reshape(m * m, 2)[cells]
-    box_hi = box_hi.reshape(m * m, 2)[cells]
-    # searchsorted makes the comparisons y >= lo and y <= hi of
-    # _partition_hits on each ascending axis; a NaN bound (always NaN on
-    # both sides) sorts past the end and leaves the range empty
+    m = 2**depth
+    n_cells = m**phi.k
+    cells = np.arange(n_cells) if member is None else np.flatnonzero(member)
+    box_lo = box_lo.reshape(n_cells, phi.n)[cells]
+    box_hi = box_hi.reshape(n_cells, phi.n)[cells]
+    # searchsorted makes the comparisons y >= lo and y <= hi on each
+    # ascending axis; a NaN bound (always NaN on both sides) sorts past the
+    # end and leaves the range empty
     first = [np.searchsorted(ax, box_lo[:, d], side="left") for d, ax in enumerate(y_axes)]
     width = [
         np.maximum(np.searchsorted(ax, box_hi[:, d], side="right") - first[d], 0)
         for d, ax in enumerate(y_axes)
     ]
-    per_cell = width[0] * width[1]
+    per_cell = np.prod(width, axis=0)
     owner = np.repeat(np.arange(len(cells)), per_cell)
+    # a pair's rank in its cell's block of y, split into one offset per axis
+    # (the last axis fastest)
     rank = np.arange(len(owner)) - np.repeat(np.cumsum(per_cell) - per_cell, per_cell)
-    y_flat = (first[0][owner] + rank // width[1][owner]) * n_b + (
-        first[1][owner] + rank % width[1][owner]
-    )
-    cell = cells[owner]
-    # node key (y, cell) in row-major order; neighbours are looked up by key
-    key = y_flat * (m * m) + cell
-    order = np.argsort(key)
-    key_sorted = key[order]
-    row, col = cell // m, cell % m
-    src, dst = [], []
-    for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):
-        ok = (row + dr < m) & (col + dc >= 0) & (col + dc < m)
-        nodes = np.flatnonzero(ok)
-        want = key[nodes] + dr * m + dc
-        pos = np.minimum(np.searchsorted(key_sorted, want), len(key_sorted) - 1)
-        found = key_sorted[pos] == want
-        src.append(nodes[found])
-        dst.append(order[pos[found]])
-    src = np.concatenate(src)
-    dst = np.concatenate(dst)
-    graph = coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(len(key),) * 2)
+    y = np.zeros(len(owner), dtype=np.int64)
+    stride = 1
+    for d in reversed(range(len(y_axes))):
+        w = width[d][owner]
+        y += (first[d][owner] + rank % w) * stride
+        rank //= w
+        stride *= len(y_axes[d])
+    key = np.sort(y * n_cells + cells[owner])
+    src, dst = _same_y_links(key, m, phi.k)
+    y, cell = np.divmod(key, n_cells)
+    return y, cell, src, dst
+
+
+def _multiplicity_counts(
+    phi: ParametricMap, E: RasterSet | None, depth: int, y_axes: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Hit-cluster counts at partition depth ``depth`` for every y of the
+    tensor grid ``y_axes[0] x ... x y_axes[n-1]``, as an array of that
+    shape: the connected components of ``_hit_pairs``'s same-y links."""
+    y, _, src, dst = _hit_pairs(phi, E, depth, y_axes)
+    shape = tuple(len(ax) for ax in y_axes)
+    size = math.prod(shape)
+    if phi.k == 1:
+        # 1-D clusters are runs, which are paths: one hit more than links
+        counts = np.bincount(y, minlength=size) - np.bincount(y[dst], minlength=size)
+        return counts.reshape(shape)
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    graph = coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(len(y),) * 2)
     n_comp, labels = connected_components(graph, directed=False)
     comp_y = np.zeros(n_comp, dtype=np.int64)
-    comp_y[labels] = y_flat
-    counts = np.bincount(comp_y, minlength=len(y_axes[0]) * n_b)
-    return counts.reshape(len(y_axes[0]), n_b)
+    comp_y[labels] = y
+    return np.bincount(comp_y, minlength=size).reshape(shape)
 
 
 def multiplicity(
@@ -437,47 +437,19 @@ def multiplicity(
     E: RasterSet | None = None,
     depths: Sequence[int] = range(4, 12),
 ) -> MultiplicityProfile:
-    """N(Phi, E, y): connected clusters of partition cells whose image box
-    contains y, refined until two consecutive depths agree.
+    """N(Phi, E, y): connected clusters (full adjacency) of partition cells
+    whose padded image box contains y, refined until two consecutive depths
+    agree.  Each depth is one hit-pair scan over a one-point y-grid.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.shape != (phi.n,) or not np.all(np.isfinite(y)):
+        raise ValueError(f"y must be a finite point of R^{phi.n}")
     counts = []
     for depth in depths:
-        counts.append(_hit_components(_partition_hits(phi, E, depth, y)))
+        counts.append(int(_multiplicity_counts(phi, E, depth, y[:, None]).sum()))
         if len(counts) >= 2 and counts[-1] == counts[-2]:
             return MultiplicityProfile(y, tuple(counts), counts[-1], True)
     return MultiplicityProfile(y, tuple(counts), None, False)
-
-
-def _partition_hits_1d(
-    phi: ParametricMap, E: RasterSet | None, depth: int, ys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The k = n = 1 form of ``_partition_hits`` for every y of ``ys`` at
-    once: the (len(ys), 2**depth) hit mask and the cell centers.
-
-    Corners come from linspace and centers are corner midpoints, which
-    round differently from the k-D builder, so the 1-D scans keep this one.
-    """
-    lo, hi = float(phi.domain_lo[0]), float(phi.domain_hi[0])
-    corners = np.linspace(lo, hi, 2**depth + 1)
-    vals = phi(corners[:, None])[:, 0]
-    box_lo = np.minimum(vals[:-1], vals[1:])
-    box_hi = np.maximum(vals[:-1], vals[1:])
-    pad = 0.25 * (box_hi - box_lo) + 1e-12
-    centers = 0.5 * (corners[:-1] + corners[1:])
-    # in place: the mask is the peak memory of the 1-D scans
-    hits = ys[:, None] >= box_lo - pad
-    hits &= ys[:, None] <= box_hi + pad
-    if E is not None:
-        hits &= E.contains(centers[:, None])
-    return hits, centers
-
-
-def _multiplicity_row_1d(
-    phi: ParametricMap, E: RasterSet | None, depth: int, ys: np.ndarray
-) -> np.ndarray:
-    """Vectorized N(y) over a 1-D y-grid for k = n = 1 at a fixed depth."""
-    return _run_starts(_partition_hits_1d(phi, E, depth, ys)[0]).sum(axis=1)
 
 
 def _y_grid_1d(phi: ParametricMap, n_y: int, probe: int = 4096) -> tuple[np.ndarray, float]:
@@ -501,15 +473,16 @@ def area_formula_with_multiplicity(
 ) -> tuple[float, float]:
     """(lhs, rhs) of  int N(Phi, E, y) dy  =  int_E J(Phi)  for k = n = 1.
 
-    The lhs integrates the vectorized multiplicity over a y-grid spanning
-    the observed image (two depths, Richardson-free stabilization check);
-    the rhs is a midpoint sum of |Phi'|.
+    The lhs integrates the hit-run counts of one hit-pair scan per depth
+    over a y-grid spanning the observed image (two depths,
+    Richardson-free stabilization check); the rhs is a midpoint sum of
+    |Phi'|.
     """
     if phi.k != 1 or phi.n != 1:
         raise ValueError("the two-sided area formula is implemented for k = n = 1")
     ys, dy = _y_grid_1d(phi, n_y)
-    counts = _multiplicity_row_1d(phi, E, depth, ys)
-    counts_prev = _multiplicity_row_1d(phi, E, depth - 1, ys)
+    counts = _multiplicity_counts(phi, E, depth, [ys])
+    counts_prev = _multiplicity_counts(phi, E, depth - 1, [ys])
     disagree = float(np.mean(counts != counts_prev))
     if disagree > 0.05:
         raise NonConvergenceError(
@@ -530,8 +503,10 @@ def change_of_variables(
 ) -> tuple[float, float]:
     """(lhs, rhs) of  int u J(Phi)  =  int sum_{x in Phi^-1(y)} u(x) dy.
 
-    For k = n = 1 preimages are the best cells of each hit cluster at the
-    final partition depth.  For k = n = 2 the map must be flagged
+    For k = n = 1 one hit-pair scan lists the (y, cell) hits at partition
+    depth ``depth``; a run of hits starts at each pair no same-y link
+    points to, and the preimage of each run is its cell whose image is
+    nearest y.  For k = n = 2 the map must be flagged
     injective; the preimage of each y-cell is then located by nearest
     neighbour on a dense forward-evaluated parameter grid, so the rhs is a
     first-order estimate while the lhs is a plain midpoint quadrature.
@@ -545,17 +520,18 @@ def change_of_variables(
     lhs = _cell_sum(phi, E, m_cells, u)
 
     ys, dy = _y_grid_1d(phi, n_y)
-    hits, centers = _partition_hits_1d(phi, E, depth, ys)
-    rows, cols = np.nonzero(hits)
-    first = _run_starts(hits)[rows, cols]
+    rows, cols, _, linked = _hit_pairs(phi, E, depth, [ys])
+    first = np.ones(len(rows), dtype=bool)
+    first[linked] = False
     run = np.cumsum(first) - 1
     # the best cell of a run has the image value nearest y (the leftmost
     # on ties: lexsort is stable)
-    dist = np.abs(phi(centers[:, None])[:, 0][cols] - ys[rows])
+    centers = _cell_centers(phi, 2**depth)[0]
+    dist = np.abs(phi(centers)[:, 0][cols] - ys[rows])
     order = np.lexsort((dist, run))
     sizes = np.bincount(run)
     best = cols[order[np.cumsum(sizes) - sizes]]
-    u_best = np.asarray(u(centers[best][:, None]), dtype=float).reshape(-1)
+    u_best = np.asarray(u(centers[best]), dtype=float).reshape(-1)
     # running sums left to right, per y and then over y, so the rounding is
     # that of the plain per-y integral
     totals = np.zeros(len(ys))
@@ -609,7 +585,8 @@ def jacobian_l1_check(
     lhs is a midpoint sum on sqrt(m_cells) cells per axis and the rhs sums
     N over a 64 x 64 y-grid spanning the image (plus 2 % per side), each N
     being the hit-cluster count of ``multiplicity`` at partition depth 7;
-    the counts of all y-grid points come from one pass over the partition.
+    one hit-pair scan lists every (y, cell) hit of the grid and counts the
+    clusters of each y at once.
     """
     if phi.k != phi.n:
         raise ValueError("needs k = n")
@@ -631,7 +608,7 @@ def jacobian_l1_check(
     y_hi += 0.02 * span
     dy = (y_hi - y_lo) / n_y
     y_axes = [_centers_1d(y_lo[d], n_y, dy[d]) for d in range(2)]
-    counts = _multiplicity_grid_2d(phi, E, 7, y_axes)
+    counts = _multiplicity_counts(phi, E, 7, y_axes)
     # a running sum in row-major order, not numpy's pairwise sum, so the
     # rounding is that of the plain per-y integral
     cell = float(np.prod(dy))

@@ -80,19 +80,12 @@ def _load_grid(path: str) -> GridFunction:
     return _load(path, "grid CSV", GridFunction.from_csv)
 
 
-def _parse_measure(p: Path) -> ms.AtomicMeasure:
-    data = json.loads(p.read_text())
-    weights = np.asarray(data["weights"], dtype=float)
-    if weights.ndim == 1:
-        weights = weights[:, None]
-    return ms.AtomicMeasure(atoms=tuple(data["atoms"]), weights=weights)
-
-
 # ---------------------------------------------------------------- commands
 
 
 def _cmd_measure(args) -> dict:
-    mu = _load(_single_input(args), "measure JSON", _parse_measure)
+    mu = _load(_single_input(args), "measure JSON",
+               lambda p: ms.AtomicMeasure.from_json(p.read_text()))
     result = {
         "atoms": list(mu.atoms),
         "m": mu.m,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -338,37 +339,80 @@ def test_jacobian_l1_restricted_to_raster():
     assert rhs == pytest.approx(lhs, rel=0.05)
 
 
-@pytest.mark.parametrize("restricted", [False, True])
-def test_multiplicity_grid_matches_per_point_scan(restricted):
-    phi = ar.builtin_map("polar")
-    E = _polar_disk(0.6) if restricted else None
-    depth = 7
+def _dense_cluster_count(phi, E, depth, y):
+    """Reference N at one y: the dense mask of partition cells whose padded
+    image box contains y (and whose center lies in E), and its clusters by
+    ``ndimage.label`` with full adjacency."""
+    from scipy import ndimage
+
+    box_lo, box_hi, member = ar._partition_boxes(phi, E, depth)
+    hits = np.all((y >= box_lo) & (y <= box_hi), axis=-1)
+    if member is not None:
+        hits &= member
+    return ndimage.label(hits, structure=np.ones((3,) * hits.ndim, dtype=int))[1]
+
+
+FOLD_FRAGMENTS = RasterSet.from_predicate(lambda x: np.sin(20 * x) > 0, [-1.0], [128], 1 / 64)
+
+
+@pytest.mark.parametrize(
+    "name, restricted",
+    [("polar", False), ("polar", True), ("fold", False), ("fold", True), ("sphere", False)],
+    ids=["False", "True", "fold-False", "fold-True", "sphere"],
+)
+def test_multiplicity_grid_matches_per_point_scan(name, restricted):
+    # map, raster, depth, range and count of the random y per axis
+    phi, E, depth, y_range, count = {
+        "polar": (ar.builtin_map("polar"), _polar_disk(0.6), 7, (-1.05, 1.05), 5),
+        "fold": (ar.builtin_map("fold", laps=3), FOLD_FRAGMENTS, 7, (-0.05, 1.05), 12),
+        "sphere": (ar.builtin_map("sphere"), None, 6, (-1.05, 1.05), 3),
+    }[name]
+    E = E if restricted else None
     rng = np.random.default_rng(7)
     box_lo, box_hi, member = ar._partition_boxes(phi, E, depth)
-    keep = np.ones(box_lo.shape[:2], dtype=bool) if member is None else member
+    keep = np.ones(box_lo.shape[:-1], dtype=bool) if member is None else member
     lo, hi = box_lo[keep], box_hi[keep]
     # the outermost bounds are reached by edge cells alone, so at these y
     # the inclusive >= and <= of the containment test decide the count
-    right, bottom = np.argmax(hi[:, 0]), np.argmin(lo[:, 1])
+    right, bottom = np.argmax(hi[:, 0]), np.argmin(lo[:, -1])
+    at_right = 0.5 * (lo[right] + hi[right])
+    at_right[0] = hi[right, 0]
+    at_bottom = 0.5 * (lo[bottom] + hi[bottom])
+    at_bottom[-1] = lo[bottom, -1]
     axes = [
-        np.sort(np.concatenate([
-            rng.uniform(-1.05, 1.05, 5),
-            [hi[right, 0], 0.5 * (lo[bottom, 0] + hi[bottom, 0])],
-        ])),
-        np.sort(np.concatenate([
-            rng.uniform(-1.05, 1.05, 5),
-            [lo[bottom, 1], 0.5 * (lo[right, 1] + hi[right, 1])],
-        ])),
+        np.sort(np.concatenate([rng.uniform(*y_range, count), [at_right[d], at_bottom[d]]]))
+        for d in range(phi.n)
     ]
-    got = ar._multiplicity_grid_2d(phi, E, depth, axes)
+    got = ar._multiplicity_counts(phi, E, depth, axes)
     want = np.array([
-        [ar._hit_components(ar._partition_hits(phi, E, depth, np.array([a, b])))
-         for b in axes[1]]
-        for a in axes[0]
-    ])
-    assert got.shape == (7, 7)
+        _dense_cluster_count(phi, E, depth, np.array(y)) for y in itertools.product(*axes)
+    ]).reshape((count + 2,) * phi.n)
     assert np.array_equal(got, want)
     assert want.max() >= 1
+
+
+@pytest.mark.parametrize("n_y", [256, 4096])
+@pytest.mark.parametrize("restricted", [False, True])
+@pytest.mark.parametrize("name, params", [
+    ("fold", {"laps": 3}), ("fold", {"laps": 5}), ("fold", {"laps": 7}), ("square", {}),
+])
+def test_one_dimensional_counts_match_dense_run_starts(name, params, restricted, n_y):
+    phi = ar.builtin_map(name, **params)
+    E = FOLD_FRAGMENTS if restricted else None
+    ys, _ = ar._y_grid_1d(phi, n_y)
+    for depth in (11, 12):
+        box_lo, box_hi, member = ar._partition_boxes(phi, E, depth)
+        hits = (ys[:, None] >= box_lo[:, 0]) & (ys[:, None] <= box_hi[:, 0])
+        if member is not None:
+            hits &= member
+        runs = hits[:, 0] + (hits[:, 1:] > hits[:, :-1]).sum(axis=1)
+        assert np.array_equal(ar._multiplicity_counts(phi, E, depth, [ys]), runs)
+
+
+@pytest.mark.parametrize("y", [[0.5], [0.5, 0.0, 0.0], [np.nan, 0.0]])
+def test_multiplicity_rejects_y_off_the_target_space(y):
+    with pytest.raises(ValueError, match="finite point of R\\^2"):
+        ar.multiplicity(ar.builtin_map("polar"), y)
 
 
 E_2D = RasterSet.from_predicate(lambda x, y: x < 0.5, [0.0, 0.0], [8, 8], 1 / 8)

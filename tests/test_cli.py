@@ -77,6 +77,20 @@ def test_measure_command(tmp_path):
     assert res["hahn_negative_atoms"] == ["b"]
 
 
+@pytest.mark.parametrize(
+    "measure",
+    [{"atoms": ["a", "b"], "m": 3, "weights": [[1.0], [-2.0]]},
+     {"atoms": ["a", "b"], "weights": [[1.0], [-2.0]]}],
+    ids=["wrong-m", "no-m"],
+)
+def test_measure_without_matching_m_is_validation_error(tmp_path, measure):
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps(measure))
+    out = tmp_path / "out"
+    assert cli.run(["measure", "--input", str(mu), "--output", str(out)]) == cli.EXIT_VALIDATION
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 def test_density_command(tmp_path):
     E = RasterSet.from_predicate(
         lambda x, y: x**2 + y**2 <= 0.25, [-1, -1], [256, 256], 2 / 256
@@ -292,16 +306,30 @@ def test_dim_refuses_lattice_csv(tmp_path):
     assert "lattice CSV" in json.loads((out / "error.json").read_text())["error"]["message"]
 
 
-def test_importing_cli_loads_no_scipy():
-    # each command imports the scipy submodule it needs on first use
-    code = ("import gmtkit.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+def _scipy_modules_loaded(code, *args):
+    """The scipy modules loaded after ``code`` runs in a fresh interpreter."""
+    code += "; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     src = str(Path(cli.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_importing_cli_loads_no_scipy():
+    # each command imports the scipy submodule it needs on first use
+    assert _scipy_modules_loaded("import gmtkit.cli, sys") == "[]"
+
+
+@pytest.mark.parametrize("name", ["fold", "square"])
+def test_one_dimensional_area_job_loads_no_scipy(tmp_path, name):
+    # the 1-D multiplicity scans run on numpy alone
+    code = ("import gmtkit.cli, sys; "
+            "assert gmtkit.cli.run(sys.argv[1:]) == 0")
+    argv = ["area", "--map", name, "--output", str(tmp_path / "out"), "--no-timestamp"]
+    assert _scipy_modules_loaded(code, *argv) == "[]"
+    assert "multiplicity_integral" in read_report(tmp_path / "out")["results"]
 
 
 # ------------------------------------------------------------- fuzzed argv
@@ -359,7 +387,9 @@ def fuzz_files(tmp_path_factory):
     pts = np.random.default_rng(0).random((256, 2))
     np.savetxt(root / "cloud.csv", pts, delimiter=",", header="x1,x2", comments="")
     (root / "ifs.json").write_text(cantor_ifs_json(depth=4))
-    (root / "mu.json").write_text(json.dumps({"atoms": ["a", "b"], "weights": [[1.0], [-2.0]]}))
+    (root / "mu.json").write_text(
+        json.dumps({"atoms": ["a", "b"], "m": 1, "weights": [[1.0], [-2.0]]})
+    )
     (root / "empty.csv").touch()
     (root / "empty.json").touch()
     (root / "garbage.csv").write_text("garbage\n1,2,x\n")
