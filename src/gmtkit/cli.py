@@ -276,13 +276,11 @@ def _write_report(report: dict, out_dir: Path, fmt: str) -> Path:
     return path
 
 
-def _svg_header(w: int, h: int) -> str:
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-            f'viewBox="0 0 {w} {h}">\n<rect width="{w}" height="{h}" fill="white"/>\n')
+_SVG_W, _SVG_H, _SVG_MARGIN = 480, 360, 40
 
 
-def _svg_series(xs, ys, w=480, h=360, margin=40, step=False, points=True, line_from=None):
-    """Polyline + optional markers for one series, with axis frame."""
+def _svg_series(xs, ys, step=False, line_from=None):
+    """Step polyline, or markers and an optional line, for one series, with axis frame."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     x0, x1 = float(xs.min()), float(xs.max())
@@ -292,17 +290,20 @@ def _svg_series(xs, ys, w=480, h=360, margin=40, step=False, points=True, line_f
     if y1 == y0:
         y1 = y0 + 1
 
+    w, h, margin = _SVG_W, _SVG_H, _SVG_MARGIN
+
     def sx(x):
         return margin + (x - x0) / (x1 - x0) * (w - 2 * margin)
 
     def sy(y):
         return h - margin - (y - y0) / (y1 - y0) * (h - 2 * margin)
 
-    parts = [_svg_header(w, h)]
-    parts.append(
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">\n<rect width="{w}" height="{h}" fill="white"/>\n'
         f'<rect x="{margin}" y="{margin}" width="{w - 2 * margin}" '
         f'height="{h - 2 * margin}" fill="none" stroke="black"/>\n'
-    )
+    ]
     if step:
         pts = []
         for i in range(len(xs)):
@@ -318,9 +319,8 @@ def _svg_series(xs, ys, w=480, h=360, margin=40, step=False, points=True, line_f
                 f'<line x1="{sx(x0):.2f}" y1="{sy(ya):.2f}" x2="{sx(x1):.2f}" '
                 f'y2="{sy(yb):.2f}" stroke="firebrick"/>\n'
             )
-        if points:
-            for x, y in zip(xs, ys):
-                parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="steelblue"/>\n')
+        for x, y in zip(xs, ys):
+            parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="steelblue"/>\n')
     parts.append(
         f'<text x="{margin}" y="{h - 8}" font-size="11">x: [{x0:.4g}, {x1:.4g}]</text>\n'
         f'<text x="8" y="{margin - 8}" font-size="11">y: [{y0:.4g}, {y1:.4g}]</text>\n'

@@ -195,16 +195,18 @@ class DensityReport:
     classification: str  # density-1 | density-0 | boundary | oscillating
 
 
-def _density_ratios(E: RasterSet, x: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    wn = omega(E.ndim)
-    ratios = []
+def _balls(values: np.ndarray, origin: np.ndarray, h: float, x: np.ndarray, radii: np.ndarray):
+    """(samples in B(x, r), omega_n r^n) per radius; radii under 3h are a ResolutionError."""
     for r in radii:
-        if r < 3 * E.h:
-            raise ResolutionError(f"radius {r} below lattice resolution {E.h}")
-        _, inball = _ball_samples(E.mask, E.origin, E.h, x, r)
-        meas = float(inball.sum()) * E.h**E.ndim
-        ratios.append(min(meas / (wn * r**E.ndim), 1.0))
-    return np.array(ratios)
+        if r < 3 * h:
+            raise ResolutionError(f"radius {r} below lattice resolution {h}")
+    wn = omega(values.ndim)
+    return [(_ball_samples(values, origin, h, x, r)[1], wn * r**values.ndim) for r in radii]
+
+
+def _density_ratios(balls: list[tuple[np.ndarray, float]], cell: float) -> np.ndarray:
+    """|E ∩ B| / |B| per ball, each given by its samples of E's indicator."""
+    return np.array([min(float(inball.sum()) * cell / vol, 1.0) for inball, vol in balls])
 
 
 def density(E: RasterSet, x: Sequence[float], radii: Sequence[float] | None = None) -> DensityReport:
@@ -213,7 +215,7 @@ def density(E: RasterSet, x: Sequence[float], radii: Sequence[float] | None = No
     if radii is None:
         radii = default_radii(E, x)
     radii = np.asarray(radii, dtype=float)
-    ratios = _density_ratios(E, x, radii)
+    ratios = _density_ratios(_balls(E.mask, E.origin, E.h, x, radii), E.h**E.ndim)
     tail = ratios[-3:] if len(ratios) >= 3 else ratios
     spread = float(tail.max() - tail.min())
     estimate = float(tail.mean())
@@ -228,17 +230,6 @@ def density(E: RasterSet, x: Sequence[float], radii: Sequence[float] | None = No
     return DensityReport(radii=radii, ratios=ratios, limit_estimate=limit, classification=cls)
 
 
-def _has_density_zero(mask: np.ndarray, f: GridFunction, x: np.ndarray, radii: np.ndarray) -> bool:
-    E = RasterSet(mask=mask, origin=f.origin, h=f.h)
-    # balls only a few cells wide overstate the density of thin sets by
-    # O(h/r), while large balls include far-away mass; a density-zero set
-    # must show a small ratio at some resolved radius in between
-    resolved = radii[radii >= 8 * f.h]
-    use = resolved if resolved.size else radii
-    ratios = _density_ratios(E, x, use)
-    return float(ratios.min()) < DENSITY_ZERO_BAND
-
-
 def approx_limit(
     f: GridFunction,
     x: Sequence[float],
@@ -247,10 +238,15 @@ def approx_limit(
 ) -> float | None:
     """Approximate limit of f at x, or None when it does not exist.
 
-    A candidate (the median of values near x) passes when every super-level
-    set {|f - candidate| >= eps} has vanishing density at x.  On failure the
-    approximate limsup/liminf are bracketed by threshold bisection; None is
-    returned when they disagree.
+    The samples of f in each ball B(x, r) are taken once.  A set {P(f)}
+    has density zero at x when, in some ball, the count of samples where
+    P holds times h^n is below DENSITY_ZERO_BAND of omega_n r^n.  Only
+    radii of at least 8h are used when there are any (smaller balls
+    overstate thin sets by O(h/r)); a radius in use below 3h is a
+    ResolutionError.  A candidate (the median near x) passes when every
+    {|f - candidate| >= eps} has density zero; otherwise the approximate
+    limsup/liminf are bracketed by threshold bisection on the same
+    samples, and None is returned when they disagree.
     """
     x = np.asarray(x, dtype=float)
     if radii is None:
@@ -259,36 +255,32 @@ def approx_limit(
     _, near = _ball_samples(f.values, f.origin, f.h, x, radii[-1])
     if near.size == 0:
         raise ResolutionError("no samples near x")
+    resolved = radii[radii >= 8 * f.h]
+    balls = _balls(f.values, f.origin, f.h, x, resolved if resolved.size else radii)
+    cell = f.h**f.ndim
+
+    def density_zero(pred: Callable[[np.ndarray], np.ndarray]) -> bool:
+        ratios = _density_ratios([(pred(vals), vol) for vals, vol in balls], cell)
+        return float(ratios.min()) < DENSITY_ZERO_BAND
+
     candidate = float(np.median(near))
-    if all(
-        _has_density_zero(np.abs(f.values - candidate) >= eps, f, x, radii)
-        for eps in eps_list
-    ):
+    if all(density_zero(lambda v: np.abs(v - candidate) >= eps) for eps in eps_list):
         return candidate
 
     lo_all, hi_all = float(f.values.min()), float(f.values.max())
 
-    def ap_limsup() -> float:
+    def bisect(upper: bool) -> float:
+        # limsup: least t with {f > t} of density zero; liminf: greatest t with {f < t}
         lo, hi = lo_all, hi_all
         for _ in range(50):
             mid = 0.5 * (lo + hi)
-            if _has_density_zero(f.values > mid, f, x, radii):
+            if density_zero(lambda v: v > mid if upper else v < mid) == upper:
                 hi = mid
             else:
                 lo = mid
-        return hi
+        return hi if upper else lo
 
-    def ap_liminf() -> float:
-        lo, hi = lo_all, hi_all
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if _has_density_zero(f.values < mid, f, x, radii):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    up, down = ap_limsup(), ap_liminf()
+    up, down = bisect(upper=True), bisect(upper=False)
     if abs(up - down) <= min(eps_list):
         return 0.5 * (up + down)
     return None

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UnderResolvedKernelError
-from .grids import GridFunction, legendre_rule
+from .grids import GridFunction, legendre_rule, tensor_points
 from .hausdorff import omega
 from .pointwise import gradient_fd
 
@@ -75,9 +75,7 @@ class MollifierKernel:
     def mass(self, nodes: int = 96) -> float:
         """Independent tensor-product Gauss-Legendre integral of phi."""
         x, w = _gauss_legendre(-1.0, 1.0, nodes)
-        grids = np.meshgrid(*([x] * self.n), indexing="ij")
-        pts = np.stack(grids, axis=-1)
-        vals = self.unscaled(pts)
+        vals = self.unscaled(tensor_points([x] * self.n)).reshape((nodes,) * self.n)
         for _ in range(self.n):
             vals = vals @ w
         return float(vals)
@@ -144,8 +142,7 @@ def mollify(f: GridFunction, kernel: MollifierKernel, eps: float | None = None) 
             f"eps = {eps} spans {2 * kr + 1} cells, wider than the grid's {f.extents}"
         )
     offsets = np.arange(-kr, kr + 1) * h
-    grids = np.meshgrid(*([offsets] * f.ndim), indexing="ij")
-    K = kernel.scaled(np.stack(grids, axis=-1))
+    K = kernel.scaled(tensor_points([offsets] * f.ndim)).reshape((offsets.size,) * f.ndim)
     K /= K.sum() * h**f.ndim
     # K is even, so convolution and correlation coincide
     out = _fft_convolve_valid(f.values, K) * h**f.ndim
@@ -180,22 +177,25 @@ def difference_quotient(f: GridFunction, axis: int, step: float) -> GridFunction
     return GridFunction(values=dq, origin=origin, h=h)
 
 
-def bump_value(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Unnormalized smooth bump exp(1/(u^2 - 1)), u = |x - c| / r."""
-    u2 = ((np.asarray(pts, dtype=float) - center) / radius) ** 2
-    u2 = u2.sum(axis=-1)
-    return _unscaled_standard(u2)
-
-
-def bump_grad(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Analytic gradient of bump_value, shape (..., n)."""
-    pts = np.asarray(pts, dtype=float)
-    d = (pts - center) / radius
+def _bump(pts: np.ndarray, center: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The bump exp(1/(u^2 - 1)), u = |x - c| / r, and its analytic
+    gradient, shape (..., n), from one evaluation of u^2 and the exp."""
+    d = (np.asarray(pts, dtype=float) - center) / radius
     u2 = (d**2).sum(axis=-1)
     phi = _unscaled_standard(u2)
     denom = np.where(u2 < 1.0, (u2 - 1.0) ** 2, 1.0)
     scale = np.where(u2 < 1.0, -2.0 * phi / denom, 0.0)
-    return scale[..., None] * d / radius
+    return phi, scale[..., None] * d / radius
+
+
+def bump_value(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Unnormalized smooth bump exp(1/(u^2 - 1)), u = |x - c| / r."""
+    return _bump(pts, center, radius)[0]
+
+
+def bump_grad(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Analytic gradient of bump_value, shape (..., n)."""
+    return _bump(pts, center, radius)[1]
 
 
 @dataclass(frozen=True)
@@ -274,12 +274,11 @@ def weak_derivative_residual(
     pts = f.points()
     cell = f.h**f.ndim
     worst = 0.0
-    for i in range(battery.count):
-        phi = battery.value(i, pts)
-        dphi = battery.grad(i, pts)[..., axis]
+    for c, r in zip(battery.centers, battery.radii):
+        phi, grad = _bump(pts, c, float(r))
         residual = abs(
             float((phi * g.values.ravel()).sum() * cell)
-            + float((dphi * f.values.ravel()).sum() * cell)
+            + float((grad[..., axis] * f.values.ravel()).sum() * cell)
         )
         worst = max(worst, residual)
     return worst

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import RegimeError
 from .grids import GridFunction, RasterSet
 from .pointwise import gradient_fd
-from .smoothing import bump_value, bump_grad
+from .smoothing import _bump
 
 __all__ = [
     "SobolevReport",
@@ -103,17 +103,24 @@ def gns_check(f: GridFunction, p: float) -> tuple[float, float, float]:
     return lhs, rhs, C
 
 
+def _cube_slices(f: GridFunction, lo: Sequence[float], side: float) -> tuple[slice, ...]:
+    """Index slices of the lattice cube at corner ``lo`` with the given side;
+    a cube that escapes the domain or spans no cell is a ValueError."""
+    i0 = np.floor((np.asarray(lo, dtype=float) - f.origin) / f.h + 0.5).astype(int)
+    m = int(round(side / f.h))
+    if m < 1:
+        raise ValueError(f"cube side {side} spans no cell of spacing {f.h}")
+    if np.any(i0 < 0) or np.any(i0 + m > np.array(f.extents)):
+        raise ValueError("cube escapes the domain")
+    return tuple(slice(a, a + m) for a in i0)
+
+
 def poincare_cube_check(
     f: GridFunction, cube_lo: Sequence[float], side: float, p: float
 ) -> tuple[float, float]:
     """(lhs, rhs) of the cube Poincaré inequality with C = (n^(p+1))^(1/p)."""
-    lo = np.asarray(cube_lo, dtype=float)
     n = f.ndim
-    i0 = np.floor((lo - f.origin) / f.h + 0.5).astype(int)
-    m = int(round(side / f.h))
-    if np.any(i0 < 0) or np.any(i0 + m > np.array(f.extents)):
-        raise ValueError("cube escapes the domain")
-    sl = tuple(slice(a, a + m) for a in i0)
+    sl = _cube_slices(f, cube_lo, side)
     block = f.values[sl]
     cell = f.h**n
     mean = float(block.mean())
@@ -145,15 +152,14 @@ def dyadic_cubes(f: GridFunction, generations: int) -> list[tuple[np.ndarray, fl
 
 def bmo_seminorm(f: GridFunction, cubes: Sequence[tuple[np.ndarray, float]] | None = None,
                  generations: int = 4) -> float:
-    """sup over cubes of the mean oscillation (1/|Q|) int_Q |f - f_Q|."""
+    """sup over cubes of the mean oscillation (1/|Q|) int_Q |f - f_Q|.
+
+    A given cube that leaves the lattice or spans no cell is a ValueError."""
     if cubes is None:
         cubes = dyadic_cubes(f, generations)
     worst = 0.0
     for lo, side in cubes:
-        i0 = np.floor((np.asarray(lo) - f.origin) / f.h + 0.5).astype(int)
-        m = int(round(side / f.h))
-        sl = tuple(slice(a, a + m) for a in i0)
-        block = f.values[sl]
+        block = f.values[_cube_slices(f, lo, side)]
         worst = max(worst, float(np.abs(block - block.mean()).mean()))
     return worst
 
@@ -255,8 +261,9 @@ def seeded_bump_field(
             c = lo + (0.1 + 0.8 * rng.random(n)) * (hi - lo)
             r = float((hi - lo).min()) * (0.15 + 0.35 * rng.random())
             amp = rng.standard_normal()
-            field[d] += amp * bump_value(pts, c, r).reshape(f.extents)
-            div += amp * bump_grad(pts, c, r)[..., d].reshape(f.extents)
+            phi, grad = _bump(pts, c, r)
+            field[d] += amp * phi.reshape(f.extents)
+            div += amp * grad[..., d].reshape(f.extents)
     norm = np.sqrt((field**2).sum(axis=0)).max()
     if norm > 0:
         field /= norm

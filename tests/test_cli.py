@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -40,6 +41,22 @@ def test_dim_cantor_report_and_plot(tmp_path):
     assert report["results"]["slope"] == pytest.approx(0.6309, abs=0.02)
     svg = (out / "loglog.svg").read_text()
     assert svg.startswith("<svg") and "circle" in svg
+
+
+def test_plot_bytes_are_pinned(tmp_path):
+    loglog = {"results": {"scales": [2.0 ** -k for k in range(3, 9)],
+                          "counts": [7.5, 11.0, 17.25, 27.0, 41.5, 66.0],
+                          "slope": 0.6309, "intercept": 0.72}}
+    levels = {"results": {"per_level": [[0.05 + 0.1 * i, 2 * math.pi * (1 - 0.1 * i)]
+                                        for i in range(10)]}}
+    digests = {
+        kind: hashlib.sha256(cli.emit_plot(report, kind, tmp_path).read_bytes()).hexdigest()
+        for kind, report in (("loglog", loglog), ("levels", levels))
+    }
+    assert digests == {
+        "loglog": "cc526119eb1dcb3570a8cbff34c0c1350caf3290fd16815296eb7d1574696d72",
+        "levels": "febf23bc94d0a0623003a5e6a079c1283f1926361d96364000790f68f033733c",
+    }
 
 
 def test_area_helix(tmp_path):

@@ -1,10 +1,12 @@
-"""Exact (==) reference outputs of the geometry kernels.
+"""Exact (==) reference outputs of the geometry and lattice kernels.
 
-The expected values come from the straightforward forms of these
-kernels: one partition scan and one ``ndimage.label`` per y-point in
-``jacobian_l1_check``, and ``len(np.unique(idx, axis=0))`` for occupied
-boxes.  The array-at-once kernels must reproduce every value bit for bit,
-so no tolerance is used here.
+The expected geometry values come from the straightforward forms of
+these kernels: one partition scan and one ``ndimage.label`` per y-point
+in ``jacobian_l1_check``, and ``len(np.unique(idx, axis=0))`` for
+occupied boxes.  The lattice values come from a bump evaluated twice per
+cell (once for the value, once for the gradient) and from densities
+counted on a thresholded copy of the whole grid.  The current kernels
+must reproduce every value bit for bit, so no tolerance is used here.
 """
 
 import json
@@ -17,7 +19,9 @@ from conftest import z_squared_map
 from gmtkit import area as ar
 from gmtkit import hausdorff as hd
 from gmtkit import pointwise as pw
-from gmtkit.grids import RasterSet
+from gmtkit import smoothing as sm
+from gmtkit import sobolev_bv as sb
+from gmtkit.grids import GridFunction, RasterSet
 
 
 Z_SQUARED = z_squared_map([-1.0, -1.0], [1.0, 1.0])
@@ -164,3 +168,52 @@ def test_central_difference_jacobians_exact():
         at_a,
         [[-0.41614683654600526, 0.1818594853736366], [-0.9092974268265497, -0.08322936731475217]],
     ]
+
+
+def test_divergence_sup_variation_exact():
+    bump = GridFunction.from_callable(
+        lambda x, y: np.exp(-12 * ((x - 0.45) ** 2 + (y - 0.55) ** 2)), [0.0, 0.0], [64, 64], 1 / 64
+    )
+    assert sb.variation_nd(bump, "divergence-sup").tv == 0.5868858551612125
+
+
+def test_weak_derivative_residuals_exact():
+    x_plus = GridFunction.from_callable(lambda x: np.maximum(x, 0.0), [-1.0], [2000], 1e-3)
+    heaviside = GridFunction.from_callable(lambda x: (x > 0).astype(float), [-1.0], [2000], 1e-3)
+    battery = sm.TestFunctionBattery.seeded([-1.0], [1.0], count=12, seed=7)
+    assert sm.weak_derivative_residual(x_plus, heaviside, 0, battery) == 1.782532064453779e-07
+
+    def grid(fn):
+        return GridFunction.from_callable(fn, [0.0, 0.0], [96, 96], 1 / 96)
+
+    f = grid(lambda x, y: np.sin(3 * x) * np.cos(2 * y))
+    dx = grid(lambda x, y: 3 * np.cos(3 * x) * np.cos(2 * y))
+    dy = grid(lambda x, y: -2 * np.sin(3 * x) * np.sin(2 * y))
+    battery = sm.TestFunctionBattery.seeded([0.0, 0.0], [1.0, 1.0], count=8, seed=3)
+    assert [sm.weak_derivative_residual(f, g, axis, battery)
+            for g, axis in ((dx, 0), (dy, 1), (dy, -1))] == [
+        4.448442760417951e-06, 1.0349615621293301e-05, 1.0349615621293301e-05
+    ]
+
+
+def test_approx_limits_exact():
+    smooth = GridFunction.from_callable(
+        lambda x, y: 0.2 * np.sin(x) + 0.15 * y * y, [-1.0, -1.0], [128, 128], 2 / 128
+    )
+    assert pw.approx_limit(smooth, [0.1, -0.2], radii=[0.32, 0.16, 0.08]) == 0.02601470509758843
+    assert pw.approx_limit(smooth, [0.1, -0.2]) == 0.026029766665633433
+    jump = GridFunction.from_callable(
+        lambda x, y: np.sin(x) + (x >= 0.0), [-1.0, -1.0], [128, 128], 2 / 128
+    )
+    assert pw.approx_limit(jump, [0.0, 0.1]) is None
+    assert pw.approx_limit(jump, [0.0, 0.1], radii=[0.32, 0.16, 0.08]) is None
+
+
+def test_approx_limit_of_thin_band_through_bisection_exact():
+    # the median candidate 1 fails (the band has density zero at resolved
+    # radii), so the value comes from the limsup/liminf bisection
+    h = 1 / 1024
+    band = GridFunction.from_callable(
+        lambda x, y: (np.abs(y) < 4 * h).astype(float), [-0.5, -0.5], [1024, 1024], h
+    )
+    assert pw.approx_limit(band, [0.0, 0.0]) == 4.440892098500626e-16

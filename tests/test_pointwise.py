@@ -175,6 +175,12 @@ def test_approx_limit_jump_has_none():
     assert pw.approx_limit(f, [0.0, 0.0]) is None
 
 
+def test_approx_limit_resolution_guard():
+    f = GridFunction.from_callable(lambda x, y: x + y, [-1, -1], [128, 128], 2 / 128)
+    with pytest.raises(ResolutionError):
+        pw.approx_limit(f, [0.1, -0.2], radii=[2.5 * f.h, 1.5 * f.h])
+
+
 def test_lebesgue_point_continuous():
     f = GridFunction.from_callable(lambda x, y: x * y, [-1, -1], [256, 256], 2 / 256)
     averages, flag = pw.lebesgue_point_check(f, [0.3, 0.3])

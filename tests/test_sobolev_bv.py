@@ -69,6 +69,22 @@ def test_bmo_bounded_by_sup():
     assert sb.bmo_seminorm(f) <= 2 * np.abs(f.values).max()
 
 
+@pytest.mark.parametrize(
+    "lo, side",
+    [
+        ((-0.1, 0.0), 0.25),  # negative start
+        ((0.9, 0.0), 0.25),  # runs past the far edge
+        ((0.3, 0.3), 0.4 / 64),  # thinner than half a cell
+    ],
+)
+def test_cubes_outside_the_lattice_are_rejected(lo, side):
+    f = GridFunction.from_callable(lambda x, y: x, [0, 0], [64, 64], 1 / 64)
+    with pytest.raises(ValueError):
+        sb.bmo_seminorm(f, [(np.array(lo), side)])
+    with pytest.raises(ValueError):
+        sb.poincare_cube_check(f, lo, side, 2.0)
+
+
 def test_morrey_ratio_below_one():
     f = bump_2d()
     assert sb.morrey_check(f, 4.0) <= 1.0
