@@ -324,10 +324,8 @@ def _partition_boxes(
     k = phi.k
     m = 2**depth
     steps = (hi - lo) / m
-    corners = tensor_points([lo[d] + np.arange(m + 1) * steps[d] for d in range(k)])
-    vals = phi(corners).reshape(*(m + 1,) * k, phi.n)
-    box_lo = vals.copy()
-    box_hi = vals.copy()
+    corners = [lo[d] + np.arange(m + 1) * steps[d] for d in range(k)]
+    box_lo = box_hi = phi(tensor_points(corners)).reshape(*(m + 1,) * k, phi.n)
     for d in range(k):
         sl_a = [slice(None)] * (k + 1)
         sl_b = [slice(None)] * (k + 1)
@@ -390,6 +388,7 @@ def _hit_pairs(
         np.maximum(np.searchsorted(ax, box_hi[:, d], side="right") - first[d], 0)
         for d, ax in enumerate(y_axes)
     ]
+    del box_lo, box_hi  # per-cell arrays: free them before the pair arrays grow
     per_cell = np.prod(width, axis=0)
     owner = np.repeat(np.arange(len(cells)), per_cell)
     # a pair's rank in its cell's block of y, split into one offset per axis
@@ -408,27 +407,70 @@ def _hit_pairs(
     return y, cell, src, dst
 
 
+def _hit_clusters(
+    phi: ParametricMap, E: RasterSet | None, depth: int, y_axes: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``_hit_pairs``'s pairs ``(y, cell)`` with the hit cluster of each,
+    ``(y, cell, label, n_clusters)``: the clusters are the connected
+    components of the same-y links, numbered from 0."""
+    y, cell, src, dst = _hit_pairs(phi, E, depth, y_axes)
+    if phi.k == 1:
+        # 1-D clusters are runs: one starts at each pair no link points to
+        first = np.ones(len(y), dtype=bool)
+        first[dst] = False
+        return y, cell, np.cumsum(first) - 1, int(first.sum())
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    graph = coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(len(y),) * 2)
+    n_clusters, label = connected_components(graph, directed=False)
+    return y, cell, label, n_clusters
+
+
 def _multiplicity_counts(
     phi: ParametricMap, E: RasterSet | None, depth: int, y_axes: Sequence[np.ndarray]
 ) -> np.ndarray:
     """Hit-cluster counts at partition depth ``depth`` for every y of the
     tensor grid ``y_axes[0] x ... x y_axes[n-1]``, as an array of that
-    shape: the connected components of ``_hit_pairs``'s same-y links."""
-    y, _, src, dst = _hit_pairs(phi, E, depth, y_axes)
+    shape."""
+    y, _, label, n_clusters = _hit_clusters(phi, E, depth, y_axes)
     shape = tuple(len(ax) for ax in y_axes)
-    size = math.prod(shape)
-    if phi.k == 1:
-        # 1-D clusters are runs, which are paths: one hit more than links
-        counts = np.bincount(y, minlength=size) - np.bincount(y[dst], minlength=size)
-        return counts.reshape(shape)
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
+    cluster_y = np.zeros(n_clusters, dtype=np.int64)
+    cluster_y[label] = y
+    return np.bincount(cluster_y, minlength=math.prod(shape)).reshape(shape)
 
-    graph = coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(len(y),) * 2)
-    n_comp, labels = connected_components(graph, directed=False)
-    comp_y = np.zeros(n_comp, dtype=np.int64)
-    comp_y[labels] = y
-    return np.bincount(comp_y, minlength=size).reshape(shape)
+
+def _preimage_integral(
+    phi: ParametricMap,
+    u: Callable[[np.ndarray], np.ndarray],
+    E: RasterSet | None,
+    depth: int,
+    y_axes: Sequence[np.ndarray],
+    cell: float,
+) -> float:
+    """int sum_{x in Phi^-1(y) cap E} u(x) dy over the tensor y-grid
+    ``y_axes`` of cell volume ``cell``.  Each hit cluster of a y at
+    partition depth ``depth`` is one preimage, the cell of the cluster whose
+    image is nearest y (the first in pair order on ties)."""
+    y, cell_of, label, n_clusters = _hit_clusters(phi, E, depth, y_axes)
+    centers = _cell_centers(phi, 2**depth)[0]
+    shape = tuple(len(ax) for ax in y_axes)
+    y_pts = np.stack([ax[i] for ax, i in zip(y_axes, np.unravel_index(y, shape))], axis=1)
+    dist = ((phi(centers)[cell_of] - y_pts) ** 2).sum(axis=1)
+    nearest = np.full(n_clusters, np.inf)
+    np.minimum.at(nearest, label, dist)
+    ties = np.flatnonzero(dist == nearest[label])
+    best = np.full(n_clusters, len(dist))
+    np.minimum.at(best, label[ties], ties)
+    u_best = np.asarray(u(centers[cell_of[best]]), dtype=float).reshape(-1)
+    totals = np.zeros(math.prod(shape))
+    np.add.at(totals, y[best], u_best)
+    # a running sum in row-major order, not numpy's pairwise sum, so the
+    # rounding is that of the plain per-y integral
+    integral = 0.0
+    for total in totals.tolist():
+        integral += total * cell
+    return integral
 
 
 def multiplicity(
@@ -452,16 +494,27 @@ def multiplicity(
     return MultiplicityProfile(y, tuple(counts), None, False)
 
 
-def _y_grid_1d(phi: ParametricMap, n_y: int, probe: int = 4096) -> tuple[np.ndarray, float]:
-    lo, hi = float(phi.domain_lo[0]), float(phi.domain_hi[0])
-    t = np.linspace(lo, hi, probe)
-    vals = phi(t[:, None])[:, 0]
-    y0, y1 = float(vals.min()), float(vals.max())
-    span = y1 - y0
-    y0 -= 0.05 * span
-    y1 += 0.05 * span
-    dy = (y1 - y0) / n_y
-    return _centers_1d(y0, n_y, dy), dy
+def _y_grid(
+    phi: ParametricMap, n_y: int, probe: int, pad: float
+) -> tuple[list[np.ndarray], float]:
+    """Axes of the n_y-per-axis grid of cell centers spanning the image of
+    a ``probe``-per-axis lattice of phi's domain box, widened by ``pad`` of
+    its span per side, and the volume of one grid cell."""
+    lo, hi = phi.domain_lo, phi.domain_hi
+    img = phi(tensor_points([np.linspace(lo[d], hi[d], probe) for d in range(phi.k)]))
+    # one reduction per column: numpy reduces an (N, n) array along axis 0
+    # about 15 times slower
+    y_lo = np.array([col.min() for col in img.T])
+    y_hi = np.array([col.max() for col in img.T])
+    span = y_hi - y_lo
+    y_lo = y_lo - pad * span
+    dy = (y_hi + pad * span - y_lo) / n_y
+    return [_centers_1d(y_lo[d], n_y, dy[d]) for d in range(phi.n)], float(np.prod(dy))
+
+
+def _y_grid_1d(phi: ParametricMap, n_y: int) -> tuple[np.ndarray, float]:
+    (ys,), dy = _y_grid(phi, n_y, 4096, 0.05)
+    return ys, dy
 
 
 def area_formula_with_multiplicity(
@@ -501,79 +554,29 @@ def change_of_variables(
     depth: int = 12,
     m_cells: int = 4096,
 ) -> tuple[float, float]:
-    """(lhs, rhs) of  int u J(Phi)  =  int sum_{x in Phi^-1(y)} u(x) dy.
+    """(lhs, rhs) of  int u J(Phi)  =  int sum_{x in Phi^-1(y)} u(x) dy
+    for k = n <= 2.
 
-    For k = n = 1 one hit-pair scan lists the (y, cell) hits at partition
-    depth ``depth``; a run of hits starts at each pair no same-y link
-    points to, and the preimage of each run is its cell whose image is
-    nearest y.  For k = n = 2 the map must be flagged
-    injective; the preimage of each y-cell is then located by nearest
-    neighbour on a dense forward-evaluated parameter grid, so the rhs is a
-    first-order estimate while the lhs is a plain midpoint quadrature.
+    The lhs is a midpoint sum of u J(Phi): ``m_cells`` cells for k = 1;
+    for k = 2, sqrt(m_cells) cells per axis when m_cells > 4096, else 512.
+    The rhs lists every (y, cell) hit of a y-grid in one hit-pair scan and
+    sums u over one preimage per hit cluster, the cell whose image is
+    nearest y; it is the same engine as ``jacobian_l1_check``'s
+    multiplicity integral, so it needs no injectivity flag.  For k = 1 the
+    scan runs at partition depth ``depth`` on ``n_y`` y-cells spanning the
+    observed image (plus 5 % per side).  For k = 2 it runs at depth 9 (the
+    lhs's default 512 cells per axis) on a 128 x 128 y-grid spanning the
+    image (plus 2 % per side); ``n_y`` and ``depth`` are not used.
     """
-    if phi.k == 2 and phi.n == 2:
-        if not phi.injective:
-            raise ValueError("the 2-D branch needs the injectivity flag")
-        return _change_of_variables_2d(phi, u, E, n_y, m_cells)
-    if phi.k != 1 or phi.n != 1:
+    if phi.k != phi.n or phi.k > 2:
         raise ValueError("implemented for k = n <= 2")
-    lhs = _cell_sum(phi, E, m_cells, u)
-
-    ys, dy = _y_grid_1d(phi, n_y)
-    rows, cols, _, linked = _hit_pairs(phi, E, depth, [ys])
-    first = np.ones(len(rows), dtype=bool)
-    first[linked] = False
-    run = np.cumsum(first) - 1
-    # the best cell of a run has the image value nearest y (the leftmost
-    # on ties: lexsort is stable)
-    centers = _cell_centers(phi, 2**depth)[0]
-    dist = np.abs(phi(centers)[:, 0][cols] - ys[rows])
-    order = np.lexsort((dist, run))
-    sizes = np.bincount(run)
-    best = cols[order[np.cumsum(sizes) - sizes]]
-    u_best = np.asarray(u(centers[best]), dtype=float).reshape(-1)
-    # running sums left to right, per y and then over y, so the rounding is
-    # that of the plain per-y integral
-    totals = np.zeros(len(ys))
-    np.add.at(totals, rows[first], u_best)
-    rhs = 0.0
-    for total in totals.tolist():
-        rhs += total * dy
-    return lhs, rhs
-
-
-def _change_of_variables_2d(
-    phi: ParametricMap,
-    u: Callable[[np.ndarray], np.ndarray],
-    E: RasterSet | None,
-    n_y: int,
-    m_cells: int,
-) -> tuple[float, float]:
-    from scipy.spatial import cKDTree
-
-    m = int(round(math.sqrt(m_cells))) if m_cells > 4096 else 512
-    pts, steps = _cell_centers(phi, m)
-    J = phi.j_at(pts, step=float(steps.min()) / 4)
-    uvals = np.asarray(u(pts), dtype=float).reshape(-1)
-    member = np.ones(len(pts), dtype=bool) if E is None else E.contains(pts)
-    lhs = float((uvals * J * member).sum() * np.prod(steps))
-
-    img = phi(pts[member])
-    tree = cKDTree(img)
-    y_lo = img.min(axis=0)
-    y_hi = img.max(axis=0)
-    dy = (y_hi - y_lo) / max(n_y, 64)
-    ny = max(n_y, 64)
-    ys = tensor_points([_centers_1d(y_lo[d], ny, dy[d]) for d in range(2)])
-    # a y-cell counts when an image sample lies within one image-grid step
-    cutoff = 2.0 * float(np.linalg.norm(
-        np.abs(phi.jacobian_at(pts[:1], float(steps.min()) / 4)[0]) @ steps
-    ))
-    dist, nearest = tree.query(ys, distance_upper_bound=max(cutoff, float(dy.max())))
-    hit = np.isfinite(dist)
-    u_member = uvals[member]
-    rhs = float(u_member[nearest[hit]].sum() * np.prod(dy))
-    return lhs, rhs
+    if phi.k == 1:
+        lhs = _cell_sum(phi, E, m_cells, u)
+        ys, dy = _y_grid_1d(phi, n_y)
+        return lhs, _preimage_integral(phi, u, E, depth, [ys], dy)
+    lhs = _cell_sum(phi, E, int(round(math.sqrt(m_cells))) if m_cells > 4096 else 512, u)
+    y_axes, cell = _y_grid(phi, 128, 256, 0.02)
+    return lhs, _preimage_integral(phi, u, E, 9, y_axes, cell)
 
 
 def jacobian_l1_check(
@@ -581,38 +584,19 @@ def jacobian_l1_check(
 ) -> tuple[float, float]:
     """(int |det DPhi|, int N(Phi, E, y) dy) for k = n <= 2; they must agree.
 
-    For k = 1 the rhs is ``area_formula_with_multiplicity``.  For k = 2 the
-    lhs is a midpoint sum on sqrt(m_cells) cells per axis and the rhs sums
-    N over a 64 x 64 y-grid spanning the image (plus 2 % per side), each N
-    being the hit-cluster count of ``multiplicity`` at partition depth 7;
-    one hit-pair scan lists every (y, cell) hit of the grid and counts the
-    clusters of each y at once.
+    For k = 1 both sides are ``area_formula_with_multiplicity``'s, swapped.
+    For k = 2 the lhs is a midpoint sum on sqrt(m_cells) cells per axis and
+    the rhs is ``change_of_variables``'s preimage integral with u = 1 at
+    partition depth 7 on a 64 x 64 y-grid spanning the image (plus 2 % per
+    side): N at each y is the hit-cluster count of ``multiplicity``.
     """
     if phi.k != phi.n:
         raise ValueError("needs k = n")
     if phi.k == 1:
-        lhs = _cell_sum(phi, E, m_cells)
-        rhs, _ = area_formula_with_multiplicity(phi, E, m_cells=m_cells)
+        rhs, lhs = area_formula_with_multiplicity(phi, E, m_cells=m_cells)
         return lhs, rhs
     if phi.k != 2:
         raise ValueError("implemented for k = n <= 2")
     lhs = _cell_sum(phi, E, int(round(math.sqrt(m_cells))))
-    # 2-D multiplicity integral over a tensor y-grid
-    n_y = 64
-    lo, hi = phi.domain_lo, phi.domain_hi
-    img = phi(tensor_points([np.linspace(lo[d], hi[d], 256) for d in range(2)]))
-    y_lo = img.min(axis=0)
-    y_hi = img.max(axis=0)
-    span = y_hi - y_lo
-    y_lo -= 0.02 * span
-    y_hi += 0.02 * span
-    dy = (y_hi - y_lo) / n_y
-    y_axes = [_centers_1d(y_lo[d], n_y, dy[d]) for d in range(2)]
-    counts = _multiplicity_counts(phi, E, 7, y_axes)
-    # a running sum in row-major order, not numpy's pairwise sum, so the
-    # rounding is that of the plain per-y integral
-    cell = float(np.prod(dy))
-    rhs = 0.0
-    for c in counts.ravel().tolist():
-        rhs += c * cell
-    return lhs, rhs
+    y_axes, cell = _y_grid(phi, 64, 256, 0.02)
+    return lhs, _preimage_integral(phi, lambda p: np.ones(len(p)), E, 7, y_axes, cell)

@@ -106,11 +106,10 @@ def _cmd_dim(args) -> dict:
     scales = _parse_scales(args.scales)
     path = _single_input(args)
     if Path(path).suffix == ".json":
-        ifs = _load(path, "IFS JSON", lambda p: hd.IfsSystem.from_json(p.read_text()))
-        cloud = hd.ifs_points(ifs, depth=ifs.depth or None, min_scale=float(scales.min()))
+        obj = _load(path, "IFS JSON", lambda p: hd.IfsSystem.from_json(p.read_text()))
     else:
-        cloud = _load(path, "point CSV", hd.PointCloud.from_csv)
-    est = hd.dimension_estimate(cloud, scales)
+        obj = _load(path, "point CSV", hd.PointCloud.from_csv)
+    est = hd.dimension_estimate(obj, scales)
     return {
         "slope": est.slope,
         "intercept": est.intercept,

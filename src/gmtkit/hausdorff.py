@@ -289,7 +289,7 @@ def dimension_estimate(
     if np.any(np.diff(scales) >= 0):
         raise ValueError("scales must be strictly decreasing")
     if isinstance(obj, IfsSystem):
-        cloud = ifs_points(obj, depth=obj.depth or None, min_scale=float(scales.min()))
+        cloud = ifs_points(obj, min_scale=float(scales.min()))
     else:
         cloud = obj
     counts = box_counts(cloud, scales)

@@ -292,18 +292,18 @@ def lebesgue_point_check(
     radii: Sequence[float] | None = None,
     tol: float = 0.05,
 ) -> tuple[np.ndarray, bool]:
-    """Ball averages of |f - f(x)| per radius and a Lebesgue-point flag."""
+    """Ball averages of |f - f(x)| per radius and a Lebesgue-point flag;
+    radii under 3h are a ResolutionError."""
     x = np.asarray(x, dtype=float)
     if radii is None:
         radii = default_radii(f, x)
     radii = np.asarray(radii, dtype=float)
     fx = f.value_at(x)
-    wn = omega(f.ndim)
-    averages = []
-    for r in radii:
-        _, vals = _ball_samples(f.values, f.origin, f.h, x, r)
-        averages.append(float(np.abs(vals - fx).sum()) * f.h**f.ndim / (wn * r**f.ndim))
-    averages = np.array(averages)
+    cell = f.h**f.ndim
+    averages = np.array([
+        float(np.abs(vals - fx).sum()) * cell / vol
+        for vals, vol in _balls(f.values, f.origin, f.h, x, radii)
+    ])
     return averages, bool(averages[-1] < tol)
 
 

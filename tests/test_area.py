@@ -290,6 +290,59 @@ def test_change_of_variables_polar():
     assert rhs == pytest.approx(math.pi, rel=0.05)
 
 
+WARP = ar.ParametricMap(
+    lambda p: np.stack([p[:, 0] + 0.3 * np.sin(p[:, 1]), p[:, 1] + 0.2 * p[:, 0] ** 2], axis=1),
+    [0.0, 0.0], [1.0, 1.0], n=2, injective=True,
+)
+POLAR_H = 2 * math.pi / 64
+POLAR_HALF_DISK = RasterSet.from_predicate(lambda r, t: r < 0.5, [0.0, -math.pi], [64, 64], POLAR_H)
+POLAR_WEDGE = RasterSet.from_predicate(lambda r, t: t > 0.3, [0.0, -math.pi], [64, 64], POLAR_H)
+WARP_DISK = RasterSet.from_predicate(
+    lambda x, y: (x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.1, [0.0, 0.0], [64, 64], 1 / 64
+)
+S1, C1 = math.sin(1), math.cos(1)
+
+
+@pytest.mark.parametrize(
+    "phi, u, E, exact, bound",
+    [
+        (ar.builtin_map("polar"), lambda p: np.ones(len(p)), None, math.pi, 0.0107),
+        (ar.builtin_map("polar"), lambda p: p[:, 0] ** 2, None, math.pi / 2, 0.0213),
+        (ar.builtin_map("polar"), lambda p: p[:, 0] ** 2, POLAR_HALF_DISK, None, 0.0175),
+        (ar.builtin_map("polar"), lambda p: 2 + np.cos(p[:, 1]), None, 2 * math.pi, 0.0107),
+        (ar.builtin_map("polar"), lambda p: np.ones(len(p)), POLAR_WEDGE, None, 0.0136),
+        (ar.builtin_map("polar"), lambda p: p[:, 0] ** 3, POLAR_WEDGE, None, 0.0271),
+        # det DPhi = 1 - 0.12 x cos y
+        (WARP, lambda p: np.ones(len(p)), None, 1 - 0.06 * S1, 0.01),
+        (WARP, lambda p: p[:, 0] * p[:, 1] + 1, None,
+         1.25 - 0.04 * (C1 + S1 - 1) - 0.06 * S1, 0.01),
+        (WARP, lambda p: np.ones(len(p)), WARP_DISK, None, 0.01),
+        # two sheets: int N = int |det DPhi| = 32/3
+        (z_squared_map([-1.0, -1.0], [1.0, 1.0]), lambda p: np.ones(len(p)), None, 32 / 3, 0.011),
+    ],
+    ids=["polar-1", "polar-r2", "polar-r2-half-disk", "polar-2+cos", "polar-1-wedge",
+         "polar-r3-wedge", "warp-1", "warp-xy+1", "warp-1-disk", "z2-1"],
+)
+def test_two_dimensional_change_of_variables_rhs_error(phi, u, E, exact, bound):
+    # bounds: the polar errors of the former nearest-sample locator,
+    # rounded up; 1 % for the warp; about the polar u = 1 error for z^2,
+    # which that locator could not do.  Under a raster the lhs is the
+    # reference, since E is only resolved to its cells.
+    lhs, rhs = ar.change_of_variables(phi, u, E=E)
+    want = lhs if exact is None else exact
+    assert abs(rhs - want) <= bound * want
+
+
+@pytest.mark.parametrize("phi", [ar.builtin_map("polar"), z_squared_map([-1.0, -1.0], [1.0, 1.0])],
+                         ids=["polar", "z2"])
+def test_two_dimensional_change_of_variables_of_one_is_multiplicity_integral(phi):
+    y_axes, cell = ar._y_grid(phi, 128, 256, 0.02)
+    want = 0.0
+    for c in ar._multiplicity_counts(phi, None, 9, y_axes).ravel().tolist():
+        want += c * cell
+    assert ar.change_of_variables(phi, lambda p: np.ones(len(p)))[1] == want
+
+
 def test_jacobian_l1_identity_map():
     phi = ar.ParametricMap(lambda p: p.copy(), [0.0], [1.0], n=1, injective=True)
     lhs, rhs = ar.jacobian_l1_check(phi)

@@ -313,6 +313,16 @@ def test_depth_flag_is_unknown(tmp_path):
     assert "--depth" in json.loads((out / "error.json").read_text())["error"]["message"]
 
 
+def test_dim_checks_scales_before_building_the_attractor(tmp_path):
+    ifs = tmp_path / "cantor.json"
+    ifs.write_text(cantor_ifs_json())
+    out = tmp_path / "out"
+    code = cli.run(["dim", "--input", str(ifs), "--scales", "6..3", "--output", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    message = json.loads((out / "error.json").read_text())["error"]["message"]
+    assert message == "at least 4 scales are required"
+
+
 def test_dim_refuses_lattice_csv(tmp_path):
     grid = tmp_path / "grid2.csv"
     GridFunction.from_callable(lambda x, y: np.sin(3 * x) * y, [0, 0], [16, 16], 1 / 16).to_csv(grid)

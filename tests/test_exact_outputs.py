@@ -142,9 +142,9 @@ def test_linear_image_measure_shear_exact():
 def test_two_dimensional_change_of_variables_exact():
     polar = ar.builtin_map("polar")
     u = lambda p: p[:, 0] ** 2
-    assert ar.change_of_variables(polar, u) == (1.5707933307386701, 1.6041107748489707)
+    assert ar.change_of_variables(polar, u) == (1.5707933307386701, 1.5998711352344908)
     assert ar.change_of_variables(polar, u, E=_polar_half_disk_raster()) == (
-        0.09072593911095791, 0.09230425262951765
+        0.09072593911095791, 0.09228100605811697
     )
 
 

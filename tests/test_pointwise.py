@@ -196,6 +196,16 @@ def test_lebesgue_point_fails_at_jump():
     assert not flag  # averages hover near 1/2 at a jump
 
 
+def test_lebesgue_point_resolution_guard():
+    # at the jump, both balls (under 3h) hold only the two samples right of
+    # it, which equal f(x): the averages would read 0 and flag a Lebesgue point
+    f = GridFunction.from_callable(
+        lambda x, y: 5.0 * (x > 0.3), [0.0, 0.0], [64, 64], 1 / 64
+    )
+    with pytest.raises(ResolutionError):
+        pw.lebesgue_point_check(f, [0.3, 0.5], radii=[0.01, 0.005])
+
+
 def test_approx_partials_smooth():
     f = GridFunction.from_callable(
         lambda x, y: np.sin(x) + 2 * y, [-1, -1], [1024, 1024], 2 / 1024
