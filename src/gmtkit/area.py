@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonConvergenceError
-from .grids import GridFunction, RasterSet, _centers_1d, legendre_rule, tensor_points
+from .grids import GridFunction, RasterSet, _centers_1d, tensor_points
 from .hausdorff import SingularMapError, lebesgue_measure
 from .pointwise import _central_differences, gradient_fd
 
@@ -239,19 +239,6 @@ def builtin_map(name: str, **params) -> ParametricMap:
     raise ValueError(f"unknown builtin map {name!r}")
 
 
-def curve_length(phi: ParametricMap, nodes: int = 1024) -> float:
-    """H^1 of an injective curve: Gauss-Legendre quadrature of |dPhi/dt|."""
-    if phi.k != 1:
-        raise ValueError("curve_length needs a 1-parameter map")
-    if not phi.injective:
-        raise ValueError("curve must be flagged injective")
-    a, b = float(phi.domain_lo[0]), float(phi.domain_hi[0])
-    x, w = legendre_rule(nodes)
-    t = 0.5 * (b - a) * x + 0.5 * (a + b)
-    speed = phi.j_at(t[:, None], step=(b - a) * 1e-6)
-    return float(0.5 * (b - a) * (w * speed).sum())
-
-
 def graph_area(f: GridFunction, mask: np.ndarray | None = None) -> float:
     """Area of the graph of f over its box: sum of h^k sqrt(1 + |grad f|^2)."""
     gn2 = (gradient_fd(f) ** 2).sum(axis=0)
@@ -277,6 +264,8 @@ def _cell_sum(
 ) -> float:
     """Midpoint sum of u J(Phi) (J(Phi) without u) over the m cells per axis
     whose centers lie in E."""
+    if m < 1:
+        raise ValueError("need at least one cell per axis")
     pts, steps = _cell_centers(phi, m)
     J = phi.j_at(pts, step=float(steps.min()) / 4)
     if u is not None:
@@ -290,7 +279,8 @@ def surface_measure(
     phi: ParametricMap, E: RasterSet | None = None, m: int = 256
 ) -> float:
     """H^k(Phi(E)) = int_E J(Phi) for injective Phi: midpoint cell sums at
-    m and 2m cells per axis, Richardson-combined.
+    m and 2m cells per axis, Richardson-combined.  Every k uses it, curve
+    length (k = 1) included.
     """
     if not phi.injective:
         raise ValueError("surface_measure needs the injectivity flag; "
@@ -298,6 +288,15 @@ def surface_measure(
     coarse = _cell_sum(phi, E, m)
     fine = _cell_sum(phi, E, 2 * m)
     return (4 * fine - coarse) / 3
+
+
+def curve_length(phi: ParametricMap, nodes: int = 1024) -> float:
+    """H^1 of an injective curve: ``surface_measure`` for k = 1, midpoint
+    sums of |dPhi/dt| on ``nodes`` and 2 * ``nodes`` cells, Richardson-combined
+    (which also cancels the O(step^2) error of a central-difference speed)."""
+    if phi.k != 1:
+        raise ValueError("curve_length needs a 1-parameter map")
+    return surface_measure(phi, m=nodes)
 
 
 @dataclass(frozen=True)
@@ -500,6 +499,8 @@ def _y_grid(
     """Axes of the n_y-per-axis grid of cell centers spanning the image of
     a ``probe``-per-axis lattice of phi's domain box, widened by ``pad`` of
     its span per side, and the volume of one grid cell."""
+    if n_y < 1:
+        raise ValueError("need at least one y-cell per axis")
     lo, hi = phi.domain_lo, phi.domain_hi
     img = phi(tensor_points([np.linspace(lo[d], hi[d], probe) for d in range(phi.k)]))
     # one reduction per column: numpy reduces an (N, n) array along axis 0

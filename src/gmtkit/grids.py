@@ -7,7 +7,6 @@ midpoint.  Integrals are midpoint sums with cell weight ``h**n``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -30,23 +29,6 @@ def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     order, shape (N, k)."""
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
-
-
-@functools.lru_cache(maxsize=32)
-def legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``nodes``-point Gauss-Legendre rule on
-    [-1, 1], cached per node count and returned read-only (every caller
-    shares the same arrays).
-
-    scipy's roots_legendre solves a banded eigenproblem in O(n^2); numpy's
-    leggauss runs a dense O(n^3) one, about a second for 1024 nodes cold.
-    """
-    from scipy.special import roots_legendre
-
-    x, w = roots_legendre(nodes)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
 
 
 @dataclass(frozen=True)

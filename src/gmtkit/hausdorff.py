@@ -234,8 +234,7 @@ def premeasure_delta(
         return 0.0
 
     def estimate(g: float) -> float:
-        idx = np.floor(cloud.points / g).astype(np.int64)
-        n_boxes = _distinct_rows(idx)
+        n_boxes = float(box_counts(cloud, [g], n_offsets=1)[0])
         diam = g * math.sqrt(cloud.n)
         return omega(s) / 2**s * n_boxes * diam**s
 

@@ -8,6 +8,7 @@ domain where the full kernel support fits (no padding).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UnderResolvedKernelError
-from .grids import GridFunction, legendre_rule, tensor_points
+from .grids import GridFunction, tensor_points
 from .hausdorff import omega
 from .pointwise import gradient_fd
 
@@ -47,9 +48,18 @@ def _unscaled_standard(r2: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=32)
 def _gauss_legendre(a: float, b: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = legendre_rule(nodes)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+    """The ``nodes``-point Gauss-Legendre rule on [a, b]: scipy's nodes
+    and weights mapped from [-1, 1], cached and read-only (every caller
+    shares the same arrays)."""
+    from scipy.special import roots_legendre
+
+    x, w = roots_legendre(nodes)
+    x, w = 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @dataclass(frozen=True)

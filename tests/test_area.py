@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ellipeinc
 
 from conftest import z_squared_map
 from gmtkit import area as ar
@@ -114,6 +115,31 @@ def test_circle_arc_length_fd_jacobian():
 def test_curve_length_requires_injectivity_flag():
     with pytest.raises(ValueError):
         ar.curve_length(ar.builtin_map("fold", laps=2))
+
+
+def _plane_curve(f, a, b, jacobian=None):
+    return ar.ParametricMap(lambda p: np.concatenate(f(p), axis=1), [a], [b], n=2,
+                            jacobian=jacobian, injective=True)
+
+
+@pytest.mark.parametrize(
+    "curve, exact",
+    [
+        # central-difference speed
+        (_plane_curve(lambda p: [p, p**2], 0.0, 10.0), 5 * math.sqrt(401) + math.asinh(20) / 4),
+        # the speed |t| sqrt(9t^2 + 4) has a kink at 0
+        (_plane_curve(lambda p: [p**3, p**2], -1.0, 2.0,
+                      lambda p: np.stack([3 * p**2, 2 * p], axis=1)),
+         (40**1.5 + 13**1.5 - 16) / 27),
+        # central-difference speed; sqrt(401 - 400 sin^2 u) integrates to an
+        # incomplete elliptic integral of the second kind
+        (_plane_curve(lambda p: [p, np.sin(20 * p)], 0.0, 1.0),
+         math.sqrt(401) / 20 * float(ellipeinc(20.0, 400 / 401))),
+    ],
+    ids=["parabola-fd", "cusp-kink", "sin20-fd"],
+)
+def test_curve_length_closed_forms(curve, exact):
+    assert abs(ar.curve_length(curve) - exact) <= 1e-10
 
 
 # ---------------------------------------------------------------- graph area
@@ -483,4 +509,24 @@ E_1D = RasterSet.from_predicate(lambda x: x < 0.5, [0.0], [8], 1 / 8)
 )
 def test_raster_of_wrong_dimension_is_rejected(call):
     with pytest.raises(ValueError, match="do not match a"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ar.surface_measure(ar.builtin_map("sphere"), m=0),
+        lambda: ar.surface_measure(ar.builtin_map("sphere"), m=-2),
+        lambda: ar.curve_length(ar.builtin_map("helix"), nodes=0),
+        lambda: ar.area_formula_with_multiplicity(ar.builtin_map("fold"), n_y=0),
+        lambda: ar.area_formula_with_multiplicity(ar.builtin_map("fold"), n_y=-5),
+        lambda: ar.change_of_variables(ar.builtin_map("fold"), lambda p: p[:, 0], m_cells=0),
+        lambda: ar.change_of_variables(ar.builtin_map("fold"), lambda p: p[:, 0], n_y=0),
+        lambda: ar.jacobian_l1_check(ar.builtin_map("polar"), m_cells=0),
+    ],
+    ids=["surface-m0", "surface-m-2", "curve-nodes0", "area-formula-ny0", "area-formula-ny-5",
+         "cov-1d-m0", "cov-1d-ny0", "jacobian-l1-polar-m0"],
+)
+def test_non_positive_cell_counts_are_rejected(call):
+    with pytest.raises(ValueError, match="at least one"):
         call()

@@ -349,14 +349,16 @@ def test_importing_cli_loads_no_scipy():
     assert _scipy_modules_loaded("import gmtkit.cli, sys") == "[]"
 
 
-@pytest.mark.parametrize("name", ["fold", "square"])
-def test_one_dimensional_area_job_loads_no_scipy(tmp_path, name):
-    # the 1-D multiplicity scans run on numpy alone
+@pytest.mark.parametrize("name, key", [("helix", "length"), ("fold", "multiplicity_integral"),
+                                       ("square", "multiplicity_integral")],
+                         ids=["helix", "fold", "square"])
+def test_one_dimensional_area_job_loads_no_scipy(tmp_path, name, key):
+    # curve length and the 1-D multiplicity scans run on numpy alone
     code = ("import gmtkit.cli, sys; "
             "assert gmtkit.cli.run(sys.argv[1:]) == 0")
     argv = ["area", "--map", name, "--output", str(tmp_path / "out"), "--no-timestamp"]
     assert _scipy_modules_loaded(code, *argv) == "[]"
-    assert "multiplicity_integral" in read_report(tmp_path / "out")["results"]
+    assert key in read_report(tmp_path / "out")["results"]
 
 
 # ------------------------------------------------------------- fuzzed argv
