@@ -567,10 +567,16 @@ def change_of_variables(
     scan runs at partition depth ``depth`` on ``n_y`` y-cells spanning the
     observed image (plus 5 % per side).  For k = 2 it runs at depth 9 (the
     lhs's default 512 cells per axis) on a 128 x 128 y-grid spanning the
-    image (plus 2 % per side); ``n_y`` and ``depth`` are not used.
+    image (plus 2 % per side); ``n_y`` and ``depth`` are not used, but
+    ``m_cells``, ``n_y`` and ``depth`` below 1 are a ValueError either way.
     """
     if phi.k != phi.n or phi.k > 2:
         raise ValueError("implemented for k = n <= 2")
+    if min(m_cells, n_y, depth) < 1:
+        raise ValueError(
+            "need at least one cell, one y-cell and one partition level; "
+            f"got m_cells={m_cells}, n_y={n_y}, depth={depth}"
+        )
     if phi.k == 1:
         lhs = _cell_sum(phi, E, m_cells, u)
         ys, dy = _y_grid_1d(phi, n_y)

@@ -189,12 +189,25 @@ class RasterSet:
         return cls(mask=values != 0, origin=origin, h=h)
 
 
+_CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv_rows(fh, rows: np.ndarray, row_fmt: str) -> None:
+    """Write each row of the 2-D array ``rows`` as ``row_fmt % tuple(row)``
+    plus a newline: the bytes of ``np.savetxt`` with that format, written a
+    fixed block of rows at a time instead of one row at a time."""
+    line = row_fmt + "\n"
+    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+        part = rows[start : start + _CSV_BLOCK_ROWS]
+        fh.write((line * len(part)) % tuple(part.ravel().tolist()))
+
+
 def _write_lattice_csv(path, values: np.ndarray, origin: np.ndarray, h: float, fmt: str) -> None:
     dims = "x".join(str(s) for s in values.shape)
     org = ",".join("%.17g" % v for v in origin)
     with open(path, "w") as fh:
         fh.write(f"dims={dims};origin={org};h={h:.17g}\n")
-        np.savetxt(fh, values.reshape(-1, 1), fmt=fmt)
+        _write_csv_rows(fh, values.reshape(-1, 1), fmt)
 
 
 def _read_lattice_csv(path):

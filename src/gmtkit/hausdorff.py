@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import RasterSet, _centers_1d, tensor_points
+from .grids import RasterSet, _centers_1d, _write_csv_rows, tensor_points
 
 __all__ = [
     "PointCloud",
@@ -68,8 +68,9 @@ class PointCloud:
         return PointCloud(self.points * t)
 
     def to_csv(self, path) -> None:
-        header = ",".join(f"x{i + 1}" for i in range(self.n))
-        np.savetxt(path, self.points, delimiter=",", header=header, comments="")
+        with open(path, "w") as fh:
+            fh.write(",".join(f"x{i + 1}" for i in range(self.n)) + "\n")
+            _write_csv_rows(fh, self.points, ",".join(["%.18e"] * self.n))
 
     @classmethod
     def from_csv(cls, path) -> "PointCloud":

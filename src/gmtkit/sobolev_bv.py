@@ -21,7 +21,7 @@ import numpy as np
 from .errors import RegimeError
 from .grids import GridFunction, RasterSet
 from .pointwise import gradient_fd
-from .smoothing import _bump
+from .smoothing import _lattice_bump
 
 __all__ = [
     "SobolevReport",
@@ -252,7 +252,6 @@ def seeded_bump_field(
     rng = np.random.default_rng(seed)
     lo = f.origin
     hi = f.origin + np.array(f.extents) * f.h
-    pts = f.points()
     n = f.ndim
     field = np.zeros((n,) + f.extents)
     div = np.zeros(f.extents)
@@ -261,9 +260,10 @@ def seeded_bump_field(
             c = lo + (0.1 + 0.8 * rng.random(n)) * (hi - lo)
             r = float((hi - lo).min()) * (0.15 + 0.35 * rng.random())
             amp = rng.standard_normal()
-            phi, grad = _bump(pts, c, r)
-            field[d] += amp * phi.reshape(f.extents)
-            div += amp * grad[..., d].reshape(f.extents)
+            window, inside, phi, grad = _lattice_bump(f, c, r, d)
+            # outside its support a bump adds only zeros
+            field[d][window][inside] += amp * phi
+            div[window][inside] += amp * grad
     norm = np.sqrt((field**2).sum(axis=0)).max()
     if norm > 0:
         field /= norm

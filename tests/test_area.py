@@ -523,9 +523,14 @@ def test_raster_of_wrong_dimension_is_rejected(call):
         lambda: ar.change_of_variables(ar.builtin_map("fold"), lambda p: p[:, 0], m_cells=0),
         lambda: ar.change_of_variables(ar.builtin_map("fold"), lambda p: p[:, 0], n_y=0),
         lambda: ar.jacobian_l1_check(ar.builtin_map("polar"), m_cells=0),
+        lambda: ar.change_of_variables(ar.builtin_map("fold"), lambda p: p[:, 0], depth=0),
+        lambda: ar.change_of_variables(ar.builtin_map("polar"), lambda p: p[:, 0], m_cells=-7),
+        lambda: ar.change_of_variables(ar.builtin_map("polar"), lambda p: p[:, 0], n_y=-7),
+        lambda: ar.change_of_variables(ar.builtin_map("polar"), lambda p: p[:, 0], depth=0),
     ],
     ids=["surface-m0", "surface-m-2", "curve-nodes0", "area-formula-ny0", "area-formula-ny-5",
-         "cov-1d-m0", "cov-1d-ny0", "jacobian-l1-polar-m0"],
+         "cov-1d-m0", "cov-1d-ny0", "jacobian-l1-polar-m0", "cov-1d-depth0", "cov-2d-m-7",
+         "cov-2d-ny-7", "cov-2d-depth0"],
 )
 def test_non_positive_cell_counts_are_rejected(call):
     with pytest.raises(ValueError, match="at least one"):

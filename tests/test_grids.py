@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -56,6 +57,37 @@ def test_rasterset_csv_roundtrip(tmp_path):
     F = RasterSet.from_csv(path)
     assert np.array_equal(E.mask, F.mask)
     assert F.h == E.h
+
+
+def _savetxt_lattice_csv(values, origin, h, fmt):
+    """The lattice CSV as np.savetxt writes it, one row per call."""
+    buf = io.StringIO()
+    dims = "x".join(str(s) for s in values.shape)
+    org = ",".join("%.17g" % v for v in origin)
+    buf.write(f"dims={dims};origin={org};h={h:.17g}\n")
+    np.savetxt(buf, values.reshape(-1, 1), fmt=fmt)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("size", [1, 4095, 4096, 4097, 3 * 4096 + 17])
+def test_gridfunction_csv_bytes_match_savetxt(tmp_path, size):
+    rng = np.random.default_rng(size)
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-309, 1e300, -1e300, 1.0, -1 / 3]
+    values[: len(special)] = special[:size]
+    f = GridFunction(values, [-0.1], 1 / 3)
+    path = tmp_path / "f.csv"
+    f.to_csv(path)
+    assert path.read_bytes() == _savetxt_lattice_csv(f.values, f.origin, f.h, "%.17g")
+
+
+@pytest.mark.parametrize("shape", [(1,), (70, 61), (4096,), (9, 23, 41)])
+def test_rasterset_csv_bytes_match_savetxt(tmp_path, shape):
+    mask = np.random.default_rng(len(shape)).random(shape) < 0.4
+    E = RasterSet(mask, [0.25] * len(shape), 0.1)
+    path = tmp_path / "e.csv"
+    E.to_csv(path)
+    assert path.read_bytes() == _savetxt_lattice_csv(E.mask.astype(int), E.origin, E.h, "%d")
 
 
 def test_rasterset_complement_partitions():

@@ -29,6 +29,19 @@ def test_point_cloud_csv_roundtrip(tmp_path):
     assert np.array_equal(hd.PointCloud.from_csv(p).points, cloud.points)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("size", [1, 5000])
+def test_point_cloud_csv_bytes_match_savetxt(tmp_path, n, size):
+    rng = np.random.default_rng(10 * n + size)
+    pts = rng.standard_normal((size, n)) * 10.0 ** rng.integers(-300, 300, (size, n))
+    pts.ravel()[:4] = [-0.0, 5e-324, 1e300, -1e300][: pts.size]
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    header = ",".join(f"x{i + 1}" for i in range(n))
+    np.savetxt(want, pts, delimiter=",", header=header, comments="")
+    hd.PointCloud(pts).to_csv(got)
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_point_cloud_csv_rejects_lattice_csv(tmp_path):
     p = tmp_path / "r.csv"
     RasterSet.from_predicate(lambda x, y: x < 0.5, [0, 0], [4, 4], 0.25).to_csv(p)

@@ -133,6 +133,57 @@ def test_bump_grad_matches_fd():
         assert np.allclose(g[:, d], fd, atol=1e-5)
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+# (origin, extents, h, center, radius): bumps well inside, across an edge,
+# across a corner, past the grid, smaller than one cell, on non-dyadic h
+WINDOW_CASES = [
+    ([0.0], [200], 0.005, [0.5], 0.3),
+    ([-0.37], [97], 0.0131, [-0.36], 0.2),
+    ([0.11], [64], 1 / 3, [21.5], 0.9),
+    ([0.0], [50], 0.02, [0.5], 0.004),
+    ([0.0, 0.0], [48, 40], 1 / 48, [0.4, 0.3], 0.25),
+    ([0.013, -0.21], [37, 53], 0.0173, [0.02, 0.6], 0.3),
+    ([0.013, -0.21], [37, 53], 0.0173, [0.0, -0.2], 0.21),
+    ([0.013, -0.21], [37, 53], 0.0173, [0.3, 0.2], 0.011),
+    ([0.0, 0.0], [16, 16], 0.1, [0.55, 0.55], 0.03),
+    ([0.0, 0.0], [16, 16], 0.1, [-0.5, 0.8], 0.45),
+    ([0.0, 0.0, 0.0], [12, 14, 10], 1 / 12, [0.5, 0.6, 0.4], 0.35),
+    ([0.3, -0.7, 1.1], [11, 9, 13], 0.0927, [0.35, -0.65, 1.9], 0.5),
+    ([0.3, -0.7, 1.1], [11, 9, 13], 0.0927, [0.6, -0.4, 1.7], 0.04),
+]
+
+
+@pytest.mark.parametrize("origin,extents,h,center,radius", WINDOW_CASES)
+def test_lattice_bump_is_the_full_grid_bump_sliced(origin, extents, h, center, radius):
+    f = GridFunction(np.zeros(extents), origin, h)
+    c = np.asarray(center, dtype=float)
+    phi_full, grad_full = sm._bump(f.points(), c, radius)
+    phi_full = phi_full.reshape(f.extents)
+    for axis in range(-f.ndim, f.ndim):
+        window, inside, phi, grad = sm._lattice_bump(f, c, radius, axis)
+        assert _same_bits(phi, phi_full[window][inside])
+        assert _same_bits(grad, grad_full[..., axis].reshape(f.extents)[window][inside])
+        # every cell the window leaves out is one where the bump is 0
+        kept = np.zeros(f.extents, dtype=bool)
+        kept[window] = inside
+        assert not np.any(phi_full[~kept])
+        assert not np.any(grad_full[..., axis].reshape(f.extents)[~kept])
+
+
+def test_battery_rejects_non_finite_or_non_positive_supports():
+    f = GridFunction(np.zeros(100), [0.0], 0.01)
+    for centers, radii in [([[0.5]], [-0.1]), ([[0.5]], [0.0]), ([[np.nan]], [0.1]),
+                           ([[0.5]], [np.inf])]:
+        bat = sm.TestFunctionBattery(np.array(centers), np.array(radii), 0)
+        with pytest.raises(sm.BatteryError, match="finite"):
+            sm.weak_derivative_residual(f, f, 0, bat)
+
+
 def test_battery_json_roundtrip():
     bat = sm.TestFunctionBattery.seeded([0.0, 0.0], [1.0, 1.0], count=5, seed=7)
     back = sm.TestFunctionBattery.from_json(bat.to_json())

@@ -7,6 +7,7 @@ from conftest import cantor_function
 from gmtkit import sobolev_bv as sb
 from gmtkit.errors import RegimeError
 from gmtkit.grids import GridFunction, RasterSet
+from gmtkit.smoothing import bump_grad, bump_value
 
 
 def bump_2d(extents=192, h=None):
@@ -138,6 +139,39 @@ def test_perimeter_disk_raw_vs_corrected():
     true = 2 * math.pi * 0.4
     assert raw == pytest.approx(true * 4 / math.pi, rel=0.02)  # Manhattan bias
     assert corrected == pytest.approx(true, rel=0.01)
+
+
+def _full_grid_bump_field(f, seed, n_bumps=3):
+    """seeded_bump_field from the public bump_value/bump_grad on every cell."""
+    rng = np.random.default_rng(seed)
+    lo = f.origin
+    hi = f.origin + np.array(f.extents) * f.h
+    pts = f.points()
+    field = np.zeros((f.ndim,) + f.extents)
+    div = np.zeros(f.extents)
+    for d in range(f.ndim):
+        for _ in range(n_bumps):
+            c = lo + (0.1 + 0.8 * rng.random(f.ndim)) * (hi - lo)
+            r = float((hi - lo).min()) * (0.15 + 0.35 * rng.random())
+            amp = rng.standard_normal()
+            field[d] += amp * bump_value(pts, c, r).reshape(f.extents)
+            div += amp * bump_grad(pts, c, r)[..., d].reshape(f.extents)
+    norm = np.sqrt((field**2).sum(axis=0)).max()
+    if norm > 0:
+        field /= norm
+        div /= norm
+    return field, div
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_seeded_bump_field_matches_full_grid_reference(seed):
+    shape = [(301,), (37, 52), (11, 9, 13)][seed % 3]
+    f = GridFunction(np.zeros(shape), [-0.31, 0.7, 0.05][: len(shape)], 0.0173)
+    got = sb.seeded_bump_field(f, seed, n_bumps=1 + seed % 4)
+    want = _full_grid_bump_field(f, seed, n_bumps=1 + seed % 4)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_variation_nd_methods_agree_on_bump():
