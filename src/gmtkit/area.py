@@ -9,9 +9,10 @@ singularities, so angular charts integrate over the open box directly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -309,134 +310,119 @@ class MultiplicityProfile:
     stabilized: bool
 
 
-def _partition_boxes(
-    phi: ParametricMap, E: RasterSet | None, depth: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Padded image boxes of the cells of the depth-indexed partition.
+def _simplex_preimages(
+    phi: ParametricMap, E: RasterSet | None, depth: int, y_axes: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Preimages under the piecewise-linear (PL) interpolant of phi (k = n
+    <= 2) on the depth-indexed partition, for every y of the tensor grid
+    ``y_axes[0] x ... x y_axes[n-1]`` (each axis ascending); with E, only
+    the simplices of cells whose center lies in E.
 
-    Returns ``(lo, hi, member)``: ``lo`` and ``hi`` have shape
-    ``(2**depth,) * k + (n,)`` and bound each cell's image box (corner
-    samples, inflated by half its own extent); ``member`` marks the cells
-    whose center lies in E, or is None without E.
+    k = 1: each cell [a, b] counts when min(Phi a, Phi b) <= y < max(Phi a,
+    Phi b), with x the linear interpolate.  k = 2: each cell splits along
+    its (i+1, j)-(i, j+1) diagonal into two triangles, and y counts when
+    all three edge cross products have the sign of the triangle's signed
+    area (a zero-area triangle counts nothing); x comes from the
+    barycentric coordinates.  Each lattice edge's cross product is taken
+    from its lower-index end, so two triangles sharing an edge see exactly
+    opposite signs, and a zero is broken as for y + (eps, eps^2)
+    (Simulation of Simplicity): a y on a vertex or edge image is counted
+    once per sheet.  Only the y in a cell's image box are tested, so
+    memory grows with the hits, not with the grid.
+
+    Returns ``(y, x)``: the row-major flat y index of every (y, preimage)
+    pair, in simplex order (cell, then triangle), and the preimages,
+    shape (pairs, k).
     """
-    lo, hi = phi.domain_lo, phi.domain_hi
     k = phi.k
     m = 2**depth
+    lo, hi = phi.domain_lo, phi.domain_hi
     steps = (hi - lo) / m
     corners = [lo[d] + np.arange(m + 1) * steps[d] for d in range(k)]
-    box_lo = box_hi = phi(tensor_points(corners)).reshape(*(m + 1,) * k, phi.n)
-    for d in range(k):
-        sl_a = [slice(None)] * (k + 1)
-        sl_b = [slice(None)] * (k + 1)
-        sl_a[d] = slice(None, box_lo.shape[d] - 1)
-        sl_b[d] = slice(1, None)
-        box_lo = np.minimum(box_lo[tuple(sl_a)], box_lo[tuple(sl_b)])
-        box_hi = np.maximum(box_hi[tuple(sl_a)], box_hi[tuple(sl_b)])
-    pad = 0.25 * (box_hi - box_lo) + 1e-12
-    member = None if E is None else E.contains(_cell_centers(phi, m)[0]).reshape((m,) * k)
-    return box_lo - pad, box_hi + pad, member
-
-
-def _same_y_links(key: np.ndarray, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Links between hits at the same y whose cells are neighbours (full
-    adjacency: indices differ by at most 1 on every axis), as index pairs
-    ``(src, dst)`` into ``key``, the ascending pair keys ``y * m**k + cell``.
-    Only forward offsets (lexicographically positive) are looked up, so
-    each neighbouring pair is linked once, from its lower cell.
-    """
-    coords = np.unravel_index(key % m**k, (m,) * k)
-    src, dst = [], []
-    forward = [o for o in itertools.product((-1, 0, 1), repeat=k) if o > (0,) * k]
-    for offset in forward:
-        ok = np.ones(len(key), dtype=bool)
-        for c, o in zip(coords, offset):
-            ok &= (c + o >= 0) & (c + o < m)
-        nodes = np.flatnonzero(ok)
-        want = key[nodes] + sum(o * m ** (k - 1 - d) for d, o in enumerate(offset))
-        pos = np.minimum(np.searchsorted(key, want), len(key) - 1)
-        found = key[pos] == want
-        src.append(nodes[found])
-        dst.append(pos[found])
-    return np.concatenate(src), np.concatenate(dst)
-
-
-def _hit_pairs(
-    phi: ParametricMap, E: RasterSet | None, depth: int, y_axes: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every (y, cell) pair of the depth-indexed partition whose padded cell
-    image box contains y, for the y of the tensor grid ``y_axes[0] x ... x
-    y_axes[n-1]`` (each axis ascending); with E, only cells whose center
-    lies in E.
-
-    Returns ``(y, cell, src, dst)``: the row-major flat indices of the
-    pairs, sorted by y and then by cell, and their same-y neighbour links
-    (``_same_y_links``).  The partition is built once and only the pairs
-    are listed, so memory grows with the hits, not with the grid.
-    """
-    box_lo, box_hi, member = _partition_boxes(phi, E, depth)
-    m = 2**depth
-    n_cells = m**phi.k
-    cells = np.arange(n_cells) if member is None else np.flatnonzero(member)
-    box_lo = box_lo.reshape(n_cells, phi.n)[cells]
-    box_hi = box_hi.reshape(n_cells, phi.n)[cells]
-    # searchsorted makes the comparisons y >= lo and y <= hi on each
-    # ascending axis; a NaN bound (always NaN on both sides) sorts past the
-    # end and leaves the range empty
-    first = [np.searchsorted(ax, box_lo[:, d], side="left") for d, ax in enumerate(y_axes)]
-    width = [
-        np.maximum(np.searchsorted(ax, box_hi[:, d], side="right") - first[d], 0)
-        for d, ax in enumerate(y_axes)
-    ]
-    del box_lo, box_hi  # per-cell arrays: free them before the pair arrays grow
-    per_cell = np.prod(width, axis=0)
-    owner = np.repeat(np.arange(len(cells)), per_cell)
+    V = phi(tensor_points(corners)).reshape(*(m + 1,) * k, k)
+    cell = np.arange(m**k)
+    if E is not None:
+        cell = cell[E.contains(_cell_centers(phi, m)[0])]
+    # candidates: the y in each cell's half-open image box [min, max) per
+    # axis, which holds the boxes of the cell's simplices; cells are dropped
+    # as soon as an axis leaves their range empty (a NaN bound sorts past
+    # the end and always does)
+    first, width = [], []
+    for d, ax in enumerate(y_axes):
+        cell_corners = [
+            V[tuple(slice(o, m + o) for o in offset) + (d,)]
+            for offset in itertools.product((0, 1), repeat=k)
+        ]
+        box_lo = functools.reduce(np.minimum, cell_corners).reshape(-1)[cell]
+        box_hi = functools.reduce(np.maximum, cell_corners).reshape(-1)[cell]
+        f = np.searchsorted(ax, box_lo)
+        w = np.searchsorted(ax, box_hi) - f
+        keep = np.flatnonzero(w > 0)
+        cell = cell[keep]
+        first = [a[keep] for a in first] + [f[keep]]
+        width = [a[keep] for a in width] + [w[keep]]
+    del cell_corners, box_lo, box_hi
+    per_cell = functools.reduce(np.multiply, width)
+    owner = np.repeat(np.arange(len(cell)), per_cell)
     # a pair's rank in its cell's block of y, split into one offset per axis
     # (the last axis fastest)
     rank = np.arange(len(owner)) - np.repeat(np.cumsum(per_cell) - per_cell, per_cell)
     y = np.zeros(len(owner), dtype=np.int64)
     stride = 1
-    for d in reversed(range(len(y_axes))):
+    for d in reversed(range(k)):
         w = width[d][owner]
         y += (first[d][owner] + rank % w) * stride
         rank //= w
         stride *= len(y_axes[d])
-    key = np.sort(y * n_cells + cells[owner])
-    src, dst = _same_y_links(key, m, phi.k)
-    y, cell = np.divmod(key, n_cells)
-    return y, cell, src, dst
+    cell = cell[owner]
+    del owner, rank
+    if k == 1:
+        y_pts = y_axes[0][y]
+        fa, fb = V[cell, 0], V[cell + 1, 0]
+        return y, (corners[0][cell] + (y_pts - fa) / (fb - fa) * steps[0])[:, None]
+    # both triangles of each candidate cell: t = 0 is (i, j), (i+1, j),
+    # (i, j+1) and t = 1 is (i+1, j+1), (i, j+1), (i+1, j), both positively
+    # oriented in R^2
+    y, cell = np.repeat(y, 2), np.repeat(cell, 2)
+    t = np.tile([0, 1], len(cell) // 2)
+    i, j = np.divmod(cell, m)
+    y0, y1 = (ax[iy] for ax, iy in zip(y_axes, np.unravel_index(y, [len(ax) for ax in y_axes])))
+    X, Y = V[..., 0].ravel(), V[..., 1].ravel()
+    row = m + 1
 
+    def edge(p, q):
+        """Cross product with y of the edge from vertex p to q, its sign
+        with a zero broken as for y + (eps, eps^2), and the edge vector."""
+        dx, dy = X[q] - X[p], Y[q] - Y[p]
+        c = dx * (y1 - Y[p]) - dy * (y0 - X[p])
+        tie = np.where(dy != 0, -np.sign(dy), np.sign(dx))
+        return c, np.where(c != 0, np.sign(c), tie), dx, dy
 
-def _hit_clusters(
-    phi: ParametricMap, E: RasterSet | None, depth: int, y_axes: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """``_hit_pairs``'s pairs ``(y, cell)`` with the hit cluster of each,
-    ``(y, cell, label, n_clusters)``: the clusters are the connected
-    components of the same-y links, numbered from 0."""
-    y, cell, src, dst = _hit_pairs(phi, E, depth, y_axes)
-    if phi.k == 1:
-        # 1-D clusters are runs: one starts at each pair no link points to
-        first = np.ones(len(y), dtype=bool)
-        first[dst] = False
-        return y, cell, np.cumsum(first) - 1, int(first.sum())
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    graph = coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(len(y),) * 2)
-    n_clusters, label = connected_components(graph, directed=False)
-    return y, cell, label, n_clusters
+    # the triangle's edges from their lower-index ends: axis-0 edge
+    # (i, j+t)-(i+1, j+t), axis-1 edge (i+t, j)-(i+t, j+1) and the diagonal
+    # (i, j+1)-(i+1, j); t = 0 runs the first forward and the others backward
+    v = i * row + j
+    c_h, s_h, dx_h, dy_h = edge(v + t, v + t + row)
+    c_v, s_v, dx_v, dy_v = edge(v + t * row, v + t * row + 1)
+    _, s_g, _, _ = edge(v + 1, v + row)
+    area = dx_h * dy_v - dy_h * dx_v
+    sigma = np.sign(area) * (1 - 2 * t)
+    hit = np.flatnonzero((area != 0) & (s_h == sigma) & (s_v == -sigma) & (s_g == -sigma))
+    i, j, t, area = i[hit], j[hit], t[hit], area[hit]
+    x0 = corners[0][i + t] + -c_v[hit] * steps[0] / area
+    x1 = corners[1][j + t] + c_h[hit] * steps[1] / area
+    return y[hit], np.stack([x0, x1], axis=1)
 
 
 def _multiplicity_counts(
     phi: ParametricMap, E: RasterSet | None, depth: int, y_axes: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """Hit-cluster counts at partition depth ``depth`` for every y of the
-    tensor grid ``y_axes[0] x ... x y_axes[n-1]``, as an array of that
-    shape."""
-    y, _, label, n_clusters = _hit_clusters(phi, E, depth, y_axes)
+    """PL preimage counts at partition depth ``depth`` (``_simplex_preimages``)
+    for every y of the tensor grid ``y_axes[0] x ... x y_axes[n-1]``, as
+    an array of that shape."""
+    y, _ = _simplex_preimages(phi, E, depth, y_axes)
     shape = tuple(len(ax) for ax in y_axes)
-    cluster_y = np.zeros(n_clusters, dtype=np.int64)
-    cluster_y[label] = y
-    return np.bincount(cluster_y, minlength=math.prod(shape)).reshape(shape)
+    return np.bincount(y, minlength=math.prod(shape)).reshape(shape)
 
 
 def _preimage_integral(
@@ -448,22 +434,11 @@ def _preimage_integral(
     cell: float,
 ) -> float:
     """int sum_{x in Phi^-1(y) cap E} u(x) dy over the tensor y-grid
-    ``y_axes`` of cell volume ``cell``.  Each hit cluster of a y at
-    partition depth ``depth`` is one preimage, the cell of the cluster whose
-    image is nearest y (the first in pair order on ties)."""
-    y, cell_of, label, n_clusters = _hit_clusters(phi, E, depth, y_axes)
-    centers = _cell_centers(phi, 2**depth)[0]
-    shape = tuple(len(ax) for ax in y_axes)
-    y_pts = np.stack([ax[i] for ax, i in zip(y_axes, np.unravel_index(y, shape))], axis=1)
-    dist = ((phi(centers)[cell_of] - y_pts) ** 2).sum(axis=1)
-    nearest = np.full(n_clusters, np.inf)
-    np.minimum.at(nearest, label, dist)
-    ties = np.flatnonzero(dist == nearest[label])
-    best = np.full(n_clusters, len(dist))
-    np.minimum.at(best, label[ties], ties)
-    u_best = np.asarray(u(centers[cell_of[best]]), dtype=float).reshape(-1)
-    totals = np.zeros(math.prod(shape))
-    np.add.at(totals, y[best], u_best)
+    ``y_axes`` of cell volume ``cell``, the preimages those of the PL
+    interpolant at partition depth ``depth`` (``_simplex_preimages``)."""
+    y, x = _simplex_preimages(phi, E, depth, y_axes)
+    weights = np.asarray(u(x), dtype=float).reshape(-1)
+    totals = np.bincount(y, weights=weights, minlength=math.prod(len(ax) for ax in y_axes))
     # a running sum in row-major order, not numpy's pairwise sum, so the
     # rounding is that of the plain per-y integral
     integral = 0.0
@@ -478,10 +453,15 @@ def multiplicity(
     E: RasterSet | None = None,
     depths: Sequence[int] = range(4, 12),
 ) -> MultiplicityProfile:
-    """N(Phi, E, y): connected clusters (full adjacency) of partition cells
-    whose padded image box contains y, refined until two consecutive depths
-    agree.  Each depth is one hit-pair scan over a one-point y-grid.
+    """N(Phi, E, y) for k = n <= 2: the preimage count of y under the PL
+    interpolant of Phi on the depth-indexed partition (half-open simplices,
+    ties broken as for y + (eps, eps^2)), refined until two consecutive
+    depths agree.  That is N(Phi, E, y) for almost every y; at a critical
+    value it is a tie-break artefact (x^2 and z^2 at 0 give 2, sin 3x at
+    its maximum 1 gives 0).
     """
+    if phi.k != phi.n or phi.k > 2:
+        raise ValueError("multiplicity is implemented for k = n <= 2")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (phi.n,) or not np.all(np.isfinite(y)):
         raise ValueError(f"y must be a finite point of R^{phi.n}")
@@ -527,10 +507,12 @@ def area_formula_with_multiplicity(
 ) -> tuple[float, float]:
     """(lhs, rhs) of  int N(Phi, E, y) dy  =  int_E J(Phi)  for k = n = 1.
 
-    The lhs integrates the hit-run counts of one hit-pair scan per depth
-    over a y-grid spanning the observed image (two depths,
-    Richardson-free stabilization check); the rhs is a midpoint sum of
-    |Phi'|.
+    The lhs integrates ``multiplicity``'s PL preimage counts (a cell counts
+    when min(Phi a, Phi b) <= y < max(Phi a, Phi b)) over a y-grid spanning
+    the observed image, at two depths (Richardson-free stabilization
+    check); the rhs is a midpoint sum of |Phi'|.  The counts are exact
+    off the critical values, a null set (Sard): a y-cell center on a turning
+    value is counted 0 times at a maximum and twice at a minimum.
     """
     if phi.k != 1 or phi.n != 1:
         raise ValueError("the two-sided area formula is implemented for k = n = 1")
@@ -560,9 +542,11 @@ def change_of_variables(
 
     The lhs is a midpoint sum of u J(Phi): ``m_cells`` cells for k = 1;
     for k = 2, sqrt(m_cells) cells per axis when m_cells > 4096, else 512.
-    The rhs lists every (y, cell) hit of a y-grid in one hit-pair scan and
-    sums u over one preimage per hit cluster, the cell whose image is
-    nearest y; it is the same engine as ``jacobian_l1_check``'s
+    The rhs sums u over the preimages of each y of a y-grid under the PL
+    interpolant of Phi (half-open simplices, ties broken as for
+    y + (eps, eps^2), so a y on a vertex or edge image is counted once per
+    sheet and a critical value, a null set, gets an arbitrary count); it
+    is the same engine as ``multiplicity`` and ``jacobian_l1_check``'s
     multiplicity integral, so it needs no injectivity flag.  For k = 1 the
     scan runs at partition depth ``depth`` on ``n_y`` y-cells spanning the
     observed image (plus 5 % per side).  For k = 2 it runs at depth 9 (the
@@ -595,7 +579,9 @@ def jacobian_l1_check(
     For k = 2 the lhs is a midpoint sum on sqrt(m_cells) cells per axis and
     the rhs is ``change_of_variables``'s preimage integral with u = 1 at
     partition depth 7 on a 64 x 64 y-grid spanning the image (plus 2 % per
-    side): N at each y is the hit-cluster count of ``multiplicity``.
+    side): N at each y is the PL preimage count of ``multiplicity``, ties
+    broken as for y + (eps, eps^2); it is exact off the critical values
+    (z^2 at 0 counts 2).
     """
     if phi.k != phi.n:
         raise ValueError("needs k = n")

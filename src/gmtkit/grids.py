@@ -7,7 +7,7 @@ midpoint.  Integrals are midpoint sums with cell weight ``h**n``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np

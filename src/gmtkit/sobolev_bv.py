@@ -173,21 +173,16 @@ def morrey_check(
         raise RegimeError(f"Morrey needs p > n; got p = {p}, n = {n}")
     C = 2.0 * n * p / (p - n)
     grad_lp = _lp(_grad_norm(f), p, f.h**n)
-    rng = np.random.default_rng(seed)
-    ext = np.array(f.extents)
-    worst = 0.0
-    for _ in range(n_pairs):
-        iz = tuple(rng.integers(0, ext))
-        iy = tuple(rng.integers(0, ext))
-        if iz == iy:
-            continue
-        z = f.origin + (np.array(iz) + 0.5) * f.h
-        y = f.origin + (np.array(iy) + 0.5) * f.h
-        dist = float(np.linalg.norm(z - y))
-        denom = C * dist ** (1 - n / p) * grad_lp
-        if denom > 0:
-            worst = max(worst, abs(f.values[iz] - f.values[iy]) / denom)
-    return worst
+    # one draw yields the integers of n_pairs successive (z, y) draws
+    iz, iy = np.moveaxis(
+        np.random.default_rng(seed).integers(0, f.extents, size=(n_pairs, 2, n)), 1, 0
+    )
+    z, y = (f.origin + (i + 0.5) * f.h for i in (iz, iy))
+    dist = np.sqrt(((z - y) ** 2).sum(axis=1))
+    denom = C * dist ** (1 - n / p) * grad_lp
+    ok = denom > 0  # drops z = y, where dist = 0
+    diff = np.abs(f.values[tuple(iz[ok].T)] - f.values[tuple(iy[ok].T)])
+    return float((diff / denom[ok]).max(initial=0.0))
 
 
 def variation_1d(samples: Sequence[float]) -> float:

@@ -272,27 +272,31 @@ def test_change_of_variables_substitution():
     assert rhs == pytest.approx(2 / 3, abs=5e-3)
 
 
+def _partition_vertices(phi, depth):
+    """Vertices lo + i (hi - lo) / 2^depth of the depth-indexed partition
+    of phi's domain, per axis."""
+    m = 2**depth
+    return [phi.domain_lo[d] + np.arange(m + 1) * ((phi.domain_hi[d] - phi.domain_lo[d]) / m)
+            for d in range(phi.k)]
+
+
 def _preimage_sum_per_y(phi, u, E, n_y, depth):
-    """Reference rhs of the 1-D change of variables: one scan per y, the
-    nearest-image cell of each hit run, sums running left to right."""
+    """Reference rhs of the 1-D change of variables, one y and one cell at a
+    time: cell [a, b] holds a preimage of y when min(Phi a, Phi b) <= y <
+    max(Phi a, Phi b), the linear interpolate; sums run left to right."""
     ys, dy = ar._y_grid_1d(phi, n_y)
-    corners = np.linspace(phi.domain_lo[0], phi.domain_hi[0], 2**depth + 1)
-    vals = phi(corners[:, None])[:, 0]
-    pad = 0.25 * np.abs(vals[1:] - vals[:-1]) + 1e-12
-    box_lo = np.minimum(vals[:-1], vals[1:]) - pad
-    box_hi = np.maximum(vals[:-1], vals[1:]) + pad
+    (corners,) = _partition_vertices(phi, depth)
+    step = (phi.domain_hi[0] - phi.domain_lo[0]) / 2**depth
+    vals = phi(corners[:, None])[:, 0].tolist()
     centers = 0.5 * (corners[:-1] + corners[1:])
-    member = np.ones(len(centers), dtype=bool) if E is None else E.contains(centers[:, None])
-    cell_vals = phi(centers[:, None])[:, 0]
+    member = [True] * len(centers) if E is None else E.contains(centers[:, None]).tolist()
     rhs = 0.0
-    for y in ys:
-        hits = np.concatenate([[0], (y >= box_lo) & (y <= box_hi) & member, [0]]).astype(int)
-        starts = np.flatnonzero(np.diff(hits) == 1)
-        ends = np.flatnonzero(np.diff(hits) == -1)
+    for y in ys.tolist():
         total = 0.0
-        for s, e in zip(starts, ends):
-            best = s + int(np.argmin(np.abs(cell_vals[s:e] - y)))
-            total += float(u(centers[best : best + 1, None])[0])
+        for i, (fa, fb) in enumerate(zip(vals[:-1], vals[1:])):
+            if member[i] and min(fa, fb) <= y < max(fa, fb):
+                x = corners[i] + (y - fa) / (fb - fa) * step
+                total += float(u(np.array([[x]]))[0])
         rhs += total * dy
     return rhs
 
@@ -418,17 +422,82 @@ def test_jacobian_l1_restricted_to_raster():
     assert rhs == pytest.approx(lhs, rel=0.05)
 
 
-def _dense_cluster_count(phi, E, depth, y):
-    """Reference N at one y: the dense mask of partition cells whose padded
-    image box contains y (and whose center lies in E), and its clusters by
-    ``ndimage.label`` with full adjacency."""
-    from scipy import ndimage
+def _sign(c, d):
+    """Sign of the cross product c of an edge with vector d at y + (eps, eps^2)."""
+    if c != 0:
+        return math.copysign(1.0, c)
+    if d[1] != 0:
+        return -math.copysign(1.0, d[1])
+    return math.copysign(1.0, d[0]) if d[0] != 0 else 0.0
 
-    box_lo, box_hi, member = ar._partition_boxes(phi, E, depth)
-    hits = np.all((y >= box_lo) & (y <= box_hi), axis=-1)
-    if member is not None:
-        hits &= member
-    return ndimage.label(hits, structure=np.ones((3,) * hits.ndim, dtype=int))[1]
+
+def _vertex_images(phi, depth):
+    """Images of the vertices of the depth-indexed partition, shape
+    (2^depth + 1,) * k + (n,)."""
+    axes = _partition_vertices(phi, depth)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, phi.k)
+    return phi(pts).reshape((len(axes[0]),) * phi.k + (phi.n,))
+
+
+def _pl_counts(phi, E, depth, ys):
+    """Reference N at each y of ``ys``: the simplices of the PL interpolant
+    on the depth-indexed partition (with E, those of cells whose center
+    lies in E) whose half-open image holds y, one y and one simplex at a
+    time.  In 2-D, cell (i, j) has the triangles (i, j), (i+1, j), (i, j+1)
+    and (i+1, j+1), (i, j+1), (i+1, j); every edge's cross product with y
+    is taken from its lower row-major end, ties broken as for
+    y + (eps, eps^2)."""
+    m = 2**depth
+    V = _vertex_images(phi, depth).reshape(-1, phi.n)
+    axes = _partition_vertices(phi, depth)
+    centers = np.stack(np.meshgrid(*[0.5 * (a[:-1] + a[1:]) for a in axes], indexing="ij"),
+                       axis=-1).reshape(-1, phi.k)
+    member = np.ones(len(centers), dtype=bool) if E is None else E.contains(centers)
+    if phi.k == 1:
+        cells = [(V[i, 0], V[i + 1, 0]) for i in range(m) if member[i]]
+        return [sum(1 for fa, fb in cells if min(fa, fb) <= y[0] < max(fa, fb)) for y in ys]
+    triangles = []
+    for i, j in itertools.product(range(m), repeat=2):
+        if member[i * m + j]:
+            corner = [a * (m + 1) + b for a, b in ((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1))]
+            triangles += [corner[:3], [corner[3], corner[2], corner[1]]]
+    counts = []
+    for y in ys:
+        count = 0
+        for ids in triangles:
+            p = V[ids]
+            area = (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1]) - (p[1, 1] - p[0, 1]) * (p[2, 0] - p[0, 0])
+            if area == 0:
+                continue
+            signs = []
+            for s, t in ((0, 1), (1, 2), (2, 0)):
+                lo_end, hi_end = sorted((ids[s], ids[t]))
+                P, d = V[lo_end], V[hi_end] - V[lo_end]
+                c = d[0] * (y[1] - P[1]) - d[1] * (y[0] - P[0])
+                signs.append(_sign(c, d) * (1 if ids[s] == lo_end else -1))
+            count += all(sg == math.copysign(1.0, area) for sg in signs)
+        counts.append(count)
+    return counts
+
+
+def _with_vertex_images(phi, depth, axes, rng, count=4):
+    """``axes`` plus the coordinates of ``count`` random vertex images of the
+    depth-indexed partition and of ``count`` random edge-midpoint images,
+    so that the tensor grid holds points exactly on vertex and edge images."""
+    m = 2**depth
+    V = _vertex_images(phi, depth)
+    vertices = V[tuple(rng.integers(0, m + 1, size=(phi.k, count)))]
+    # an edge from (i, j) along axis 0 or 1 (boundary edges included), or
+    # the diagonal (i+1, j)-(i, j+1)
+    step = np.eye(phi.k, dtype=int)[rng.integers(0, phi.k, count)].T
+    i = np.minimum(rng.integers(0, m + 1, size=(phi.k, count)), m - step)
+    if phi.k == 2:
+        diagonal = rng.random(count) < 1 / 3
+        i = np.where(diagonal, np.minimum(i, m - 1) + [[1], [0]], i)
+        step = np.where(diagonal, [[-1], [1]], step)
+    midpoints = 0.5 * (V[tuple(i)] + V[tuple(i + step)])
+    extra = np.concatenate([vertices, midpoints])
+    return [np.unique(np.concatenate([ax, extra[:, d]])) for d, ax in enumerate(axes)]
 
 
 FOLD_FRAGMENTS = RasterSet.from_predicate(lambda x: np.sin(20 * x) > 0, [-1.0], [128], 1 / 64)
@@ -436,36 +505,25 @@ FOLD_FRAGMENTS = RasterSet.from_predicate(lambda x: np.sin(20 * x) > 0, [-1.0], 
 
 @pytest.mark.parametrize(
     "name, restricted",
-    [("polar", False), ("polar", True), ("fold", False), ("fold", True), ("sphere", False)],
-    ids=["False", "True", "fold-False", "fold-True", "sphere"],
+    [("polar", False), ("polar", True), ("fold", False), ("fold", True), ("z2", False),
+     ("square", False)],
+    ids=["False", "True", "fold-False", "fold-True", "z2", "square"],
 )
 def test_multiplicity_grid_matches_per_point_scan(name, restricted):
     # map, raster, depth, range and count of the random y per axis
     phi, E, depth, y_range, count = {
-        "polar": (ar.builtin_map("polar"), _polar_disk(0.6), 7, (-1.05, 1.05), 5),
-        "fold": (ar.builtin_map("fold", laps=3), FOLD_FRAGMENTS, 7, (-0.05, 1.05), 12),
-        "sphere": (ar.builtin_map("sphere"), None, 6, (-1.05, 1.05), 3),
+        "polar": (ar.builtin_map("polar"), _polar_disk(0.6), 4, (-1.05, 1.05), 4),
+        "fold": (ar.builtin_map("fold", laps=3), FOLD_FRAGMENTS, 6, (-0.05, 1.05), 12),
+        "z2": (z_squared_map([-1.0, -1.0], [1.0, 1.0]), None, 3, (-1.05, 1.05), 4),
+        "square": (ar.builtin_map("square"), None, 6, (-0.05, 1.05), 12),
     }[name]
     E = E if restricted else None
     rng = np.random.default_rng(7)
-    box_lo, box_hi, member = ar._partition_boxes(phi, E, depth)
-    keep = np.ones(box_lo.shape[:-1], dtype=bool) if member is None else member
-    lo, hi = box_lo[keep], box_hi[keep]
-    # the outermost bounds are reached by edge cells alone, so at these y
-    # the inclusive >= and <= of the containment test decide the count
-    right, bottom = np.argmax(hi[:, 0]), np.argmin(lo[:, -1])
-    at_right = 0.5 * (lo[right] + hi[right])
-    at_right[0] = hi[right, 0]
-    at_bottom = 0.5 * (lo[bottom] + hi[bottom])
-    at_bottom[-1] = lo[bottom, -1]
-    axes = [
-        np.sort(np.concatenate([rng.uniform(*y_range, count), [at_right[d], at_bottom[d]]]))
-        for d in range(phi.n)
-    ]
+    axes = _with_vertex_images(
+        phi, depth, [rng.uniform(*y_range, count) for _ in range(phi.n)], rng
+    )
     got = ar._multiplicity_counts(phi, E, depth, axes)
-    want = np.array([
-        _dense_cluster_count(phi, E, depth, np.array(y)) for y in itertools.product(*axes)
-    ]).reshape((count + 2,) * phi.n)
+    want = np.array(_pl_counts(phi, E, depth, list(itertools.product(*axes)))).reshape(got.shape)
     assert np.array_equal(got, want)
     assert want.max() >= 1
 
@@ -476,16 +534,60 @@ def test_multiplicity_grid_matches_per_point_scan(name, restricted):
     ("fold", {"laps": 3}), ("fold", {"laps": 5}), ("fold", {"laps": 7}), ("square", {}),
 ])
 def test_one_dimensional_counts_match_dense_run_starts(name, params, restricted, n_y):
+    # the reference is a dense (y, cell) mask of half-open crossings,
+    # min(Phi a, Phi b) <= y < max(Phi a, Phi b), counted per y; the y-grid
+    # also holds vertex values of the partition and midpoints of cell images
     phi = ar.builtin_map(name, **params)
     E = FOLD_FRAGMENTS if restricted else None
-    ys, _ = ar._y_grid_1d(phi, n_y)
+    rng = np.random.default_rng(n_y)
     for depth in (11, 12):
-        box_lo, box_hi, member = ar._partition_boxes(phi, E, depth)
-        hits = (ys[:, None] >= box_lo[:, 0]) & (ys[:, None] <= box_hi[:, 0])
-        if member is not None:
-            hits &= member
-        runs = hits[:, 0] + (hits[:, 1:] > hits[:, :-1]).sum(axis=1)
-        assert np.array_equal(ar._multiplicity_counts(phi, E, depth, [ys]), runs)
+        ys = _with_vertex_images(phi, depth, [ar._y_grid_1d(phi, n_y)[0]], rng, count=32)[0]
+        (corners,) = _partition_vertices(phi, depth)
+        vals = phi(corners[:, None])[:, 0]
+        lo, hi = np.minimum(vals[:-1], vals[1:]), np.maximum(vals[:-1], vals[1:])
+        hits = (ys[:, None] >= lo) & (ys[:, None] < hi)
+        if E is not None:
+            hits &= E.contains(0.5 * (corners[:-1] + corners[1:])[:, None])
+        assert np.array_equal(ar._multiplicity_counts(phi, E, depth, [ys]), hits.sum(axis=1))
+
+
+@pytest.mark.parametrize("shear", [0.0, 0.7], ids=["identity", "shear"])
+def test_vertex_and_edge_images_are_counted_once(shear):
+    # a linear map is its own PL interpolant: every interior vertex and
+    # edge-midpoint image has exactly one preimage, the point itself
+    A = np.array([[1.0, shear], [0.0, 1.0]])
+    phi = ar.ParametricMap(lambda p: p @ A.T, [0.0, 0.0], [1.0, 1.0], n=2)
+    depth, m = 3, 8
+    # the interior vertices (49), the midpoints of the interior axis edges
+    # (112) and of the diagonals (64, the cell centers) are the 15 x 15
+    # points (a, b) / 16 with 0 < a, b < 16
+    for x in itertools.product(np.arange(1, 2 * m) / (2 * m), repeat=2):
+        x = np.array(x)
+        y = phi(x[None])[0]
+        hit_y, preimage = ar._simplex_preimages(phi, None, depth, y[:, None])
+        assert len(hit_y) == 1, (x, len(hit_y))
+        assert np.allclose(preimage[0], x, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("laps", [64, 128])
+def test_area_formula_fold_many_laps(laps):
+    lhs, rhs = ar.area_formula_with_multiplicity(ar.builtin_map("fold", laps=laps), n_y=8192)
+    assert lhs == pytest.approx(laps, rel=1e-4)
+    assert rhs == pytest.approx(laps, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "phi, y",
+    [
+        (ar.builtin_map("helix"), [1.0, 0.0, 0.0]),
+        (ar.builtin_map("sphere"), [0.0, 0.0, 1.0]),
+        (ar.ParametricMap(lambda p: p.copy(), [0.0] * 3, [1.0] * 3, n=3), [0.5] * 3),
+    ],
+    ids=["helix", "sphere", "identity-3d"],
+)
+def test_multiplicity_needs_k_equal_n_at_most_two(phi, y):
+    with pytest.raises(ValueError, match="k = n <= 2"):
+        ar.multiplicity(phi, y)
 
 
 @pytest.mark.parametrize("y", [[0.5], [0.5, 0.0, 0.0], [np.nan, 0.0]])

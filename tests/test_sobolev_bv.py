@@ -91,6 +91,40 @@ def test_morrey_ratio_below_one():
     assert sb.morrey_check(f, 4.0) <= 1.0
 
 
+def _morrey_per_pair(f, p, n_pairs, seed):
+    """Reference ``morrey_check``: one pair at a time, two draws per pair."""
+    n = f.ndim
+    C = 2.0 * n * p / (p - n)
+    grad_lp = sb._lp(sb._grad_norm(f), p, f.h**n)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_pairs):
+        iz = tuple(rng.integers(0, np.array(f.extents)))
+        iy = tuple(rng.integers(0, np.array(f.extents)))
+        if iz == iy:
+            continue
+        z = f.origin + (np.array(iz) + 0.5) * f.h
+        y = f.origin + (np.array(iy) + 0.5) * f.h
+        denom = C * float(np.linalg.norm(z - y)) ** (1 - n / p) * grad_lp
+        if denom > 0:
+            worst = max(worst, abs(f.values[iz] - f.values[iy]) / denom)
+    return worst
+
+
+@pytest.mark.parametrize("extents, p", [([40], 1.5), ([3, 5], 2.5), ([64, 64], 4.0), ([6, 4, 5], 3.5)])
+def test_morrey_ratio_matches_per_pair_scan(extents, p):
+    # distances are summed as arrays, not by np.linalg.norm: a few ulps apart
+    f = GridFunction.from_callable(
+        lambda *x: sum(np.sin((d + 1) * xd) for d, xd in enumerate(x)),
+        [-0.3] * len(extents), extents, 0.07,
+    )
+    for seed in range(5):
+        want = _morrey_per_pair(f, p, 60, seed)
+        assert sb.morrey_check(f, p, n_pairs=60, seed=seed) == pytest.approx(
+            want, rel=4 * np.finfo(float).eps, abs=0
+        )
+
+
 def test_morrey_regime_guard():
     with pytest.raises(RegimeError):
         sb.morrey_check(bump_2d(), 2.0)
