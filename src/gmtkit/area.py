@@ -131,10 +131,23 @@ class ParametricMap:
         return _central_differences(self, pts, step)
 
     def j_at(self, pts: np.ndarray, step: float) -> np.ndarray:
-        """Pointwise J(Phi) = sqrt(det(DPhi^t DPhi)), shape (N,)."""
+        """Pointwise J(Phi) = sqrt(det(DPhi^t DPhi)), shape (N,).
+
+        k = 1 is |dPhi|.  k = 2 is the closed form sqrt(max(a c - b^2, 0))
+        with a = |d_0 Phi|^2, b = d_0 Phi . d_1 Phi and c = |d_1 Phi|^2;
+        k >= 3 takes det of the Gram matrices.
+        """
         J = self.jacobian_at(pts, step)
         if self.k == 1:
             return np.sqrt((J[:, :, 0] ** 2).sum(axis=1))
+        if self.k == 2:
+            # one column pair per target axis: numpy reduces the short
+            # axis of an (N, n) array far slower
+            d0, d1 = J[:, :, 0].T, J[:, :, 1].T
+            a = sum(x * x for x in d0)
+            b = sum(x * y for x, y in zip(d0, d1))
+            c = sum(y * y for y in d1)
+            return np.sqrt(np.maximum(a * c - b * b, 0.0))
         G = np.einsum("pik,pil->pkl", J, J)
         return np.sqrt(np.maximum(np.linalg.det(G), 0.0))
 
@@ -249,12 +262,18 @@ def graph_area(f: GridFunction, mask: np.ndarray | None = None) -> float:
     return float(integrand.sum() * f.h**f.ndim)
 
 
-def _cell_centers(phi: ParametricMap, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Centers of the m cells per axis of phi's domain box, shape (m**k, k),
-    and the cell steps per axis."""
+def _cell_centers(phi: ParametricMap, m: int, rows: slice = slice(None)) -> np.ndarray:
+    """Centers of the cells in the first-axis rows ``rows`` of the m cells
+    per axis of phi's domain box, shape (cells, k) in row-major order."""
     lo, hi = phi.domain_lo, phi.domain_hi
     steps = (hi - lo) / m
-    return tensor_points([_centers_1d(lo[d], m, steps[d]) for d in range(phi.k)]), steps
+    axes = [_centers_1d(lo[d], m, steps[d]) for d in range(phi.k)]
+    axes[0] = axes[0][rows]
+    return tensor_points(axes)
+
+
+# cells per block of ``_cell_sum``: bounds the Jacobian and its temporaries
+_BLOCK_CELLS = 32768
 
 
 def _cell_sum(
@@ -264,15 +283,25 @@ def _cell_sum(
     u: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
     """Midpoint sum of u J(Phi) (J(Phi) without u) over the m cells per axis
-    whose centers lie in E."""
+    whose centers lie in E.
+
+    Cells are evaluated in blocks of whole first-axis rows, about
+    ``_BLOCK_CELLS`` cells each, into one array that is summed once, so u
+    (called once per block) must be pointwise."""
     if m < 1:
         raise ValueError("need at least one cell per axis")
-    pts, steps = _cell_centers(phi, m)
-    J = phi.j_at(pts, step=float(steps.min()) / 4)
-    if u is not None:
-        J = np.asarray(u(pts), dtype=float).reshape(-1) * J
-    if E is not None:
-        J = np.where(E.contains(pts), J, 0.0)
+    row = m ** (phi.k - 1)
+    rows = max(1, _BLOCK_CELLS // row)
+    steps = (phi.domain_hi - phi.domain_lo) / m
+    J = np.empty(m * row)
+    for r in range(0, m, rows):
+        pts = _cell_centers(phi, m, slice(r, r + rows))
+        block = J[r * row : r * row + len(pts)]
+        block[:] = phi.j_at(pts, step=float(steps.min()) / 4)
+        if u is not None:
+            block *= np.asarray(u(pts), dtype=float).reshape(-1)
+        if E is not None:
+            block[~E.contains(pts)] = 0.0
     return float(J.sum() * np.prod(steps))
 
 
@@ -342,7 +371,7 @@ def _simplex_preimages(
     V = phi(tensor_points(corners)).reshape(*(m + 1,) * k, k)
     cell = np.arange(m**k)
     if E is not None:
-        cell = cell[E.contains(_cell_centers(phi, m)[0])]
+        cell = cell[E.contains(_cell_centers(phi, m))]
     # candidates: the y in each cell's half-open image box [min, max) per
     # axis, which holds the boxes of the cell's simplices; cells are dropped
     # as soon as an axis leaves their range empty (a NaN bound sorts past
@@ -542,6 +571,8 @@ def change_of_variables(
 
     The lhs is a midpoint sum of u J(Phi): ``m_cells`` cells for k = 1;
     for k = 2, sqrt(m_cells) cells per axis when m_cells > 4096, else 512.
+    It calls u once per block of cells (``_cell_sum``), so u must be
+    pointwise: row i of its (N,) result depends on row i of the points only.
     The rhs sums u over the preimages of each y of a y-grid under the PL
     interpolant of Phi (half-open simplices, ties broken as for
     y + (eps, eps^2), so a y on a vertex or edge image is counted once per

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ResolutionError
 from .grids import RasterSet, _centers_1d, _write_csv_rows, tensor_points
 
 __all__ = [
@@ -174,7 +175,7 @@ def omega(s: float) -> float:
 
 
 def _distinct_rows(idx: np.ndarray) -> int:
-    """Number of distinct rows of an (N, n) integer array.
+    """Number of distinct rows of an (N, n) array (box indices or points).
 
     Sorts the rows lexicographically and counts the places where a row
     differs from its predecessor; exact for any int64 entries, with no
@@ -282,7 +283,14 @@ def dimension_estimate(
     obj: PointCloud | IfsSystem,
     scales: Sequence[float] | None = None,
 ) -> DimensionEstimate:
-    """Box-counting slope of log(count) against log(1/delta)."""
+    """Box-counting slope of log(count) against log(1/delta).
+
+    A scale is saturated when its averaged count reaches the number of
+    distinct points: every point sits in a box of its own, so the count
+    measures the sampling, not the set.  Saturation at the two finest
+    scales while a coarser one is unsaturated is a ResolutionError that
+    names the finest usable scale, the coarsest saturated one.
+    """
     scales = np.asarray(default_scales() if scales is None else scales, dtype=float)
     if len(scales) < 4:
         raise ValueError("at least 4 scales are required")
@@ -293,6 +301,16 @@ def dimension_estimate(
     else:
         cloud = obj
     counts = box_counts(cloud, scales)
+    # no count exceeds the distinct points, so two saturated finest scales
+    # have equal counts; only then are the points counted
+    if counts[-2] == counts[-1] > counts.min():
+        distinct = _distinct_rows(cloud.points)
+        if counts[-1] >= distinct:
+            usable = scales[np.flatnonzero(counts < distinct)[-1] + 1]
+            raise ResolutionError(
+                f"box counts reach all {distinct} distinct points from scale {usable:g} "
+                f"down; the finest usable scale is {usable:g}"
+            )
     x = np.log(1.0 / scales)
     y = np.log(counts.astype(float))
     if np.all(counts == counts[0]):

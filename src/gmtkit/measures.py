@@ -242,8 +242,10 @@ def partition_variation_sup(mu: AtomicMeasure) -> float:
         bit = 1 << i
         half = subset_sums[:bit]
         subset_sums[bit : 2 * bit] = half + mu.weights[i]
-    norms = np.linalg.norm(subset_sums, axis=1)
-    best = np.zeros(1 << k)
+    # Python floats: the 3^k-step loop below indexes and adds about twice
+    # as fast on lists as on numpy scalars, with the same roundings
+    norms = np.linalg.norm(subset_sums, axis=1).tolist()
+    best = [0.0] * (1 << k)
     for S in range(1, 1 << k):
         low = S & -S  # block containing the lowest atom of S
         rest = S ^ low

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,153 @@ def test_surface_measure_parameter_translation_invariance():
     a = ar.surface_measure(phi, m=128)
     b = ar.surface_measure(psi, m=128)
     assert b == pytest.approx(a, abs=1e-9)
+
+
+# ----------------------------------------------------- blocked midpoint sums
+
+
+def _whole_array_cell_sum(phi, E, m, u=None):
+    """Reference midpoint sum: J on all m**k cell centers at once, then one
+    sum."""
+    steps = (phi.domain_hi - phi.domain_lo) / m
+    axes = [phi.domain_lo[d] + (np.arange(m) + 0.5) * steps[d] for d in range(phi.k)]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    J = phi.j_at(pts, float(steps.min()) / 4)
+    if u is not None:
+        J = J * u(pts)
+    if E is not None:
+        J = np.where(E.contains(pts), J, 0.0)
+    return float(J.sum() * np.prod(steps))
+
+
+def _spherical_ball():
+    """(r, theta, phi) -> R^3 on ]0,1[ x ]0,pi[ x ]0,2pi[, no analytic
+    Jacobian: k = 3, J = r^2 sin theta."""
+    def ball(p):
+        r, th, ph = p[:, 0], p[:, 1], p[:, 2]
+        return np.stack(
+            [r * np.sin(th) * np.cos(ph), r * np.sin(th) * np.sin(ph), r * np.cos(th)], axis=1
+        )
+
+    return ar.ParametricMap(ball, [0.0, 0.0, 0.0], [1.0, math.pi, 2 * math.pi], n=3, injective=True)
+
+
+_POLAR = ar.builtin_map("polar")
+# (map, a raster of its domain, an m within one block, an m whose rows do
+# not split evenly into blocks)
+_BLOCKED_CASES = {
+    "helix-k1": (
+        ar.builtin_map("helix"),
+        RasterSet.from_predicate(lambda x: x < 0.6, [0.0], [100], 0.01),
+        1000,
+        100_000,
+    ),
+    "polar-k2": (
+        _POLAR,
+        RasterSet.from_predicate(lambda r, t: r < 0.5, [0.0, -math.pi], [64, 64], math.pi / 32),
+        100,
+        300,
+    ),
+    "sphere-k2-n3": (
+        ar.builtin_map("sphere"),
+        RasterSet.from_predicate(lambda th, ph: th < 1.0, [0.0, 0.0], [32, 64], math.pi / 32),
+        64,
+        300,
+    ),
+    "polar-fd-jacobian": (
+        ar.ParametricMap(_POLAR.evaluator, _POLAR.domain_lo, _POLAR.domain_hi, n=2),
+        RasterSet.from_predicate(lambda r, t: t < 1.0, [0.0, -math.pi], [64, 64], math.pi / 32),
+        100,
+        300,
+    ),
+    "ball-k3-fd-jacobian": (
+        _spherical_ball(),
+        RasterSet.from_predicate(
+            lambda r, th, ph: r < 0.5, [0.0, 0.0, 0.0], [3, 8, 16], math.pi / 8
+        ),
+        16,
+        50,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_BLOCKED_CASES))
+@pytest.mark.parametrize("seam", [False, True], ids=["one-block", "seams"])
+@pytest.mark.parametrize("restricted", [False, True], ids=["box", "raster"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["J", "uJ"])
+def test_blocked_cell_sum_matches_whole_array_sum(name, seam, restricted, weighted):
+    phi, E, m_one, m_seams = _BLOCKED_CASES[name]
+    m = m_seams if seam else m_one
+    rows = max(1, ar._BLOCK_CELLS // m ** (phi.k - 1))
+    assert (m % rows != 0) if seam else (m <= rows)
+    E = E if restricted else None
+    u = (lambda p: 1.0 + p[:, 0] ** 2) if weighted else None
+    assert ar._cell_sum(phi, E, m, u) == _whole_array_cell_sum(phi, E, m, u)
+
+
+@pytest.mark.parametrize("name", list(_BLOCKED_CASES))
+def test_blocked_cell_sum_with_one_row_per_block(name, monkeypatch):
+    phi, E, m, _ = _BLOCKED_CASES[name]
+    monkeypatch.setattr(ar, "_BLOCK_CELLS", 1)
+    u = lambda p: np.cos(p[:, 0])
+    assert ar._cell_sum(phi, E, m, u) == _whole_array_cell_sum(phi, E, m, u)
+
+
+def _fixed_jacobian(J):
+    """A map whose Jacobian at the i-th of N points is J[i]."""
+    n = J.shape[1]
+    return ar.ParametricMap(lambda p: np.zeros((len(p), n)), [0.0, 0.0], [1.0, 1.0], n=n,
+                            jacobian=lambda p: J)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_gram_determinant_matches_det(n):
+    rng = np.random.default_rng(n)
+    J = rng.standard_normal((4000, n, 2))
+    a, b, c = ((J[:, :, i] * J[:, :, j]).sum(axis=1) for i, j in ((0, 0), (0, 1), (1, 1)))
+    # columns at least 30 degrees apart, so neither side loses digits to
+    # cancellation in a c - b^2
+    J = J[a * c - b * b >= 0.25 * a * c]
+    det = np.linalg.det(np.einsum("pik,pil->pkl", J, J))
+    got = _fixed_jacobian(J).j_at(np.zeros((len(J), 2)), 1.0)
+    np.testing.assert_allclose(got, np.sqrt(det), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_gram_determinant_of_rank_deficient_jacobians_is_zero(n):
+    d0 = np.random.default_rng(10 + n).standard_normal((50, n))
+    # a zero column, and the first column scaled by a power of two or
+    # negated: a c - b^2 is exactly 0, where det of the Gram matrix can
+    # leave rounding noise of either sign
+    second = [np.zeros_like(d0), d0, -d0, 2.0 * d0, 0.125 * d0, -8.0 * d0]
+    J = np.concatenate([np.stack([d0, d1], axis=2) for d1 in second])
+    got = _fixed_jacobian(J).j_at(np.zeros((len(J), 2)), 1.0)
+    assert np.all(got == 0.0)
+    # any other scaling leaves a c - b^2 at rounding level, which the clamp
+    # keeps nonnegative
+    J = np.stack([d0, d0 * np.random.default_rng(n).uniform(-3, 3, (50, 1))], axis=2)
+    got = _fixed_jacobian(J).j_at(np.zeros((len(J), 2)), 1.0)
+    scale = np.linalg.norm(J[:, :, 0], axis=1) * np.linalg.norm(J[:, :, 1], axis=1)
+    assert np.all((got >= 0.0) & (got <= 1e-7 * scale))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ar.surface_measure(ar.builtin_map("sphere")),
+        lambda: ar._cell_sum(ar.builtin_map("polar"), None, 512, lambda p: p[:, 0] ** 2),
+    ],
+    ids=["surface-measure-sphere", "cell-sum-polar-512-u"],
+)
+def test_cell_sums_stay_under_eight_mib(call):
+    # one block of cells, not all 512^2 of them, holds its Jacobian
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # --------------------------------------------------------------- multiplicity

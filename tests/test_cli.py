@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import cantor_ifs_json
 from gmtkit import cli
-from gmtkit.grids import GridFunction, RasterSet
+from gmtkit.grids import GridFunction, RasterSet, tensor_points
+from gmtkit.hausdorff import PointCloud
 
 
 def read_report(out_dir):
@@ -331,6 +332,18 @@ def test_dim_refuses_lattice_csv(tmp_path):
     assert code == cli.EXIT_VALIDATION
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
     assert "lattice CSV" in json.loads((out / "error.json").read_text())["error"]["message"]
+
+
+def test_dim_of_saturated_cloud_writes_only_error(tmp_path):
+    axis = (np.arange(64) + 0.5) / 64
+    cloud = tmp_path / "lattice.csv"
+    PointCloud(tensor_points([axis, axis])).to_csv(cloud)
+    out = tmp_path / "out"
+    code = cli.run(["dim", "--input", str(cloud), "--scales", "3..10", "--output", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    message = json.loads((out / "error.json").read_text())["error"]["message"]
+    assert "finest usable scale is 0.015625" in message
 
 
 def _scipy_modules_loaded(code, *args):

@@ -21,6 +21,7 @@ import pytest
 from conftest import z_squared_map
 from gmtkit import area as ar
 from gmtkit import hausdorff as hd
+from gmtkit import measures as ms
 from gmtkit import pointwise as pw
 from gmtkit import smoothing as sm
 from gmtkit import sobolev_bv as sb
@@ -135,6 +136,25 @@ def test_surface_measure_on_raster_exact():
     assert ar.surface_measure(ar.builtin_map("polar"), _polar_half_disk_raster(), m=64) == (
         0.7690357016600015
     )
+
+
+def test_full_resolution_cell_sums_exact():
+    # the default resolutions, several blocks of cell rows per sum; the
+    # values are those of the whole-array sum with det of the Gram matrices
+    polar = ar.builtin_map("polar")
+    assert ar.surface_measure(ar.builtin_map("sphere")) == 12.566370614272584
+    assert ar.surface_measure(polar) == 3.141592653589793
+    assert ar.change_of_variables(polar, lambda p: np.ones(len(p)))[0] == 3.141592653589793
+    assert ar.change_of_variables(polar, lambda p: p[:, 0] ** 2)[0] == 1.5707933307386701
+    assert ar.curve_length(ar.builtin_map("helix")) == 1.4142135623730951
+
+
+def test_partition_variation_sup_exact():
+    rng = np.random.default_rng(3)
+    measures = [ms.AtomicMeasure(tuple(range(10)), rng.standard_normal((10, m))) for m in (1, 2, 3)]
+    assert [ms.partition_variation_sup(mu) for mu in measures] == [
+        12.690830160464552, 9.630019524254621, 15.784844605574408
+    ]
 
 
 def test_linear_image_measure_shear_exact():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import cantor_ifs_json
 from gmtkit import hausdorff as hd
-from gmtkit.grids import RasterSet
+from gmtkit.errors import ResolutionError
+from gmtkit.grids import RasterSet, tensor_points
 
 
 def test_omega_integer_values():
@@ -125,6 +126,27 @@ def test_dimension_single_point_degenerate():
     est = hd.dimension_estimate(cloud, hd.default_scales(3, 6))
     assert est.degenerate
     assert est.slope == 0.0
+
+
+def _lattice_cloud(n, shift=0.0):
+    axis = (np.arange(n) + 0.5 + shift) / n
+    return hd.PointCloud(tensor_points([axis, axis]))
+
+
+def test_dimension_of_saturated_cloud_is_a_resolution_error():
+    # from 2^-6 down every one of the 64^2 points has a box of its own: the
+    # fit over 3..10 would measure the sampling (slope 0.775, r^2 0.73)
+    with pytest.raises(ResolutionError, match="the finest usable scale is 0.015625"):
+        hd.dimension_estimate(_lattice_cloud(64), hd.default_scales(3, 10))
+    est = hd.dimension_estimate(_lattice_cloud(64), hd.default_scales(3, 6))
+    assert est.slope == pytest.approx(2.0, abs=0.1)
+
+
+def test_dimension_allows_saturation_at_the_finest_scale_only():
+    est = hd.dimension_estimate(_lattice_cloud(128, shift=0.3), hd.default_scales(4, 7))
+    assert est.counts[-1] == 128**2
+    assert est.counts[-2] < 128**2
+    assert est.slope == pytest.approx(2.0, abs=0.1)
 
 
 def test_dimension_requires_enough_scales():
