@@ -157,9 +157,7 @@ def _cmd_weakdiff(args) -> dict:
         raise ValidationFailure("weakdiff needs two --input files: f and the candidate g")
     f = _load_grid(args.input[0])
     g = _load_grid(args.input[1])
-    lo = f.origin
-    hi = f.origin + np.array(f.extents) * f.h
-    battery = sm.TestFunctionBattery.seeded(lo, hi, seed=args.seed)
+    battery = sm.TestFunctionBattery.seeded(*f._box(), seed=args.seed)
     residual = sm.weak_derivative_residual(f, g, args.axis, battery)
     return {"axis": args.axis, "residual": residual, "battery_size": battery.count}
 

@@ -1,8 +1,9 @@
 """Uniform-lattice containers: scalar samples and boolean masks.
 
 Samples live at cell centers: the i-th cell of axis d covers
-``[origin[d] + i*h, origin[d] + (i+1)*h]`` and its sample point is the
-midpoint.  Integrals are midpoint sums with cell weight ``h**n``.
+``[origin[d] + i*h, origin[d] + (i+1)*h)`` and its sample point is the
+midpoint.  Integrals are midpoint sums with cell weight ``h**n``.  Every
+conversion between points and cells of that convention is made here.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import numpy as np
 __all__ = ["GridFunction", "RasterSet", "tensor_points"]
 
 
-def _centers_1d(origin: float, count: int, h: float) -> np.ndarray:
-    return origin + (np.arange(count) + 0.5) * h
+def _centers_1d(origin: float, stop: int, h: float, start: int = 0) -> np.ndarray:
+    """Centers of the cells start .. stop - 1 of a lattice axis at ``origin``."""
+    return origin + (np.arange(start, stop) + 0.5) * h
 
 
 def _center_grids(origin: np.ndarray, extents: Sequence[int], h: float) -> list[np.ndarray]:
@@ -31,8 +33,75 @@ def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
+class _Lattice:
+    """Cell geometry shared by GridFunction and RasterSet, whose per-cell
+    array is ``_cells``; points are (ndim,) or (..., ndim) float arrays."""
+
+    def _check_lattice(self) -> None:
+        object.__setattr__(self, "origin", np.atleast_1d(np.asarray(self.origin, dtype=float)))
+        if self.h <= 0:
+            raise ValueError("spacing must be positive")
+        if self.origin.shape != (self.ndim,):
+            raise ValueError("origin length must match lattice dimension")
+
+    @property
+    def ndim(self) -> int:
+        return self._cells.ndim
+
+    @property
+    def extents(self) -> tuple[int, ...]:
+        return self._cells.shape
+
+    def axis_centers(self, d: int) -> np.ndarray:
+        return _centers_1d(self.origin[d], self.extents[d], self.h)
+
+    def _point(self, x: Sequence[float]) -> np.ndarray:
+        """One point as a float array; a point of the wrong length is a ValueError."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.ndim,):
+            raise ValueError(f"a point of shape {x.shape} does not match a {self.ndim}-D lattice")
+        return x
+
+    def _cell_index(self, x: np.ndarray) -> np.ndarray:
+        """Index of the cell containing each point, not clipped to the box."""
+        return np.floor((x - self.origin) / self.h).astype(int)
+
+    def _center(self, idx: np.ndarray) -> np.ndarray:
+        """Center of each integer index, (..., ndim)."""
+        return self.origin + (idx + 0.5) * self.h
+
+    def _box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper corners of the lattice box."""
+        return self.origin, self.origin + np.array(self.extents) * self.h
+
+    def _ball_window(self, x: np.ndarray, r: float) -> tuple[tuple[slice, ...], list[np.ndarray]]:
+        """The cells floor((x - r - o)/h) .. ceil((x + r - o)/h) + 1 of each
+        axis, clipped to the box, as slices, and per axis the offsets of
+        their centers from x, shaped to broadcast over the window.  Only the
+        window's own indices are built, never a whole axis."""
+        ext, n = np.array(self.extents), self.ndim
+        lo = np.clip(self._cell_index(x - r), 0, ext)
+        hi = np.clip(np.ceil((x + r - self.origin) / self.h).astype(int) + 1, 0, ext)
+        return tuple(map(slice, lo, hi)), [
+            (_centers_1d(self.origin[k], hi[k], self.h, lo[k]) - x[k]).reshape(
+                (-1,) + (1,) * (n - 1 - k)) for k in range(n)
+        ]
+
+    def _cube_slices(self, lo: Sequence[float], side: float) -> tuple[slice, ...]:
+        """Index slices of the cube with the given side at corner ``lo``, rounded
+        to a lattice line; a cube that escapes the box or spans no cell is a
+        ValueError."""
+        i0 = np.floor((np.asarray(lo, dtype=float) - self.origin) / self.h + 0.5).astype(int)
+        m = int(round(side / self.h))
+        if m < 1:
+            raise ValueError(f"cube side {side} spans no cell of spacing {self.h}")
+        if np.any(i0 < 0) or np.any(i0 + m > np.array(self.extents)):
+            raise ValueError("cube escapes the domain")
+        return tuple(slice(a, a + m) for a in i0)
+
+
 @dataclass(frozen=True)
-class GridFunction:
+class GridFunction(_Lattice):
     """Real samples on a uniform lattice over a box."""
 
     values: np.ndarray
@@ -41,24 +110,13 @@ class GridFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "origin", np.atleast_1d(np.asarray(self.origin, dtype=float)))
-        if self.h <= 0:
-            raise ValueError("spacing must be positive")
-        if self.origin.shape != (self.values.ndim,):
-            raise ValueError("origin length must match lattice dimension")
+        self._check_lattice()
         if not np.all(np.isfinite(self.values)):
             raise ValueError("all samples must be finite")
 
     @property
-    def ndim(self) -> int:
-        return self.values.ndim
-
-    @property
-    def extents(self) -> tuple[int, ...]:
-        return self.values.shape
-
-    def axis_centers(self, d: int) -> np.ndarray:
-        return _centers_1d(self.origin[d], self.values.shape[d], self.h)
+    def _cells(self) -> np.ndarray:
+        return self.values
 
     def meshgrid(self) -> list[np.ndarray]:
         return _center_grids(self.origin, self.extents, self.h)
@@ -85,9 +143,7 @@ class GridFunction:
 
     def index_of(self, x: Sequence[float]) -> tuple[int, ...]:
         """Lattice index of the cell containing x (clipped to the box)."""
-        x = np.asarray(x, dtype=float)
-        idx = np.floor((x - self.origin) / self.h).astype(int)
-        idx = np.clip(idx, 0, np.array(self.extents) - 1)
+        idx = np.clip(self._cell_index(self._point(x)), 0, np.array(self.extents) - 1)
         return tuple(int(i) for i in idx)
 
     def value_at(self, x: Sequence[float]) -> float:
@@ -95,7 +151,7 @@ class GridFunction:
 
     def interpolate(self, x: Sequence[float]) -> float:
         """Multilinear interpolation between neighbouring cell centers."""
-        x = np.asarray(x, dtype=float)
+        x = self._point(x)
         t = (x - self.origin) / self.h - 0.5
         lo = np.floor(t).astype(int)
         frac = t - lo
@@ -117,7 +173,7 @@ class GridFunction:
 
 
 @dataclass(frozen=True)
-class RasterSet:
+class RasterSet(_Lattice):
     """Boolean mask on a uniform lattice; a cell belongs to the set iff True."""
 
     mask: np.ndarray
@@ -126,24 +182,13 @@ class RasterSet:
 
     def __post_init__(self):
         object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
-        object.__setattr__(self, "origin", np.atleast_1d(np.asarray(self.origin, dtype=float)))
-        if self.h <= 0:
-            raise ValueError("spacing must be positive")
-        if self.origin.shape != (self.mask.ndim,):
-            raise ValueError("origin length must match lattice dimension")
+        self._check_lattice()
         if any(s < 1 for s in self.mask.shape):
             raise ValueError("mask must have at least one cell per axis")
 
     @property
-    def ndim(self) -> int:
-        return self.mask.ndim
-
-    @property
-    def extents(self) -> tuple[int, ...]:
-        return self.mask.shape
-
-    def axis_centers(self, d: int) -> np.ndarray:
-        return _centers_1d(self.origin[d], self.mask.shape[d], self.h)
+    def _cells(self) -> np.ndarray:
+        return self.mask
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Membership of each row of an (N, ndim) point array: True iff the
@@ -154,7 +199,7 @@ class RasterSet:
             raise ValueError(
                 f"points of shape {points.shape} do not match a {self.ndim}-D raster"
             )
-        idx = np.floor((points - self.origin) / self.h).astype(int)
+        idx = self._cell_index(points)
         inside = np.all((idx >= 0) & (idx < np.array(self.extents)), axis=1)
         member = np.zeros(len(points), dtype=bool)
         member[inside] = self.mask[tuple(idx[inside].T)]
@@ -162,8 +207,7 @@ class RasterSet:
 
     def true_centers(self) -> np.ndarray:
         """Centers of member cells, shape (count, ndim)."""
-        idx = np.argwhere(self.mask)
-        return self.origin + (idx + 0.5) * self.h
+        return self._center(np.argwhere(self.mask))
 
     @classmethod
     def from_predicate(

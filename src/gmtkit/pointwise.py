@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonConvergenceError, ResolutionError
-from .grids import GridFunction, RasterSet, tensor_points
+from .grids import GridFunction, RasterSet
 from .hausdorff import omega
 
 __all__ = [
@@ -125,11 +125,9 @@ def _central_differences(
 
 def default_radii(f: GridFunction | RasterSet, x: Sequence[float], count: int = 8) -> np.ndarray:
     """Geometric radius schedule from a quarter of the box down to ~3h."""
-    x = np.asarray(x, dtype=float)
-    span = min(
-        min(x[d] - f.origin[d], f.origin[d] + f.extents[d] * f.h - x[d])
-        for d in range(f.ndim)
-    )
+    lo, hi = f._box()
+    x = f._point(x)
+    span = min(min(x[d] - lo[d], hi[d] - x[d]) for d in range(f.ndim))
     r0 = max(span * 0.9, 4 * f.h)
     radii = [r0]
     while len(radii) < count and radii[-1] / 2 >= 3 * f.h:
@@ -151,13 +149,11 @@ def pointwise_lipschitz(
         radii = default_radii(f, x)
     radii = np.asarray(radii, dtype=float)
     # snap to the cell center so quotients are measured between samples
-    x = f.origin + (np.array(f.index_of(x)) + 0.5) * f.h
+    x = f._center(np.array(f.index_of(x)))
     fx = f.value_at(x)
     shell_max = []
-    bounds = list(radii) + [0.0]
-    for r_out, r_in in zip(bounds[:-1], bounds[1:]):
-        pts, vals = _ball_samples(f.values, f.origin, f.h, x, r_out)
-        dist = np.linalg.norm(pts - x, axis=1)
+    for (dist2, vals), r_in in zip(_ball_samples(f, x, radii), list(radii[1:]) + [0.0]):
+        dist = np.sqrt(dist2)
         sel = dist > max(r_in, f.h * 0.49)
         if not sel.any():
             continue
@@ -170,19 +166,14 @@ def pointwise_lipschitz(
     return max(shell_max[-2:])
 
 
-def _ball_samples(values: np.ndarray, origin: np.ndarray, h: float, x: np.ndarray, r: float):
-    """(centers, values) of lattice cells whose center lies in B(x, r)."""
-    n = values.ndim
-    lo = np.maximum(np.floor((x - r - origin) / h).astype(int), 0)
-    hi = np.minimum(np.ceil((x + r - origin) / h).astype(int) + 1, np.array(values.shape))
-    if np.any(lo >= hi):
-        empty = np.empty((0, n))
-        return empty, np.empty(0, dtype=values.dtype)
-    sl = tuple(slice(a, b) for a, b in zip(lo, hi))
-    block = values[sl]
-    pts = tensor_points([origin[d] + (np.arange(lo[d], hi[d]) + 0.5) * h for d in range(n)])
-    inside = ((pts - x) ** 2).sum(axis=1) <= r * r
-    return pts[inside], block.ravel()[inside]
+def _ball_samples(f: GridFunction | RasterSet, x: np.ndarray, radii: np.ndarray):
+    """Per radius r, (squared distances to x, samples) of the cells whose
+    center lies in B(x, r), in row-major order.  All balls are cut from one
+    window, taken at the largest radius."""
+    window, offsets = f._ball_window(x, max(radii, default=0.0))
+    dist2 = sum(d**2 for d in offsets)
+    block = f._cells[window]
+    return [(dist2[inside], block[inside]) for inside in (dist2 <= r * r for r in radii)]
 
 
 @dataclass(frozen=True)
@@ -195,13 +186,14 @@ class DensityReport:
     classification: str  # density-1 | density-0 | boundary | oscillating
 
 
-def _balls(values: np.ndarray, origin: np.ndarray, h: float, x: np.ndarray, radii: np.ndarray):
-    """(samples in B(x, r), omega_n r^n) per radius; radii under 3h are a ResolutionError."""
+def _balls(f: GridFunction | RasterSet, samples: list, radii: np.ndarray):
+    """(samples in B(x, r), omega_n r^n) per radius from ``_ball_samples``;
+    radii under 3h are a ResolutionError."""
     for r in radii:
-        if r < 3 * h:
-            raise ResolutionError(f"radius {r} below lattice resolution {h}")
-    wn = omega(values.ndim)
-    return [(_ball_samples(values, origin, h, x, r)[1], wn * r**values.ndim) for r in radii]
+        if r < 3 * f.h:
+            raise ResolutionError(f"radius {r} below lattice resolution {f.h}")
+    wn = omega(f.ndim)
+    return [(vals, wn * r**f.ndim) for (_, vals), r in zip(samples, radii)]
 
 
 def _density_ratios(balls: list[tuple[np.ndarray, float]], cell: float) -> np.ndarray:
@@ -211,11 +203,11 @@ def _density_ratios(balls: list[tuple[np.ndarray, float]], cell: float) -> np.nd
 
 def density(E: RasterSet, x: Sequence[float], radii: Sequence[float] | None = None) -> DensityReport:
     """Density ratios Lebesgue(E ∩ B(x,r)) / (omega_n r^n) across radii."""
-    x = np.asarray(x, dtype=float)
+    x = E._point(x)
     if radii is None:
         radii = default_radii(E, x)
     radii = np.asarray(radii, dtype=float)
-    ratios = _density_ratios(_balls(E.mask, E.origin, E.h, x, radii), E.h**E.ndim)
+    ratios = _density_ratios(_balls(E, _ball_samples(E, x, radii), radii), E.h**E.ndim)
     tail = ratios[-3:] if len(ratios) >= 3 else ratios
     spread = float(tail.max() - tail.min())
     estimate = float(tail.mean())
@@ -248,15 +240,16 @@ def approx_limit(
     limsup/liminf are bracketed by threshold bisection on the same
     samples, and None is returned when they disagree.
     """
-    x = np.asarray(x, dtype=float)
+    x = f._point(x)
     if radii is None:
         radii = default_radii(f, x)
     radii = np.asarray(radii, dtype=float)
-    _, near = _ball_samples(f.values, f.origin, f.h, x, radii[-1])
+    samples = _ball_samples(f, x, radii)
+    near = samples[-1][1]
     if near.size == 0:
         raise ResolutionError("no samples near x")
-    resolved = radii[radii >= 8 * f.h]
-    balls = _balls(f.values, f.origin, f.h, x, resolved if resolved.size else radii)
+    keep = [i for i, r in enumerate(radii) if r >= 8 * f.h] or list(range(len(radii)))
+    balls = _balls(f, [samples[i] for i in keep], radii[keep])
     cell = f.h**f.ndim
 
     def density_zero(pred: Callable[[np.ndarray], np.ndarray]) -> bool:
@@ -294,7 +287,7 @@ def lebesgue_point_check(
 ) -> tuple[np.ndarray, bool]:
     """Ball averages of |f - f(x)| per radius and a Lebesgue-point flag;
     radii under 3h are a ResolutionError."""
-    x = np.asarray(x, dtype=float)
+    x = f._point(x)
     if radii is None:
         radii = default_radii(f, x)
     radii = np.asarray(radii, dtype=float)
@@ -302,7 +295,7 @@ def lebesgue_point_check(
     cell = f.h**f.ndim
     averages = np.array([
         float(np.abs(vals - fx).sum()) * cell / vol
-        for vals, vol in _balls(f.values, f.origin, f.h, x, radii)
+        for vals, vol in _balls(f, _ball_samples(f, x, radii), radii)
     ])
     return averages, bool(averages[-1] < tol)
 

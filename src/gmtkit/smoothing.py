@@ -204,29 +204,17 @@ def _lattice_bump(
     """``_bump`` at the cell centers of f's lattice, evaluated only where
     the bump lives.
 
-    Returns ``(window, inside, phi, grad)``: ``window`` slices the cells
-    floor((c - r - o)/h) .. ceil((c + r - o)/h) + 1 (clipped to the grid),
-    ``inside`` marks the window cells with u^2 < 1, and ``phi`` and
-    ``grad`` hold the bump and its ``axis`` partial at those cells, in
-    row-major order.  Every other cell of the grid is 0 in both.  The
+    Returns ``(window, inside, phi, grad)``: ``window`` slices the ball
+    window ``f._ball_window(c, r)``, ``inside`` marks the window cells with
+    u^2 < 1, and ``phi`` and ``grad`` hold the bump and its ``axis``
+    partial at those cells, in row-major order.  Every other cell of the grid is 0 in both.  The
     per-axis offsets and the axis-order sum of their squares are the
     floats ``_bump`` computes from ``f.points()``, so the values are the
     same to the bit.
     """
-    n = f.ndim
-    ext = np.array(f.extents)
-    start = np.clip(np.floor((center - radius - f.origin) / f.h).astype(int), 0, ext)
-    stop = np.clip(np.ceil((center + radius - f.origin) / f.h).astype(int) + 1, 0, ext)
-    window = tuple(slice(a, b) for a, b in zip(start, stop))
-    d = [
-        ((f.axis_centers(k)[window[k]] - center[k]) / radius).reshape(
-            (-1,) + (1,) * (n - 1 - k)
-        )
-        for k in range(n)
-    ]
-    u2 = d[0] ** 2
-    for dk in d[1:]:
-        u2 = u2 + dk**2
+    window, offsets = f._ball_window(center, radius)
+    d = [dk / radius for dk in offsets]
+    u2 = sum(dk**2 for dk in d)
     inside = u2 < 1.0
     u2 = u2[inside]
     phi = np.exp(1.0 / (u2 - 1.0))
@@ -293,8 +281,7 @@ class TestFunctionBattery:
 
 
 def _check_support_inside(f: GridFunction, battery: TestFunctionBattery) -> None:
-    lo = f.origin
-    hi = f.origin + np.array(f.extents) * f.h
+    lo, hi = f._box()
     for i in range(battery.count):
         c, r = battery.centers[i], battery.radii[i]
         if not (np.all(np.isfinite(c)) and 0 < r < math.inf):

@@ -103,24 +103,12 @@ def gns_check(f: GridFunction, p: float) -> tuple[float, float, float]:
     return lhs, rhs, C
 
 
-def _cube_slices(f: GridFunction, lo: Sequence[float], side: float) -> tuple[slice, ...]:
-    """Index slices of the lattice cube at corner ``lo`` with the given side;
-    a cube that escapes the domain or spans no cell is a ValueError."""
-    i0 = np.floor((np.asarray(lo, dtype=float) - f.origin) / f.h + 0.5).astype(int)
-    m = int(round(side / f.h))
-    if m < 1:
-        raise ValueError(f"cube side {side} spans no cell of spacing {f.h}")
-    if np.any(i0 < 0) or np.any(i0 + m > np.array(f.extents)):
-        raise ValueError("cube escapes the domain")
-    return tuple(slice(a, a + m) for a in i0)
-
-
 def poincare_cube_check(
     f: GridFunction, cube_lo: Sequence[float], side: float, p: float
 ) -> tuple[float, float]:
     """(lhs, rhs) of the cube Poincaré inequality with C = (n^(p+1))^(1/p)."""
     n = f.ndim
-    sl = _cube_slices(f, cube_lo, side)
+    sl = f._cube_slices(cube_lo, side)
     block = f.values[sl]
     cell = f.h**n
     mean = float(block.mean())
@@ -159,7 +147,7 @@ def bmo_seminorm(f: GridFunction, cubes: Sequence[tuple[np.ndarray, float]] | No
         cubes = dyadic_cubes(f, generations)
     worst = 0.0
     for lo, side in cubes:
-        block = f.values[_cube_slices(f, lo, side)]
+        block = f.values[f._cube_slices(lo, side)]
         worst = max(worst, float(np.abs(block - block.mean()).mean()))
     return worst
 
@@ -177,7 +165,7 @@ def morrey_check(
     iz, iy = np.moveaxis(
         np.random.default_rng(seed).integers(0, f.extents, size=(n_pairs, 2, n)), 1, 0
     )
-    z, y = (f.origin + (i + 0.5) * f.h for i in (iz, iy))
+    z, y = f._center(iz), f._center(iy)
     dist = np.sqrt(((z - y) ** 2).sum(axis=1))
     denom = C * dist ** (1 - n / p) * grad_lp
     ok = denom > 0  # drops z = y, where dist = 0
@@ -245,8 +233,7 @@ def seeded_bump_field(
     divergence-sup variation lower bound.
     """
     rng = np.random.default_rng(seed)
-    lo = f.origin
-    hi = f.origin + np.array(f.extents) * f.h
+    lo, hi = f._box()
     n = f.ndim
     field = np.zeros((n,) + f.extents)
     div = np.zeros(f.extents)

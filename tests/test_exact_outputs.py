@@ -242,3 +242,42 @@ def test_approx_limit_of_thin_band_through_bisection_exact():
         lambda x, y: (np.abs(y) < 4 * h).astype(float), [-0.5, -0.5], [1024, 1024], h
     )
     assert pw.approx_limit(band, [0.0, 0.0]) == 4.440892098500626e-16
+
+
+def _jump_field():
+    return GridFunction.from_callable(
+        lambda x, y: np.sin(3 * x) * np.cos(2 * y) + (x > 0.25), [-1.0, -1.0], [96, 96], 2 / 96
+    )
+
+
+def test_lebesgue_point_averages_exact():
+    f = _jump_field()
+    assert pw.lebesgue_point_check(f, [0.1, -0.3])[0].tolist() == [
+        0.7839294759378419, 0.5009889228809274, 0.15884593588893584, 0.07545281317301869
+    ]
+    assert pw.lebesgue_point_check(f, [0.25, 0.2], radii=[0.2, 0.6, 0.1])[0].tolist() == [
+        0.6758802842596006, 0.9416985309364932, 0.5889908906857224
+    ]
+
+
+def test_pointwise_lipschitz_exact():
+    f = _jump_field()
+    assert pw.pointwise_lipschitz(f, [0.1, -0.3]) == 2.4445018587703284
+    # 0.015 is under h = 1/48, so its shell holds no sample but x's own
+    radii = [0.4, 0.2, 0.1, 0.05, 0.015]
+    assert pw.pointwise_lipschitz(f, [0.1, -0.3], radii=radii) == 2.4325041218009162
+
+
+def test_density_ratios_in_one_and_three_dimensions_exact():
+    line = RasterSet.from_predicate(
+        lambda x: (x > 0.3) | (np.abs(x + 0.4) < 0.05), [-1.0], [1000], 0.002
+    )
+    assert pw.density(line, [-0.38], radii=[0.01, 0.1, 0.03, 0.3]).ratios.tolist() == [
+        1.0, 0.5000000000000001, 1.0, 0.1666666666666667
+    ]
+    ball = RasterSet.from_predicate(
+        lambda x, y, z: x * x + y * y + z * z < 0.25, [-0.6] * 3, [48] * 3, 1.2 / 48
+    )
+    assert pw.density(ball, [0.5, 0.0, 0.0], radii=[0.1, 0.3, 0.2]).ratios.tolist() == [
+        0.5222271570202814, 0.38683493112613454, 0.4327025015310903
+    ]

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmtkit import pointwise as pw
 from gmtkit.errors import NonConvergenceError, ResolutionError
@@ -228,3 +231,74 @@ def test_approx_partials_robust_to_sparse_corruption():
     grad = pw.approx_partials(f, [0.1, 0.1])
     assert grad[0] == pytest.approx(3.0, abs=0.05)
     assert grad[1] == pytest.approx(1.0, abs=0.05)
+
+
+# ------------------------------------------------------------- lattice points
+
+LINEAR = GridFunction.from_callable(lambda x, y: x + 2 * y, [-1.0, -1.0], [128, 128], 2 / 128)
+HALF = RasterSet(LINEAR.values > 0.0, LINEAR.origin, LINEAR.h)
+
+POINT_CALLS = {
+    "index_of": lambda x: LINEAR.index_of(x),
+    "value_at": lambda x: LINEAR.value_at(x),
+    "interpolate": lambda x: LINEAR.interpolate(x),
+    "default_radii": lambda x: pw.default_radii(LINEAR, x),
+    "approx_partials": lambda x: pw.approx_partials(LINEAR, x),
+    "density": lambda x: pw.density(HALF, x),
+    "approx_limit": lambda x: pw.approx_limit(LINEAR, x),
+    "lebesgue_point_check": lambda x: pw.lebesgue_point_check(LINEAR, x),
+    "pointwise_lipschitz": lambda x: pw.pointwise_lipschitz(LINEAR, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_CALLS))
+def test_point_of_wrong_length_is_a_value_error(name):
+    call = POINT_CALLS[name]
+    for x in ([0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]):
+        with pytest.raises(ValueError, match="does not match a 2-D lattice"):
+            call(x)
+    call([0.1, -0.2])
+    call(HALF.origin)
+
+
+@st.composite
+def lattice_balls(draw):
+    n = draw(st.integers(1, 3))
+    extents = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    h = draw(st.sampled_from([0.1, 1 / 16, 0.0173, 0.3]))
+    origin = draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n))
+    # near, on and past the box edges
+    t = draw(st.lists(st.one_of(st.floats(-0.3, 1.3), st.sampled_from([0.0, 0.5, 1.0])),
+                      min_size=n, max_size=n))
+    x = np.array(origin) + np.array(t) * np.array(extents) * h
+    radii = draw(st.lists(st.one_of(st.floats(0, 6 * h), st.integers(0, 6).map(lambda k: k * h)),
+                          min_size=1, max_size=4))
+    return origin, extents, h, x, radii
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=lattice_balls())
+def test_ball_samples_match_the_whole_lattice(case):
+    origin, extents, h, x, radii = case
+    f = GridFunction(np.arange(np.prod(extents), dtype=float).reshape(extents), origin, h)
+    E = RasterSet(f.values % 3 == 0, origin, h)
+    d2 = ((f.points() - x) ** 2).sum(axis=1)
+    for lattice, cells in ((f, f.values), (E, E.mask)):
+        got = pw._ball_samples(lattice, x, np.array(radii))
+        assert len(got) == len(radii)
+        for (dist2, samples), r in zip(got, radii):
+            inside = d2 <= r * r
+            assert np.array_equal(dist2, d2[inside])
+            assert np.array_equal(samples, cells.ravel()[inside])
+            assert samples.dtype == cells.dtype
+
+
+def test_density_of_a_tiny_ball_reads_only_its_window():
+    E = RasterSet(np.arange(2**23) % 3 == 0, [0.0], 2.0**-23)
+    tracemalloc.start()
+    try:
+        pw.density(E, E.origin, radii=[2.0**-12])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
