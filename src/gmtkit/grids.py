@@ -68,11 +68,15 @@ class _Lattice:
 
     def _center(self, idx: np.ndarray) -> np.ndarray:
         """Center of each integer index, (..., ndim)."""
-        return self.origin + (idx + 0.5) * self.h
+        return self._corner(idx + 0.5)
+
+    def _corner(self, idx: np.ndarray | int) -> np.ndarray:
+        """Lattice-line point origin + i*h of each index, (..., ndim)."""
+        return self.origin + idx * self.h
 
     def _box(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper corners of the lattice box."""
-        return self.origin, self.origin + np.array(self.extents) * self.h
+        return self.origin, self._corner(np.array(self.extents))
 
     def _ball_window(self, x: np.ndarray, r: float) -> tuple[tuple[slice, ...], list[np.ndarray]]:
         """The cells floor((x - r - o)/h) .. ceil((x + r - o)/h) + 1 of each

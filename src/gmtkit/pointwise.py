@@ -145,9 +145,7 @@ def pointwise_lipschitz(
     Returns math.inf when the shell maxima keep growing as the shells
     shrink (locally unbounded difference quotients).
     """
-    if radii is None:
-        radii = default_radii(f, x)
-    radii = np.asarray(radii, dtype=float)
+    x, radii = _schedule(f, x, radii)
     # snap to the cell center so quotients are measured between samples
     x = f._center(np.array(f.index_of(x)))
     fx = f.value_at(x)
@@ -164,6 +162,15 @@ def pointwise_lipschitz(
     if len(shell_max) >= 3 and increasing and shell_max[-1] > 2 * shell_max[0]:
         return math.inf
     return max(shell_max[-2:])
+
+
+def _schedule(f: GridFunction | RasterSet, x: Sequence[float], radii: Sequence[float] | None):
+    """The checked point and its radii (``default_radii`` when None), never empty."""
+    x = f._point(x)
+    radii = np.asarray(default_radii(f, x) if radii is None else radii, dtype=float)
+    if radii.size == 0:
+        raise ValueError("the radius schedule is empty")
+    return x, radii
 
 
 def _ball_samples(f: GridFunction | RasterSet, x: np.ndarray, radii: np.ndarray):
@@ -189,9 +196,8 @@ class DensityReport:
 def _balls(f: GridFunction | RasterSet, samples: list, radii: np.ndarray):
     """(samples in B(x, r), omega_n r^n) per radius from ``_ball_samples``;
     radii under 3h are a ResolutionError."""
-    for r in radii:
-        if r < 3 * f.h:
-            raise ResolutionError(f"radius {r} below lattice resolution {f.h}")
+    if radii.min() < 3 * f.h:
+        raise ResolutionError(f"radius {radii.min()} below lattice resolution {f.h}")
     wn = omega(f.ndim)
     return [(vals, wn * r**f.ndim) for (_, vals), r in zip(samples, radii)]
 
@@ -203,10 +209,7 @@ def _density_ratios(balls: list[tuple[np.ndarray, float]], cell: float) -> np.nd
 
 def density(E: RasterSet, x: Sequence[float], radii: Sequence[float] | None = None) -> DensityReport:
     """Density ratios Lebesgue(E ∩ B(x,r)) / (omega_n r^n) across radii."""
-    x = E._point(x)
-    if radii is None:
-        radii = default_radii(E, x)
-    radii = np.asarray(radii, dtype=float)
+    x, radii = _schedule(E, x, radii)
     ratios = _density_ratios(_balls(E, _ball_samples(E, x, radii), radii), E.h**E.ndim)
     tail = ratios[-3:] if len(ratios) >= 3 else ratios
     spread = float(tail.max() - tail.min())
@@ -222,6 +225,19 @@ def density(E: RasterSet, x: Sequence[float], radii: Sequence[float] | None = No
     return DensityReport(radii=radii, ratios=ratios, limit_estimate=limit, classification=cls)
 
 
+def _limsups(balls: list[tuple[np.ndarray, float]], cell: float) -> np.ndarray:
+    """Per ball, the least t with {f > t} of density zero in it: its k-th
+    largest sample, where k samples are the fewest that fail the predicate
+    of ``_density_ratios`` (counts past the band plus one cell all fail it
+    and are not built), or -inf when the ball holds fewer than k."""
+    out = []
+    for v, vol in balls:
+        counts = np.arange(min(v.size, int(DENSITY_ZERO_BAND * vol / cell) + 2) + 1)
+        k = int(np.searchsorted(counts * cell / vol, DENSITY_ZERO_BAND))
+        out.append(np.partition(v, v.size - k)[v.size - k] if k <= v.size else -math.inf)
+    return np.array(out, dtype=float)
+
+
 def approx_limit(
     f: GridFunction,
     x: Sequence[float],
@@ -230,52 +246,44 @@ def approx_limit(
 ) -> float | None:
     """Approximate limit of f at x, or None when it does not exist.
 
-    The samples of f in each ball B(x, r) are taken once.  A set {P(f)}
-    has density zero at x when, in some ball, the count of samples where
-    P holds times h^n is below DENSITY_ZERO_BAND of omega_n r^n.  Only
-    radii of at least 8h are used when there are any (smaller balls
-    overstate thin sets by O(h/r)); a radius in use below 3h is a
-    ResolutionError.  A candidate (the median near x) passes when every
-    {|f - candidate| >= eps} has density zero; otherwise the approximate
-    limsup/liminf are bracketed by threshold bisection on the same
-    samples, and None is returned when they disagree.
+    A set has density zero at x when, in some ball B(x, r), its sample
+    count times h^n is below DENSITY_ZERO_BAND of omega_n r^n.  Balls under
+    8h are dropped when larger ones exist (they overstate thin sets by
+    O(h/r)); a ball in use under 3h is a ResolutionError.  The median near
+    x is returned when every {|f - median| >= eps} has density zero, else
+    the midpoint of the approximate limsup and liminf (``_limsups``) when
+    they agree within min(eps_list).  Otherwise the per-ball gaps,
+    extrapolated linearly to r = 0 from the largest and smallest ball, tell
+    "too coarse" (a ResolutionError: they close within min(eps_list)) from
+    "no limit" (None).
     """
-    x = f._point(x)
-    if radii is None:
-        radii = default_radii(f, x)
-    radii = np.asarray(radii, dtype=float)
+    x, radii = _schedule(f, x, radii)
+    if len(eps_list) == 0:
+        raise ValueError("eps_list must hold at least one tolerance")
+    tol = min(eps_list)  # the sets shrink as eps grows, so the least eps decides
     samples = _ball_samples(f, x, radii)
     near = samples[-1][1]
     if near.size == 0:
         raise ResolutionError("no samples near x")
     keep = [i for i, r in enumerate(radii) if r >= 8 * f.h] or list(range(len(radii)))
-    balls = _balls(f, [samples[i] for i in keep], radii[keep])
-    cell = f.h**f.ndim
-
-    def density_zero(pred: Callable[[np.ndarray], np.ndarray]) -> bool:
-        ratios = _density_ratios([(pred(vals), vol) for vals, vol in balls], cell)
-        return float(ratios.min()) < DENSITY_ZERO_BAND
-
+    balls, cell = _balls(f, [samples[i] for i in keep], radii[keep]), f.h**f.ndim
     candidate = float(np.median(near))
-    if all(density_zero(lambda v: np.abs(v - candidate) >= eps) for eps in eps_list):
+    if _limsups([(np.abs(v - candidate), vol) for v, vol in balls], cell).min() < tol:
         return candidate
-
-    lo_all, hi_all = float(f.values.min()), float(f.values.max())
-
-    def bisect(upper: bool) -> float:
-        # limsup: least t with {f > t} of density zero; liminf: greatest t with {f < t}
-        lo, hi = lo_all, hi_all
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if density_zero(lambda v: v > mid if upper else v < mid) == upper:
-                hi = mid
-            else:
-                lo = mid
-        return hi if upper else lo
-
-    up, down = bisect(upper=True), bisect(upper=False)
-    if abs(up - down) <= min(eps_list):
+    # the liminf is -limsup(-f); a ball with too few samples bounds neither
+    ups = np.maximum(_limsups(balls, cell), f.values.min())
+    downs = np.minimum(-_limsups([(-v, vol) for v, vol in balls], cell), f.values.max())
+    up, down = float(ups.min()), float(downs.max())
+    if abs(up - down) <= tol:
         return 0.5 * (up + down)
+    r, gap = radii[keep], ups - downs
+    a, b = int(r.argmax()), int(r.argmin())
+    if r[a] > r[b]:
+        slope = (gap[a] - gap[b]) / (r[a] - r[b])
+        if gap[b] - slope * r[b] <= tol:
+            need = (tol - gap[b]) / slope + r[b] if slope > 0 else r[b]
+            raise ResolutionError(f"approximate limit at {x.tolist()} unresolved: needs a ball "
+                                  f"of radius <= {need:.3g}, smallest used {r[b]:.3g}")
     return None
 
 
@@ -287,10 +295,7 @@ def lebesgue_point_check(
 ) -> tuple[np.ndarray, bool]:
     """Ball averages of |f - f(x)| per radius and a Lebesgue-point flag;
     radii under 3h are a ResolutionError."""
-    x = f._point(x)
-    if radii is None:
-        radii = default_radii(f, x)
-    radii = np.asarray(radii, dtype=float)
+    x, radii = _schedule(f, x, radii)
     fx = f.value_at(x)
     cell = f.h**f.ndim
     averages = np.array([
@@ -310,21 +315,15 @@ def approx_partials(
     difference quotients, the finite analog of discarding a density-0
     exceptional set.
     """
-    x = np.asarray(x, dtype=float)
     idx = np.array(f.index_of(x))
     out = np.zeros(f.ndim)
+    steps = np.arange(-max_steps, max_steps + 1)
     for d in range(f.ndim):
-        quotients = []
-        for j in range(1, max_steps + 1):
-            for sign in (+1, -1):
-                nb = idx.copy()
-                nb[d] += sign * j
-                if 0 <= nb[d] < f.extents[d]:
-                    q = (f.values[tuple(nb)] - f.values[tuple(idx)]) / (sign * j * f.h)
-                    quotients.append(q)
-        if not quotients:
+        line = f.values[tuple(idx[:d]) + (slice(None),) + tuple(idx[d + 1 :])]
+        nb = steps[(steps != 0) & (idx[d] + steps >= 0) & (idx[d] + steps < f.extents[d])]
+        if nb.size == 0:
             raise ResolutionError(f"axis {d} has no neighbours at x")
-        q = np.sort(np.asarray(quotients))
+        q = np.sort((line[idx[d] + nb] - line[idx[d]]) / (nb * f.h))
         drop = int(len(q) * (1 - central_fraction) / 2)
         kept = q[drop : len(q) - drop] if len(q) > 2 * drop else q
         out[d] = float(np.median(kept))

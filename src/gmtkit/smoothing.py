@@ -156,7 +156,7 @@ def mollify(f: GridFunction, kernel: MollifierKernel, eps: float | None = None) 
     K /= K.sum() * h**f.ndim
     # K is even, so convolution and correlation coincide
     out = _fft_convolve_valid(f.values, K) * h**f.ndim
-    return GridFunction(values=out, origin=f.origin + kr * h, h=h)
+    return GridFunction(values=out, origin=f._corner(kr), h=h)
 
 
 def difference_quotient(f: GridFunction, axis: int, step: float) -> GridFunction:

@@ -118,24 +118,23 @@ def poincare_cube_check(
     return lhs, rhs
 
 
+def _dyadic_blocks(f: GridFunction, generations: int):
+    """(first index, cells per side) of each cube ``dyadic_cubes`` lists."""
+    side0 = float((np.array(f.extents) * f.h).min())
+    for g in range(generations):
+        m = int(round(side0 / 2**g / f.h))
+        if m < 2:
+            break
+        for idx in np.ndindex(*[s // m for s in f.extents]):
+            yield np.array(idx) * m, m
+
+
 def dyadic_cubes(f: GridFunction, generations: int) -> list[tuple[np.ndarray, float]]:
     """(lower corner, side) of every dyadic cube of the box, up to a depth.
 
     Only cubes whose side is an exact cell multiple are emitted.
     """
-    spans = np.array(f.extents) * f.h
-    side0 = float(spans.min())
-    cubes = []
-    for g in range(generations):
-        side = side0 / 2**g
-        m = int(round(side / f.h))
-        if m < 2:
-            break
-        steps = [int(s // m) for s in f.extents]
-        for idx in np.ndindex(*steps):
-            lo = f.origin + np.array(idx) * m * f.h
-            cubes.append((lo, m * f.h))
-    return cubes
+    return [(f._corner(i0), m * f.h) for i0, m in _dyadic_blocks(f, generations)]
 
 
 def bmo_seminorm(f: GridFunction, cubes: Sequence[tuple[np.ndarray, float]] | None = None,
@@ -144,12 +143,10 @@ def bmo_seminorm(f: GridFunction, cubes: Sequence[tuple[np.ndarray, float]] | No
 
     A given cube that leaves the lattice or spans no cell is a ValueError."""
     if cubes is None:
-        cubes = dyadic_cubes(f, generations)
-    worst = 0.0
-    for lo, side in cubes:
-        block = f.values[f._cube_slices(lo, side)]
-        worst = max(worst, float(np.abs(block - block.mean()).mean()))
-    return worst
+        blocks = [f.values[tuple(map(slice, i, i + m))] for i, m in _dyadic_blocks(f, generations)]
+    else:
+        blocks = [f.values[f._cube_slices(lo, side)] for lo, side in cubes]
+    return max((float(np.abs(b - b.mean()).mean()) for b in blocks), default=0.0)
 
 
 def morrey_check(

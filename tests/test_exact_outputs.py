@@ -202,6 +202,36 @@ def test_divergence_sup_variation_exact():
     assert sb.variation_nd(bump, "divergence-sup").tv == 0.5868858551612125
 
 
+def test_dyadic_cube_oscillations_and_corners_exact():
+    f = GridFunction.from_callable(
+        lambda x, y: np.sin(3 * x) * np.cos(2 * y) + (x > 0.3), [0.0, 0.0], [96, 96], 1 / 96
+    )
+    assert sb.bmo_seminorm(f) == 0.6781672043466986
+    g = GridFunction.from_callable(
+        lambda x, y: np.log(np.abs(x) + 0.01) * (1 + y * y), [-0.37, 0.21], [64, 80], 0.013
+    )
+    assert sb.bmo_seminorm(g) == 1.5256894937069347
+    # corners origin + i*h on a non-dyadic origin and spacing
+    cubes = sb.dyadic_cubes(GridFunction(np.zeros((9, 7)), [0.3, -1.7], 0.1), 3)
+    assert [(lo.tolist(), side) for lo, side in cubes] == [
+        ([0.3, -1.7], 0.7000000000000001), ([0.3, -1.7], 0.4), ([0.7, -1.7], 0.4),
+        ([0.3, -1.7], 0.2), ([0.3, -1.5], 0.2), ([0.3, -1.2999999999999998], 0.2),
+        ([0.5, -1.7], 0.2), ([0.5, -1.5], 0.2), ([0.5, -1.2999999999999998], 0.2),
+        ([0.7, -1.7], 0.2), ([0.7, -1.5], 0.2), ([0.7, -1.2999999999999998], 0.2),
+        ([0.9000000000000001, -1.7], 0.2), ([0.9000000000000001, -1.5], 0.2),
+        ([0.9000000000000001, -1.2999999999999998], 0.2),
+    ]
+
+
+def test_mollified_lattice_exact():
+    f = GridFunction.from_callable(lambda x, y: np.sin(3 * x) * y, [-0.37, 0.21], [40, 48], 0.013)
+    g = sm.mollify(f, sm.make_standard_mollifier(2, 0.05))
+    assert g.origin.tolist() == [-0.331, 0.249]
+    assert g.extents == (34, 42)
+    assert float(g.values.sum()) == -223.91821464471178
+    assert g.values[3, 5] == -0.24179704567460752
+
+
 def test_weak_derivative_residuals_exact():
     x_plus = GridFunction.from_callable(lambda x: np.maximum(x, 0.0), [-1.0], [2000], 1e-3)
     heaviside = GridFunction.from_callable(lambda x: (x > 0).astype(float), [-1.0], [2000], 1e-3)
@@ -236,12 +266,12 @@ def test_approx_limits_exact():
 
 def test_approx_limit_of_thin_band_through_bisection_exact():
     # the median candidate 1 fails (the band has density zero at resolved
-    # radii), so the value comes from the limsup/liminf bisection
+    # radii), so the value is the midpoint of the limsup and liminf, both 0
     h = 1 / 1024
     band = GridFunction.from_callable(
         lambda x, y: (np.abs(y) < 4 * h).astype(float), [-0.5, -0.5], [1024, 1024], h
     )
-    assert pw.approx_limit(band, [0.0, 0.0]) == 4.440892098500626e-16
+    assert pw.approx_limit(band, [0.0, 0.0]) == 0.0
 
 
 def _jump_field():

@@ -184,6 +184,96 @@ def test_approx_limit_resolution_guard():
         pw.approx_limit(f, [0.1, -0.2], radii=[2.5 * f.h, 1.5 * f.h])
 
 
+@st.composite
+def limit_cases(draw):
+    n = draw(st.integers(1, 2))
+    extents = [draw(st.integers(8, 400 if n == 1 else 40)) for _ in range(n)]
+    h = draw(st.sampled_from([0.1, 1 / 16, 0.0173]))
+    origin = np.array(draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n)))
+    # near, on and past the box edges
+    t = np.array(draw(st.lists(st.floats(-0.3, 1.3), min_size=n, max_size=n)))
+    # radii from 3h up, both sides of the 8h cut, in and out of order
+    radii = draw(st.lists(st.floats(3, 14).map(lambda k: k * h), min_size=1, max_size=4))
+    x = origin + t * np.array(extents) * h
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    # a constant, a band through x, or random levels; then a share of noise
+    kind = draw(st.sampled_from(["constant", "band", "levels"]))
+    if kind == "levels":
+        values = rng.choice([-1.0, 0.0, 0.5, 2.0], size=extents)
+    else:
+        values = np.full(extents, 0.5)
+    if kind == "band":
+        row = int(np.floor((x[0] - origin[0]) / h))
+        values[max(row - 1, 0) : max(row + 2, 0)] = 2.0
+    noisy = rng.random(extents) < draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
+    values = np.where(noisy, values + rng.normal(size=extents), values)
+    eps = draw(st.lists(st.sampled_from([0.5, 0.2, 0.05, 1e-3]), min_size=1, max_size=3))
+    return GridFunction(values, origin, h), x, radii, eps
+
+
+def _next(t: float, to: float) -> float:
+    with np.errstate(under="ignore"):  # the neighbour of 0 is subnormal
+        return np.nextafter(t, to)
+
+
+def _zero_at(balls, cell, pred) -> bool:
+    return pw._density_ratios([(pred(v), vol) for v, vol in balls], cell).min() < pw.DENSITY_ZERO_BAND
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=limit_cases())
+def test_approx_limit_order_statistics_match_the_density_predicate(case):
+    f, x, radii, eps_list = case
+    radii = np.array(radii)
+    samples = pw._ball_samples(f, x, radii)
+    keep = [i for i, r in enumerate(radii) if r >= 8 * f.h] or list(range(len(radii)))
+    balls, cell = pw._balls(f, [samples[i] for i in keep], radii[keep]), f.h**f.ndim
+    lo, hi = float(f.values.min()), float(f.values.max())
+    with np.errstate(all="raise"):
+        try:
+            got = pw.approx_limit(f, x, eps_list, radii)
+        except ResolutionError:
+            got = "unresolved"
+        near = samples[-1][1]
+        if near.size:
+            m = float(np.median(near))
+            passes = all(_zero_at(balls, cell, lambda v: np.abs(v - m) >= eps) for eps in eps_list)
+            closed = pw._limsups([(np.abs(v - m), vol) for v, vol in balls], cell).min()
+            assert (closed < min(eps_list)) == passes
+            if passes:
+                assert got == m
+        tops = pw._limsups(balls, cell)
+        up = max(tops.min(), lo)
+        assert _zero_at(balls, cell, lambda v: v > up)
+        # a ball too small to bound {f > t} makes every t pass: then up is the floor
+        assert _zero_at(balls, cell, lambda v: v > _next(up, -np.inf)) == np.isneginf(tops).any()
+        bottoms = -pw._limsups([(-v, vol) for v, vol in balls], cell)
+        down = min(bottoms.max(), hi)
+        assert _zero_at(balls, cell, lambda v: v < down)
+        assert _zero_at(balls, cell, lambda v: v < _next(down, np.inf)) == np.isposinf(bottoms).any()
+        if near.size and not passes and abs(up - down) <= min(eps_list):
+            assert got == 0.5 * (up + down)
+
+
+def test_limsup_with_a_count_exactly_on_the_band():
+    # one sample of a ball of 20 cells is a ratio of exactly 0.05, which is
+    # not below the band, so only the empty set has density zero there
+    vals = np.array([3.0, 1.0, 2.0, 0.0])
+    assert pw._density_ratios([(vals > 2.0, 20.0)], 1.0)[0] == pw.DENSITY_ZERO_BAND
+    assert pw._limsups([(vals, 20.0)], 1.0).tolist() == [3.0]
+
+
+def test_approx_limit_too_coarse_to_tell_is_a_resolution_error():
+    # |grad f| ~ 1: {|f - f(x)| >= 0.05} has density zero only in balls far
+    # narrower than the 8h = 0.125 the density tests use
+    f = GridFunction.from_callable(lambda x, y: np.sin(x) + y * y, [-1, -1], [128, 128], 2 / 128)
+    with pytest.raises(ResolutionError, match="needs a ball of radius <= 0.0332, smallest used 0.18"):
+        pw.approx_limit(f, [0.1, -0.2])
+    # the same schedule keeps a jump's bracket open: no limit
+    jump = GridFunction.from_callable(lambda x, y: np.sin(x) + (x >= 0.1), [-1, -1], [128, 128], 2 / 128)
+    assert pw.approx_limit(jump, [0.1, -0.2]) is None
+
+
 def test_lebesgue_point_continuous():
     f = GridFunction.from_callable(lambda x, y: x * y, [-1, -1], [256, 256], 2 / 256)
     averages, flag = pw.lebesgue_point_check(f, [0.3, 0.3])
@@ -257,8 +347,30 @@ def test_point_of_wrong_length_is_a_value_error(name):
     for x in ([0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]):
         with pytest.raises(ValueError, match="does not match a 2-D lattice"):
             call(x)
-    call([0.1, -0.2])
+    if name == "approx_limit":
+        # x + 2y is smooth at (0.1, -0.2), but balls of at least 8h do not resolve it
+        with pytest.raises(ResolutionError) as info:
+            call([0.1, -0.2])
+        assert "does not match" not in str(info.value)
+    else:
+        call([0.1, -0.2])
     call(HALF.origin)
+
+
+EMPTY_CALLS = {
+    "density": lambda: pw.density(HALF, [0.1, 0.1], radii=[]),
+    "approx_limit": lambda: pw.approx_limit(LINEAR, [0.1, 0.1], radii=[]),
+    "lebesgue_point_check": lambda: pw.lebesgue_point_check(LINEAR, [0.1, 0.1], radii=[]),
+    "pointwise_lipschitz": lambda: pw.pointwise_lipschitz(LINEAR, [0.1, 0.1], radii=[]),
+    "approx_limit-eps_list": lambda: pw.approx_limit(LINEAR, [0.1, 0.1], eps_list=[]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_CALLS))
+def test_empty_schedule_is_a_value_error(name):
+    match = "eps_list must hold" if name.endswith("eps_list") else "radius schedule is empty"
+    with pytest.raises(ValueError, match=match):
+        EMPTY_CALLS[name]()
 
 
 @st.composite
