@@ -10,6 +10,7 @@ singularities, so angular charts integrate over the open box directly.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -111,8 +112,8 @@ class ParametricMap:
         hi = np.atleast_1d(np.asarray(self.domain_hi, dtype=float))
         object.__setattr__(self, "domain_lo", lo)
         object.__setattr__(self, "domain_hi", hi)
-        if lo.shape != hi.shape or np.any(hi <= lo):
-            raise ValueError("domain box must be nondegenerate")
+        if lo.shape != hi.shape or not np.all(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)):
+            raise ValueError("domain box must be finite and nondegenerate")
         if self.k > self.n:
             raise ValueError("need k <= n")
 
@@ -157,100 +158,101 @@ class ParametricMap:
         return np.linalg.det(self.jacobian_at(pts, step))
 
 
+def _helix(lo: float = 0.0, hi: float = 1.0) -> ParametricMap:
+    """x -> (cos x, sin x, x) on ]lo, hi[."""
+    return ParametricMap(
+        evaluator=lambda p: np.stack([np.cos(p[:, 0]), np.sin(p[:, 0]), p[:, 0]], axis=1),
+        domain_lo=[float(lo)], domain_hi=[float(hi)], n=3,
+        jacobian=lambda p: np.stack(
+            [-np.sin(p[:, 0]), np.cos(p[:, 0]), np.ones(len(p))], axis=1
+        )[:, :, None],
+        injective=True,
+    )
+
+
+def _polar(r_hi: float = 1.0) -> ParametricMap:
+    """(r, theta) -> (r cos theta, r sin theta) on ]0, r_hi[ x ]-pi, pi[."""
+    return ParametricMap(
+        evaluator=lambda p: np.stack(
+            [p[:, 0] * np.cos(p[:, 1]), p[:, 0] * np.sin(p[:, 1])], axis=1
+        ),
+        domain_lo=[0.0, -math.pi], domain_hi=[float(r_hi), math.pi], n=2,
+        jacobian=lambda p: np.stack([
+            np.stack([np.cos(p[:, 1]), -p[:, 0] * np.sin(p[:, 1])], axis=1),
+            np.stack([np.sin(p[:, 1]), p[:, 0] * np.cos(p[:, 1])], axis=1),
+        ], axis=1),
+        injective=True,
+    )
+
+
+def _sphere() -> ParametricMap:
+    """(theta, phi) -> the unit sphere on ]0, pi[ x ]0, 2 pi[."""
+
+    def sphere_eval(p):
+        th, ph = p[:, 0], p[:, 1]
+        return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1)
+
+    def sphere_jac(p):
+        th, ph = p[:, 0], p[:, 1]
+        d_th = np.stack([np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph), -np.sin(th)], axis=1)
+        d_ph = np.stack([-np.sin(th) * np.sin(ph), np.sin(th) * np.cos(ph), np.zeros(len(p))], axis=1)
+        return np.stack([d_th, d_ph], axis=2)
+
+    return ParametricMap(
+        evaluator=sphere_eval,
+        domain_lo=[0.0, 0.0], domain_hi=[math.pi, 2 * math.pi], n=3,
+        jacobian=sphere_jac,
+        injective=True,
+    )
+
+
+def _fold(laps: int = 2) -> ParametricMap:
+    """Piecewise-linear tent with ``laps`` laps on ]0, 1[."""
+    laps = int(laps)
+    if laps < 1:
+        raise ValueError("laps must be >= 1")
+
+    def fold_eval(p):
+        u = np.clip(p[:, 0], 0.0, 1.0) * laps
+        m = np.floor(u).astype(int)
+        frac = u - m
+        val = np.where(m % 2 == 0, frac, 1.0 - frac)
+        return val[:, None]
+
+    return ParametricMap(
+        evaluator=fold_eval,
+        domain_lo=[0.0], domain_hi=[1.0], n=1,
+        injective=laps == 1,
+    )
+
+
+def _square(lo: float = -1.0, hi: float = 1.0) -> ParametricMap:
+    """x -> x^2 on ]lo, hi[."""
+    lo, hi = float(lo), float(hi)
+    return ParametricMap(
+        evaluator=lambda p: p[:, :1] ** 2,
+        domain_lo=[lo], domain_hi=[hi], n=1,
+        jacobian=lambda p: (2 * p[:, :1])[:, :, None],
+        injective=lo >= 0 or hi <= 0,
+    )
+
+
+_BUILTIN_MAPS = dict(helix=_helix, polar=_polar, sphere=_sphere, fold=_fold, square=_square)
+
+
 def builtin_map(name: str, **params) -> ParametricMap:
-    """Named maps: helix, polar, sphere, fold, square.
-
-    helix: x -> (cos x, sin x, x) on ]lo, hi[ (default ]0, 1[);
-    polar: (r, theta) -> (r cos theta, r sin theta) on ]0,1[ x ]-pi,pi[;
-    sphere: (theta, phi) -> unit sphere on ]0,pi[ x ]0,2pi[;
-    fold: piecewise-linear tent with ``laps`` laps on ]0, 1[;
-    square: x -> x^2 on ]lo, hi[ (default ]-1, 1[).
-    """
-    if name == "helix":
-        lo = float(params.get("lo", 0.0))
-        hi = float(params.get("hi", 1.0))
-        return ParametricMap(
-            evaluator=lambda p: np.stack(
-                [np.cos(p[:, 0]), np.sin(p[:, 0]), p[:, 0]], axis=1
-            ),
-            domain_lo=[lo],
-            domain_hi=[hi],
-            n=3,
-            jacobian=lambda p: np.stack(
-                [-np.sin(p[:, 0]), np.cos(p[:, 0]), np.ones(len(p))], axis=1
-            )[:, :, None],
-            injective=True,
-        )
-    if name == "polar":
-        r_hi = float(params.get("r_hi", 1.0))
-        return ParametricMap(
-            evaluator=lambda p: np.stack(
-                [p[:, 0] * np.cos(p[:, 1]), p[:, 0] * np.sin(p[:, 1])], axis=1
-            ),
-            domain_lo=[0.0, -math.pi],
-            domain_hi=[r_hi, math.pi],
-            n=2,
-            jacobian=lambda p: np.stack(
-                [
-                    np.stack([np.cos(p[:, 1]), -p[:, 0] * np.sin(p[:, 1])], axis=1),
-                    np.stack([np.sin(p[:, 1]), p[:, 0] * np.cos(p[:, 1])], axis=1),
-                ],
-                axis=1,
-            ),
-            injective=True,
-        )
-    if name == "sphere":
-        def sphere_eval(p):
-            th, ph = p[:, 0], p[:, 1]
-            return np.stack(
-                [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1
-            )
-
-        def sphere_jac(p):
-            th, ph = p[:, 0], p[:, 1]
-            d_th = np.stack([np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph), -np.sin(th)], axis=1)
-            d_ph = np.stack([-np.sin(th) * np.sin(ph), np.sin(th) * np.cos(ph), np.zeros(len(p))], axis=1)
-            return np.stack([d_th, d_ph], axis=2)
-
-        return ParametricMap(
-            evaluator=sphere_eval,
-            domain_lo=[0.0, 0.0],
-            domain_hi=[math.pi, 2 * math.pi],
-            n=3,
-            jacobian=sphere_jac,
-            injective=True,
-        )
-    if name == "fold":
-        laps = int(params.get("laps", 2))
-        if laps < 1:
-            raise ValueError("laps must be >= 1")
-
-        def fold_eval(p):
-            u = np.clip(p[:, 0], 0.0, 1.0) * laps
-            m = np.floor(u).astype(int)
-            frac = u - m
-            val = np.where(m % 2 == 0, frac, 1.0 - frac)
-            return val[:, None]
-
-        return ParametricMap(
-            evaluator=fold_eval,
-            domain_lo=[0.0],
-            domain_hi=[1.0],
-            n=1,
-            injective=laps == 1,
-        )
-    if name == "square":
-        lo = float(params.get("lo", -1.0))
-        hi = float(params.get("hi", 1.0))
-        return ParametricMap(
-            evaluator=lambda p: p[:, :1] ** 2,
-            domain_lo=[lo],
-            domain_hi=[hi],
-            n=1,
-            jacobian=lambda p: (2 * p[:, :1])[:, :, None],
-            injective=lo >= 0 or hi <= 0,
-        )
-    raise ValueError(f"unknown builtin map {name!r}")
+    """Named maps and the keyword parameters each takes: helix (lo, hi),
+    polar (r_hi), sphere (none), fold (laps), square (lo, hi).  An unknown
+    name, or a parameter the named map does not take, is a ValueError."""
+    factory = _BUILTIN_MAPS.get(name)
+    if factory is None:
+        raise ValueError(f"unknown builtin map {name!r}")
+    takes = list(inspect.signature(factory).parameters)
+    extra = sorted(set(params) - set(takes))
+    if extra:
+        raise ValueError(f"builtin map {name!r} does not take {', '.join(extra)}; "
+                         f"it takes {', '.join(takes) or 'no parameters'}")
+    return factory(**params)
 
 
 def graph_area(f: GridFunction, mask: np.ndarray | None = None) -> float:

@@ -20,6 +20,7 @@ import math
 import re
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,7 @@ class ValidationFailure(ValueError):
 
 
 def _parse_floats(text: str, count: int | None = None) -> list[float]:
-    parts = [p for p in text.split(",") if p != ""]
-    vals = [float(p) for p in parts]
+    vals = [float(p) for p in text.split(",") if p != ""]
     if count is not None and len(vals) != count:
         raise ValidationFailure(f"expected {count} comma-separated values, got {text!r}")
     if not all(math.isfinite(v) for v in vals):
@@ -84,7 +84,7 @@ def _load_grid(path: str) -> GridFunction:
 
 
 def _cmd_measure(args) -> dict:
-    mu = _load(_single_input(args), "measure JSON",
+    mu = _load(args.input[0], "measure JSON",
                lambda p: ms.AtomicMeasure.from_json(p.read_text()))
     result = {
         "atoms": list(mu.atoms),
@@ -104,7 +104,7 @@ def _cmd_measure(args) -> dict:
 
 def _cmd_dim(args) -> dict:
     scales = _parse_scales(args.scales)
-    path = _single_input(args)
+    path = args.input[0]
     if Path(path).suffix == ".json":
         obj = _load(path, "IFS JSON", lambda p: hd.IfsSystem.from_json(p.read_text()))
     else:
@@ -121,9 +121,7 @@ def _cmd_dim(args) -> dict:
 
 
 def _cmd_density(args) -> dict:
-    E = _load(_single_input(args), "raster CSV", RasterSet.from_csv)
-    if args.point is None:
-        raise ValidationFailure("density requires --point")
+    E = _load(args.input[0], "raster CSV", RasterSet.from_csv)
     x = _parse_floats(args.point, E.ndim)
     report = pw.density(E, x)
     return {
@@ -136,9 +134,7 @@ def _cmd_density(args) -> dict:
 
 
 def _cmd_mollify(args) -> dict:
-    f = _load_grid(_single_input(args))
-    if args.eps is None:
-        raise ValidationFailure("mollify requires --eps")
+    f = _load_grid(args.input[0])
     kernel = sm.make_standard_mollifier(f.ndim, args.eps)
     out = sm.mollify(f, kernel)
     out_path = Path(args.output) / "mollified.csv"
@@ -153,17 +149,14 @@ def _cmd_mollify(args) -> dict:
 
 
 def _cmd_weakdiff(args) -> dict:
-    if len(args.input) != 2:
-        raise ValidationFailure("weakdiff needs two --input files: f and the candidate g")
-    f = _load_grid(args.input[0])
-    g = _load_grid(args.input[1])
+    f, g = (_load_grid(path) for path in args.input)
     battery = sm.TestFunctionBattery.seeded(*f._box(), seed=args.seed)
     residual = sm.weak_derivative_residual(f, g, args.axis, battery)
     return {"axis": args.axis, "residual": residual, "battery_size": battery.count}
 
 
 def _cmd_sobolev(args) -> dict:
-    f = _load_grid(_single_input(args))
+    f = _load_grid(args.input[0])
     p = args.p
     rep = sb.sobolev_norm(f, p)
     result = {
@@ -191,7 +184,7 @@ def _cmd_sobolev(args) -> dict:
 
 
 def _cmd_bv(args) -> dict:
-    f = _load_grid(_single_input(args))
+    f = _load_grid(args.input[0])
     if f.ndim == 1:
         dec = sb.decompose_1d(f.values, h=f.h)
         return {
@@ -211,12 +204,7 @@ def _cmd_bv(args) -> dict:
 
 
 def _cmd_area(args) -> dict:
-    if args.map is None:
-        raise ValidationFailure("area requires --map NAME")
-    params = {}
-    if args.range is not None:
-        lo, hi = _parse_floats(args.range, 2)
-        params = {"lo": lo, "hi": hi}
+    params = {} if args.range is None else dict(zip(("lo", "hi"), _parse_floats(args.range, 2)))
     phi = ar.builtin_map(args.map, **params)
     if phi.k == 1 and phi.injective:
         return {"map": args.map, "length": ar.curve_length(phi)}
@@ -226,22 +214,26 @@ def _cmd_area(args) -> dict:
     return {"map": args.map, "multiplicity_integral": lhs, "jacobian_integral": rhs}
 
 
+class Command(NamedTuple):
+    """A subcommand: its handler, how many --input files it takes, the flags
+    it reads besides _COMMON, and its plot kind (None: it takes no --plot)."""
+
+    handler: Callable[[argparse.Namespace], dict]
+    inputs: int
+    flags: tuple[str, ...] = ()
+    plot: str | None = None
+
+
 COMMANDS = {
-    "measure": _cmd_measure,
-    "dim": _cmd_dim,
-    "density": _cmd_density,
-    "mollify": _cmd_mollify,
-    "weakdiff": _cmd_weakdiff,
-    "sobolev": _cmd_sobolev,
-    "bv": _cmd_bv,
-    "area": _cmd_area,
+    "measure": Command(_cmd_measure, 1),
+    "dim": Command(_cmd_dim, 1, ("--scales",), plot="loglog"),
+    "density": Command(_cmd_density, 1, ("--point",)),
+    "mollify": Command(_cmd_mollify, 1, ("--eps",)),
+    "weakdiff": Command(_cmd_weakdiff, 2, ("--axis",)),
+    "sobolev": Command(_cmd_sobolev, 1, ("--p",)),
+    "bv": Command(_cmd_bv, 1, plot="levels"),
+    "area": Command(_cmd_area, 0, ("--map", "--range")),
 }
-
-
-def _single_input(args) -> str:
-    if len(args.input) != 1:
-        raise ValidationFailure("this command takes exactly one --input file")
-    return args.input[0]
 
 
 # ------------------------------------------------------------------ output
@@ -354,9 +346,6 @@ def emit_plot(report: dict, kind: str, out_dir: Path) -> Path:
     return path
 
 
-_PLOT_KIND = {"dim": "loglog", "bv": "levels"}
-
-
 # -------------------------------------------------------------------- main
 
 
@@ -364,12 +353,13 @@ class _Parser(argparse.ArgumentParser):
     """argparse held to the exit-code contract.
 
     A token that starts with '-' and a digit (``--point -0.5,0``) is a
-    value, never a flag; a usage error raises ValidationFailure (exit 1)
-    where argparse would exit 2, the code for non-convergence.
+    value, never a flag; a flag is never abbreviated (``--p`` is not
+    ``--point``); a usage error raises ValidationFailure (exit 1) where
+    argparse would exit 2, the code for non-convergence.
     """
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # argparse's own pattern takes only a single number (-1, -.5)
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
@@ -377,28 +367,35 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationFailure(f"{self.prog}: {message}")
 
 
+# the flags every command reads; _FLAGS holds each flag's one spec
+_COMMON = ("--input", "--output", "--seed", "--format", "--no-timestamp")
+_FLAGS = {
+    "--input": dict(action="append", default=[], help="input file; given twice for weakdiff"),
+    "--output": dict(default=".", help="output directory"),
+    "--seed": dict(type=int, default=42),
+    "--format": dict(choices=["json", "csv"], default="json"),
+    "--no-timestamp": dict(action="store_true",
+                           help="omit the timestamp field for byte-identical reruns"),
+    "--p": dict(type=float, default=2.0, help="Lebesgue/Sobolev exponent"),
+    "--eps": dict(type=float, required=True, help="mollifier width"),
+    "--scales": dict(default="3..10", help="dyadic scale range a..b"),
+    "--map": dict(required=True, help="builtin map name: helix, polar, sphere, fold, square"),
+    "--range": dict(help="domain lo,hi of the helix and square maps"),
+    "--point": dict(required=True, help="query point x1,...,xn"),
+    "--axis": dict(type=int, default=0, help="axis of the weak derivative"),
+    "--plot": dict(choices=["none", "svg"], default="none"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="gmtkit",
-        description="Batch front end for the gmtkit analysis library.",
-    )
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--input", action="append", default=[],
-                        help="input file; repeatable where a command takes several")
-    parser.add_argument("--output", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--p", type=float, default=2.0, help="Lebesgue/Sobolev exponent")
-    parser.add_argument("--eps", type=float, default=None, help="mollifier width")
-    parser.add_argument("--scales", default="3..10", help="dyadic scale range a..b")
-    parser.add_argument("--map", default=None,
-                        help="builtin map name: helix, polar, sphere, fold, square")
-    parser.add_argument("--range", default=None, help="parameter range lo,hi for --map")
-    parser.add_argument("--point", default=None, help="query point x1,...,xn")
-    parser.add_argument("--axis", type=int, default=0, help="axis for weakdiff")
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--plot", choices=["none", "svg"], default="none")
-    parser.add_argument("--no-timestamp", action="store_true",
-                        help="omit the timestamp field for byte-identical reruns")
+    """One subparser per COMMANDS entry; flags follow the command."""
+    parser = _Parser(prog="gmtkit", description="Batch front end for the gmtkit analysis library.")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, command in COMMANDS.items():
+        sub = commands.add_parser(name)
+        plot = ("--plot",) if command.plot else ()
+        for flag in _COMMON + command.flags + plot:
+            sub.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -420,14 +417,13 @@ def run(argv: list[str] | None = None) -> int:
         _write_error(_argv_output(argv), "validation", str(exc))
         return EXIT_VALIDATION
     out_dir = Path(args.output)
+    command = COMMANDS[args.command]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        kind = None
-        if args.plot == "svg":
-            kind = _PLOT_KIND.get(args.command)
-            if kind is None:
-                raise ValidationFailure(f"command {args.command!r} has no plot")
-        results = COMMANDS[args.command](args)
+        if len(args.input) != command.inputs:
+            raise ValidationFailure(f"{args.command} takes {command.inputs} --input file(s), "
+                                    f"got {len(args.input)}")
+        results = command.handler(args)
         report = {
             "schema": SCHEMA,
             "command": args.command,
@@ -438,8 +434,8 @@ def run(argv: list[str] | None = None) -> int:
             report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
         # the plot goes first: a report that cannot be plotted (1-D bv has
         # no per_level series) fails the job before report.json exists
-        if kind is not None:
-            emit_plot(report, kind, out_dir)
+        if getattr(args, "plot", "none") == "svg":
+            emit_plot(report, command.plot, out_dir)
         _write_report(report, out_dir, args.format)
         return EXIT_OK
     except NonConvergenceError as exc:

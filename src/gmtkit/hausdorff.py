@@ -357,23 +357,25 @@ def linear_image_measure_check(raster: RasterSet, T: np.ndarray) -> tuple[float,
 
 
 def raster_diameter(raster: RasterSet) -> float:
-    """Max pairwise distance of true-cell centers plus one cell diagonal."""
+    """Max pairwise distance of true-cell centers plus one cell diagonal;
+    max - min in 1-D (sqrt(x^2) = |x| in IEEE doubles), else over the hull's
+    vertices or, when the hull is degenerate, every pair in blocks of rows."""
     centers = raster.true_centers()
     if len(centers) == 0:
         raise ValueError("raster is empty")
     pad = raster.h * math.sqrt(raster.ndim)
-    if len(centers) == 1:
-        return pad
-    if raster.ndim >= 2 and len(centers) > 64:
+    if raster.ndim == 1:
+        return float(centers.max() - centers.min()) + pad
+    if len(centers) > 64:
         from scipy.spatial import ConvexHull, QhullError
 
         try:
-            hull = ConvexHull(centers)
-            centers = centers[hull.vertices]
+            centers = centers[ConvexHull(centers).vertices]
         except QhullError:
-            pass  # degenerate (collinear etc.), fall through to brute force
-    diff = centers[:, None, :] - centers[None, :, :]
-    diam = float(np.sqrt((diff**2).sum(axis=-1)).max())
+            pass  # degenerate (collinear etc.): every pair
+    rows = max(1, 2**16 // len(centers))  # a few MiB of pair temporaries
+    diam = max(float(np.sqrt(((centers[i:i + rows, None] - centers) ** 2).sum(axis=-1)).max())
+               for i in range(0, len(centers), rows))
     return diam + pad
 
 

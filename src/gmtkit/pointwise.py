@@ -262,7 +262,7 @@ def approx_limit(
         raise ValueError("eps_list must hold at least one tolerance")
     tol = min(eps_list)  # the sets shrink as eps grows, so the least eps decides
     samples = _ball_samples(f, x, radii)
-    near = samples[-1][1]
+    near = samples[radii.argmin()][1]
     if near.size == 0:
         raise ResolutionError("no samples near x")
     keep = [i for i, r in enumerate(radii) if r >= 8 * f.h] or list(range(len(radii)))
@@ -302,7 +302,7 @@ def lebesgue_point_check(
         float(np.abs(vals - fx).sum()) * cell / vol
         for vals, vol in _balls(f, _ball_samples(f, x, radii), radii)
     ])
-    return averages, bool(averages[-1] < tol)
+    return averages, bool(averages[radii.argmin()] < tol)
 
 
 def approx_partials(

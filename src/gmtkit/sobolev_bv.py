@@ -79,8 +79,8 @@ def _grad_norm(f: GridFunction) -> np.ndarray:
 
 def sobolev_norm(f: GridFunction, p: float) -> SobolevReport:
     """Discrete W^{1,p} norm: L^p norm of f plus L^p norm of |grad f|."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"need 1 <= p < inf; got p = {p}")
     cell = f.h**f.ndim
     lp = _lp(f.values, p, cell)
     grad_lp = _lp(_grad_norm(f), p, cell)
@@ -154,8 +154,8 @@ def morrey_check(
 ) -> float:
     """Worst |f(z)-f(y)| / (C |z-y|^{1-n/p} ||grad f||_p) over sampled pairs."""
     n = f.ndim
-    if p <= n:
-        raise RegimeError(f"Morrey needs p > n; got p = {p}, n = {n}")
+    if not n < p < math.inf:
+        raise RegimeError(f"Morrey needs n < p < inf; got p = {p}, n = {n}")
     C = 2.0 * n * p / (p - n)
     grad_lp = _lp(_grad_norm(f), p, f.h**n)
     # one draw yields the integers of n_pairs successive (z, y) draws

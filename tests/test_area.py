@@ -118,6 +118,35 @@ def test_curve_length_requires_injectivity_flag():
         ar.curve_length(ar.builtin_map("fold", laps=2))
 
 
+@pytest.mark.parametrize("name, params, takes", [
+    ("polar", {"lo": 0.0}, "it takes r_hi"),
+    ("polar", {"lo": 0.0, "hi": 2.0}, "it takes r_hi"),
+    ("fold", {"lapz": 9}, "it takes laps"),
+    ("sphere", {"lo": 0.0, "hi": 1.0}, "it takes no parameters"),
+    ("helix", {"r_hi": 2.0}, "it takes lo, hi"),
+])
+def test_builtin_map_rejects_a_parameter_it_does_not_take(name, params, takes):
+    with pytest.raises(ValueError, match=f"does not take {', '.join(sorted(params))}; {takes}$"):
+        ar.builtin_map(name, **params)
+
+
+def test_builtin_map_parameters_set_the_map():
+    assert ar.builtin_map("polar", r_hi=0.5).domain_hi.tolist() == [0.5, math.pi]
+    assert ar.builtin_map("square", lo=0.5, hi=2.0).injective
+    assert ar.builtin_map("fold", laps=3)(np.array([[0.5]])).tolist() == [[0.5]]
+    with pytest.raises(ValueError, match="unknown builtin map 'torus'"):
+        ar.builtin_map("torus")
+
+
+@pytest.mark.parametrize("params", [{"lo": math.nan}, {"hi": math.inf}, {"lo": -math.inf},
+                                    {"hi": math.nan}])
+def test_non_finite_domain_bounds_are_rejected(params):
+    with pytest.raises(ValueError, match="finite"):
+        ar.curve_length(ar.builtin_map("helix", **params))
+    with pytest.raises(ValueError, match="finite"):
+        ar.ParametricMap(lambda p: p, [0.0, 0.0], [1.0, params.get("hi", params.get("lo"))], n=2)
+
+
 def _plane_curve(f, a, b, jacobian=None):
     return ar.ParametricMap(lambda p: np.concatenate(f(p), axis=1), [a], [b], n=2,
                             jacobian=jacobian, injective=True)

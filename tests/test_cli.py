@@ -288,6 +288,10 @@ def test_levels_plot_of_1d_bv_writes_only_error(tmp_path):
         ("mollify", ["--eps", "inf"]),
         ("weakdiff", ["--axis", "2"]),
         ("mollify", ["--eps", "3"]),
+        ("sobolev", ["--p", "nan"]),
+        ("sobolev", ["--p", "inf"]),
+        ("area", ["--map", "polar", "--range", "0,1"]),
+        ("area", ["--map", "fold", "--range", "0,1"]),
     ],
 )
 def test_library_input_errors_write_error_json(tmp_path, command, flags):
@@ -296,7 +300,7 @@ def test_library_input_errors_write_error_json(tmp_path, command, flags):
     f.to_csv(grid)
     ifs = tmp_path / "cantor.json"
     ifs.write_text(cantor_ifs_json(depth=4))
-    inputs = {"dim": [ifs], "weakdiff": [grid, grid]}.get(command, [grid])
+    inputs = {"dim": [ifs], "weakdiff": [grid, grid], "area": []}.get(command, [grid])
     out = tmp_path / "out"
     argv = [command, *(a for p in inputs for a in ("--input", str(p))), *flags]
     code = cli.run([*argv, "--output", str(out)])
@@ -398,14 +402,15 @@ FUZZ_FILES = [
     "empty.csv", "empty.json", "garbage.csv", "garbage.json", "truncated.csv",
     "truncated.json", "missing.csv",
 ]
-# per command: input lists it accepts and the flags it reads
+# per command: input lists it accepts and the flags it reads besides the ones
+# every command reads (--input, --output, --seed, --format, --no-timestamp)
 FUZZ_COMMANDS = {
-    "measure": ([["mu.json"]], ["--format"]),
+    "measure": ([["mu.json"]], []),
     "dim": ([["ifs.json"], ["cloud.csv"]], ["--scales", "--plot"]),
     "density": ([["raster.csv"]], ["--point"]),
     "mollify": ([["grid2.csv"], ["grid1.csv"]], ["--eps"]),
-    "weakdiff": ([["grid2.csv", "grid2.csv"], ["grid1.csv", "grid1.csv"]], ["--axis", "--seed"]),
-    "sobolev": ([["grid2.csv"], ["grid1.csv"]], ["--p", "--seed"]),
+    "weakdiff": ([["grid2.csv", "grid2.csv"], ["grid1.csv", "grid1.csv"]], ["--axis"]),
+    "sobolev": ([["grid2.csv"], ["grid1.csv"]], ["--p"]),
     "bv": ([["grid1.csv"], ["grid2.csv"]], ["--plot"]),
     "area": ([[]], ["--map", "--range"]),
     "nope": ([[]], []),
@@ -472,6 +477,68 @@ def test_exit_code_contract_under_fuzzed_argv(fuzz_files, case):
     assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NONCONVERGENCE)
     assert (out / "error.json").exists() == (code != cli.EXIT_OK)
     assert any(out.glob("report.*")) == (code == cli.EXIT_OK)
+    for report in out.glob("report.json"):
+        json.loads(report.read_text(), parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"report.json holds {name}, which is not JSON")
+
+
+def test_command_table_matches_the_fuzz_table():
+    stated = {command: (len(inputs[0]), sorted(flags))
+              for command, (inputs, flags) in FUZZ_COMMANDS.items() if command != "nope"}
+    table = {name: (command.inputs, sorted(command.flags + (("--plot",) if command.plot else ())))
+             for name, command in cli.COMMANDS.items()}
+    assert table == stated
+    assert {name: c.plot for name, c in cli.COMMANDS.items() if c.plot} == {"dim": "loglog",
+                                                                          "bv": "levels"}
+
+
+# a value each flag accepts, and the flags a command needs to succeed
+FOREIGN_VALUES = {"--p": "3", "--eps": "0.25", "--scales": "3..6", "--map": "helix",
+                  "--range": "0,1", "--point": "0.25,0.5", "--axis": "0", "--plot": "svg"}
+BASE_FLAGS = {"dim": ["--scales", "3..6"], "density": ["--point", "0.25,0.5"],
+              "mollify": ["--eps", "0.25"], "area": ["--map", "helix"]}
+
+
+@pytest.mark.parametrize("command", sorted(set(FUZZ_COMMANDS) - {"nope"}))
+def test_a_flag_the_command_does_not_read_is_a_usage_error(fuzz_files, command):
+    inputs, own = FUZZ_COMMANDS[command]
+    base = [command, *(a for name in inputs[0] for a in ("--input", str(fuzz_files / name))),
+            *BASE_FLAGS.get(command, [])]
+
+    def run(extra):
+        out = Path(tempfile.mkdtemp(dir=fuzz_files))
+        return cli.run([*base, *extra, "--output", str(out)]), out
+
+    assert run(["--seed", "3", "--format", "csv", "--no-timestamp"])[0] == cli.EXIT_OK
+    foreign = [[flag, value] for flag, value in FOREIGN_VALUES.items() if flag not in own]
+    assert sorted(own + [flag for flag, _ in foreign]) == sorted(FOREIGN_VALUES)
+    if command == "area":
+        foreign.append(["--input", str(fuzz_files / "grid2.csv")])
+    for extra in foreign:
+        code, out = run(extra)
+        assert code == cli.EXIT_VALIDATION, extra
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"], extra
+        assert extra[0] in json.loads((out / "error.json").read_text())["error"]["message"]
+
+
+def test_a_flag_before_the_command_is_a_usage_error(tmp_path):
+    out = tmp_path / "out"
+    assert cli.run(["--output", str(out), "area", "--map", "helix"]) == cli.EXIT_VALIDATION
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+@pytest.mark.parametrize("abbreviation", ["--ra", "--no-time", "--out"])
+def test_a_flag_is_never_abbreviated(tmp_path, abbreviation):
+    # each argv would succeed if the prefix stood for --range, --no-timestamp, --output
+    out = tmp_path / "out"
+    value = {"--ra": ["0,1"], "--no-time": [], "--out": [str(out)]}[abbreviation]
+    code = cli.run(["area", "--map", "helix", abbreviation, *value, "--output", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    message = json.loads((out / "error.json").read_text())["error"]["message"]
+    assert f"unrecognized arguments: {abbreviation}" in message
 
 
 def test_non_finite_point_is_validation_error(tmp_path):

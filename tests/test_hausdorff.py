@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,34 @@ def test_isodiametric_segment_strict():
     )
     measure, bound = hd.isodiametric_check(E)
     assert measure < bound * 0.1  # thin sets are far from extremal
+
+
+def _traced_diameter(E):
+    tracemalloc.start()
+    try:
+        d = hd.raster_diameter(E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return d, peak
+
+
+def test_diameter_of_a_1d_raster_builds_no_pair_array():
+    # 4000 cells: the pairwise array would be 4000^2 doubles (122 MiB)
+    E = RasterSet(np.arange(8000) % 2 == 1, [0.25], 1 / 1024)
+    d, peak = _traced_diameter(E)
+    assert d == (7999 - 1) / 1024 + 1 / 1024
+    assert peak < 2**20
+
+
+def test_diameter_of_a_collinear_raster_scans_pairs_in_blocks():
+    # the 2000 diagonal cells are collinear: the hull fails and every pair
+    # is scanned, a block of rows at a time
+    hd.raster_diameter(RasterSet(np.eye(100, dtype=bool), [0.0, 0.0], 0.01))  # loads scipy.spatial
+    E = RasterSet(np.eye(2000, dtype=bool), [0.0, 0.0], 1 / 2000)
+    d, peak = _traced_diameter(E)
+    assert d == pytest.approx(math.sqrt(2), rel=1e-12)
+    assert peak < 2**22
 
 
 def test_lipschitz_image_bound():

@@ -234,7 +234,7 @@ def test_approx_limit_order_statistics_match_the_density_predicate(case):
             got = pw.approx_limit(f, x, eps_list, radii)
         except ResolutionError:
             got = "unresolved"
-        near = samples[-1][1]
+        near = samples[int(radii.argmin())][1]  # the median near x: the smallest ball
         if near.size:
             m = float(np.median(near))
             passes = all(_zero_at(balls, cell, lambda v: np.abs(v - m) >= eps) for eps in eps_list)
@@ -272,6 +272,22 @@ def test_approx_limit_too_coarse_to_tell_is_a_resolution_error():
     # the same schedule keeps a jump's bracket open: no limit
     jump = GridFunction.from_callable(lambda x, y: np.sin(x) + (x >= 0.1), [-1, -1], [128, 128], 2 / 128)
     assert pw.approx_limit(jump, [0.1, -0.2]) is None
+
+
+def test_approx_limit_and_lebesgue_flag_do_not_depend_on_the_radius_order():
+    # the median near x comes from the smallest ball, wherever it sits in
+    # the schedule (it came from the last one: 0.03036220513370072 reversed)
+    f = GridFunction.from_callable(lambda x, y: 0.2 * np.sin(x) + 0.15 * y * y,
+                                   [-1, -1], [128, 128], 2 / 128)
+    radii = [0.32, 0.16, 0.08]
+    for order in (radii, radii[::-1], [0.16, 0.08, 0.32]):
+        assert pw.approx_limit(f, [0.1, -0.2], radii=order) == 0.02601470509758843
+    # a jump 0.1 from x: the ball of 0.08 misses it, the ball of 0.32 does not
+    jump = GridFunction.from_callable(lambda x, y: 1.0 * (x >= 0.1), [-1, -1], [128, 128], 2 / 128)
+    for order in (radii, radii[::-1], [0.16, 0.08, 0.32]):
+        averages, flag = pw.lebesgue_point_check(jump, [0.0, -0.2], order)
+        assert averages[order.index(0.08)] == 0.0 and averages.max() > 0.05
+        assert flag
 
 
 def test_lebesgue_point_continuous():

@@ -130,6 +130,19 @@ def test_morrey_regime_guard():
         sb.morrey_check(bump_2d(), 2.0)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 0.5])
+def test_sobolev_norm_needs_a_finite_exponent_of_at_least_one(p):
+    with pytest.raises(ValueError, match="1 <= p < inf"):
+        sb.sobolev_norm(bump_2d(32), p)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_morrey_check_needs_a_finite_exponent(p):
+    # nan compared False with n, so p = nan passed the regime guard
+    with pytest.raises(ValueError, match="n < p < inf"):
+        sb.morrey_check(bump_2d(32), p)
+
+
 # --------------------------------------------------------------- 1-D variation
 
 
