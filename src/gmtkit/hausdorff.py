@@ -53,6 +53,8 @@ class PointCloud:
         object.__setattr__(self, "points", pts)
         if pts.shape[1] < 1:
             raise ValueError("ambient dimension must be >= 1")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
 
     @property
     def n(self) -> int:
@@ -169,8 +171,8 @@ class DimensionEstimate:
 
 def omega(s: float) -> float:
     """Volume of the unit ball: pi^(s/2) / Gamma(1 + s/2), any real s >= 0."""
-    if s < 0:
-        raise ValueError("omega is defined for s >= 0")
+    if not 0 <= s < math.inf:
+        raise ValueError("omega is defined for finite s >= 0")
     return math.pi ** (s / 2) / math.gamma(1 + s / 2)
 
 
@@ -202,8 +204,8 @@ def box_counts(
     """
     counts = []
     for delta in scales:
-        if delta <= 0:
-            raise ValueError("scales must be positive")
+        if not 0 < delta < math.inf:
+            raise ValueError("scales must be finite and positive")
         total = 0
         for j in range(n_offsets):
             shift = delta * j / n_offsets
@@ -228,10 +230,12 @@ def premeasure_delta(
     (matching the true premeasure).  The floor must stay above the cloud's
     sampling resolution or the estimate decays with the finite sample.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be finite and positive")
+    if not 0 <= s < math.inf:
+        raise ValueError("s must be finite and nonnegative")
+    if refine_floor is not None and not 0 < refine_floor < math.inf:
+        raise ValueError("refine_floor must be finite and positive")
     if cloud.size == 0:
         return 0.0
 
@@ -294,6 +298,8 @@ def dimension_estimate(
     scales = np.asarray(default_scales() if scales is None else scales, dtype=float)
     if len(scales) < 4:
         raise ValueError("at least 4 scales are required")
+    if not np.all(np.isfinite(scales) & (scales > 0)):
+        raise ValueError("scales must be finite and positive")
     if np.any(np.diff(scales) >= 0):
         raise ValueError("scales must be strictly decreasing")
     if isinstance(obj, IfsSystem):
@@ -337,6 +343,8 @@ def linear_image_measure_check(raster: RasterSet, T: np.ndarray) -> tuple[float,
     n = raster.ndim
     if T.shape != (n, n):
         raise ValueError("T must be square and match the raster dimension")
+    if not np.all(np.isfinite(T)):
+        raise ValueError("T must be finite")
     det = float(np.linalg.det(T))
     if abs(det) < 1e-14:
         raise SingularMapError("T is singular")
@@ -356,27 +364,44 @@ def linear_image_measure_check(raster: RasterSet, T: np.ndarray) -> tuple[float,
     return lhs, rhs
 
 
-def raster_diameter(raster: RasterSet) -> float:
-    """Max pairwise distance of true-cell centers plus one cell diagonal;
-    max - min in 1-D (sqrt(x^2) = |x| in IEEE doubles), else over the hull's
-    vertices or, when the hull is degenerate, every pair in blocks of rows."""
-    centers = raster.true_centers()
-    if len(centers) == 0:
-        raise ValueError("raster is empty")
-    pad = raster.h * math.sqrt(raster.ndim)
-    if raster.ndim == 1:
-        return float(centers.max() - centers.min()) + pad
-    if len(centers) > 64:
-        from scipy.spatial import ConvexHull, QhullError
+def _line_ends(keys: np.ndarray) -> np.ndarray:
+    """Flags the first and last row of each run of equal rows of ``keys``."""
+    new_line = np.any(keys[1:] != keys[:-1], axis=1)
+    return np.r_[True, new_line] | np.r_[new_line, True]
 
-        try:
-            centers = centers[ConvexHull(centers).vertices]
-        except QhullError:
-            pass  # degenerate (collinear etc.): every pair
+
+def raster_diameter(raster: RasterSet) -> float:
+    """Max pairwise distance of true-cell centers plus one cell diagonal.
+
+    The farthest point of a finite set from any point is a vertex of its
+    convex hull, so the diameter is attained at a pair of hull vertices, and
+    a hull vertex is the first or last true cell on every lattice line
+    through it (Preparata & Shamos, ch. 4).  The candidates are the cells
+    that are first or last on their line along every axis and every face
+    diagonal e_a +- e_b; the max is taken over every pair of them, a block
+    of rows at a time.  A collinear set keeps its two ends, and a 1-D
+    raster gives max - min (sqrt(x^2) = |x| in IEEE doubles).
+    """
+    idx = np.argwhere(raster.mask)
+    if len(idx) == 0:
+        raise ValueError("raster is empty")
+    n = raster.ndim
+    idx = idx[_line_ends(idx[:, :-1])]  # row-major: last-axis lines are runs
+    eye = np.eye(n, dtype=idx.dtype)
+    lines = [(a, eye[a]) for a in range(n - 1)] + [
+        (a, eye[a] + s * eye[b]) for a in range(n) for b in range(a + 1, n) for s in (1, -1)
+    ]
+    for a, v in lines:
+        key = idx - idx[:, a, None] * v  # the line through each cell; idx[:, a] is its place on it
+        order = np.lexsort((idx[:, a], *key.T))
+        idx = idx[order][_line_ends(key[order])]
+    centers = raster._center(idx)
     rows = max(1, 2**16 // len(centers))  # a few MiB of pair temporaries
-    diam = max(float(np.sqrt(((centers[i:i + rows, None] - centers) ** 2).sum(axis=-1)).max())
-               for i in range(0, len(centers), rows))
-    return diam + pad
+    diam = 0.0
+    for i in range(0, len(centers), rows):
+        d2 = sum((centers[i:i + rows, k, None] - centers[:, k]) ** 2 for k in range(n))
+        diam = max(diam, float(np.sqrt(d2).max()))
+    return diam + raster.h * math.sqrt(n)
 
 
 def isodiametric_check(raster: RasterSet) -> tuple[float, float]:
@@ -398,8 +423,8 @@ def lipschitz_image_bound_check(
 
     ``f`` maps an (N, n) array of points to an (N, n') array.
     """
-    if lipschitz_const < 0:
-        raise ValueError("Lipschitz constant must be nonnegative")
+    if not 0 <= lipschitz_const < math.inf:
+        raise ValueError("Lipschitz constant must be finite and nonnegative")
     image = PointCloud(f(cloud.points))
     image_pm = premeasure_delta(image, s, delta * max(lipschitz_const, 1e-300))
     bound = lipschitz_const**s * premeasure_delta(cloud, s, delta)

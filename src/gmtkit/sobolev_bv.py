@@ -12,6 +12,7 @@ level sets in the coarea consistency check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -200,25 +201,22 @@ def perimeter(E: RasterSet, corrected: bool = False) -> float:
     return raw
 
 
-_CALIBRATION_CACHE: dict[tuple[int, float], float] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def perimeter_calibration(n: int, h: float) -> float:
     """Face-count perimeter of the rasterized unit ball over its true
-    surface measure; ~4/pi for the disk.
+    surface measure; ~4/pi for the disk.  Cached per (n, h).
     """
-    key = (n, h)
-    if key not in _CALIBRATION_CACHE:
-        ext = int(math.ceil(2.4 / h))
-        ball = RasterSet.from_predicate(
-            lambda *xs: sum(x**2 for x in xs) <= 1.0,
-            origin=[-1.2] * n,
-            extents=[ext] * n,
-            h=h,
-        )
-        surface = n * math.pi ** (n / 2) / math.gamma(1 + n / 2)  # n * omega_n
-        _CALIBRATION_CACHE[key] = perimeter(ball) / surface
-    return _CALIBRATION_CACHE[key]
+    if n < 1 or not 0 < h < math.inf:
+        raise ValueError("need n >= 1 and finite h > 0")
+    ext = int(math.ceil(2.4 / h))
+    ball = RasterSet.from_predicate(
+        lambda *xs: sum(x**2 for x in xs) <= 1.0,
+        origin=[-1.2] * n,
+        extents=[ext] * n,
+        h=h,
+    )
+    surface = n * math.pi ** (n / 2) / math.gamma(1 + n / 2)  # n * omega_n
+    return perimeter(ball) / surface
 
 
 def seeded_bump_field(

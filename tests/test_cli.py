@@ -378,6 +378,16 @@ def test_one_dimensional_area_job_loads_no_scipy(tmp_path, name, key):
     assert key in read_report(tmp_path / "out")["results"]
 
 
+@pytest.mark.parametrize("n", [2, 3], ids=["disk", "ball"])
+def test_isodiametric_check_loads_no_scipy(n):
+    # the diameter comes from lattice-line extremes, with numpy alone
+    code = ("import sys, numpy as np; from gmtkit.grids import RasterSet; "
+            "from gmtkit.hausdorff import isodiametric_check; n = int(sys.argv[1]); "
+            "E = RasterSet.from_predicate(lambda *x: sum(t**2 for t in x) <= 1.0, [-1.0] * n, "
+            "[64] * n, 1 / 32); measure, bound = isodiametric_check(E); assert measure <= bound")
+    assert _scipy_modules_loaded(code, str(n)) == "[]"
+
+
 # ------------------------------------------------------------- fuzzed argv
 
 # every flag with values of its type, bad ones included; None leaves the

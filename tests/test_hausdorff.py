@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,29 @@ def test_omega_integer_values():
 def test_omega_rejects_negative():
     with pytest.raises(ValueError):
         hd.omega(-0.5)
+
+
+_CLOUD = hd.PointCloud(np.random.default_rng(0).random((64, 2)))
+_SQUARE = RasterSet(np.ones((4, 4), dtype=bool), [0.0, 0.0], 0.25)
+_NONFINITE = {
+    "omega": hd.omega,
+    "points": lambda v: hd.PointCloud([[0.5, v]]),
+    "box-scale": lambda v: hd.box_counts(_CLOUD, [0.25, v]),
+    "premeasure-s": lambda v: hd.premeasure_delta(_CLOUD, v, 0.5),
+    "premeasure-delta": lambda v: hd.premeasure_delta(_CLOUD, 1.0, v),
+    "refine-floor": lambda v: hd.premeasure_delta(_CLOUD, 1.0, 0.5, refine_floor=v),
+    "dimension-scale": lambda v: hd.dimension_estimate(_CLOUD, [0.5, 0.25, v, 0.0625]),
+    "linear-map": lambda v: hd.linear_image_measure_check(_SQUARE, [[1.0, v], [0.0, 1.0]]),
+    "lipschitz-constant": lambda v: hd.lipschitz_image_bound_check(
+        lambda p: p, v, _CLOUD, 1.0, 0.25),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", list(_NONFINITE), ids=list(_NONFINITE))
+def test_non_finite_input_is_a_value_error(call, value):
+    with pytest.raises(ValueError, match="finite"):
+        _NONFINITE[call](value)
 
 
 def test_point_cloud_csv_roundtrip(tmp_path):
@@ -222,13 +246,71 @@ def test_diameter_of_a_1d_raster_builds_no_pair_array():
 
 
 def test_diameter_of_a_collinear_raster_scans_pairs_in_blocks():
-    # the 2000 diagonal cells are collinear: the hull fails and every pair
-    # is scanned, a block of rows at a time
-    hd.raster_diameter(RasterSet(np.eye(100, dtype=bool), [0.0, 0.0], 0.01))  # loads scipy.spatial
     E = RasterSet(np.eye(2000, dtype=bool), [0.0, 0.0], 1 / 2000)
     d, peak = _traced_diameter(E)
     assert d == pytest.approx(math.sqrt(2), rel=1e-12)
     assert peak < 2**22
+
+
+def _brute_force_diameter(E):
+    """Every pair of true-cell centers, one coordinate at a time."""
+    c = E.true_centers()
+    d2 = sum((c[:, None, k] - c[None, :, k]) ** 2 for k in range(E.ndim))
+    return float(np.sqrt(d2).max()) + E.h * math.sqrt(E.ndim)
+
+
+@st.composite
+def _diameter_rasters(draw):
+    """Small masks on a random lattice: random bits, one cell, one row along
+    an axis, a full box, or the cells of one lattice line with steps in
+    -2..2 (collinear diagonals, slope-2 lines)."""
+    n = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, (16, 12, 6)[n - 1]), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["bits", "cell", "row", "box", "line"]))
+    mask = np.zeros(shape, dtype=bool)
+    if kind == "bits":
+        bits = draw(st.lists(st.booleans(), min_size=mask.size, max_size=mask.size))
+        mask = np.array(bits).reshape(shape)
+        mask.flat[draw(st.integers(0, mask.size - 1))] = True
+    elif kind == "cell":
+        mask[tuple(draw(st.integers(0, s - 1)) for s in shape)] = True
+    elif kind == "row":
+        axis = draw(st.integers(0, n - 1))
+        at = [draw(st.integers(0, s - 1)) for s in shape]
+        at[axis] = slice(None)
+        mask[tuple(at)] = True
+    elif kind == "box":
+        mask[:] = True
+    else:
+        step = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        start = np.where(step < 0, np.array(shape) - 1, 0)
+        count = min([(s - 1) // abs(v) + 1 for s, v in zip(shape, step) if v] or [1])
+        mask[tuple((start + np.arange(count)[:, None] * step).T)] = True
+    origin = draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))
+    h = draw(st.floats(1e-3, 10))
+    return RasterSet(mask, origin, h)
+
+
+@given(_diameter_rasters())
+@settings(max_examples=300, deadline=None)
+def test_raster_diameter_equals_all_pairs(E):
+    assert hd.raster_diameter(E) == _brute_force_diameter(E)
+
+
+def test_diameter_of_a_flat_plate_keeps_only_its_rim():
+    # a disk in one layer of a two-layer 3-D raster: its cells are coplanar,
+    # and only the cells on its rim are first or last on their lattice lines
+    disk = RasterSet.from_predicate(
+        lambda x, y: x**2 + y**2 <= 0.9, [-1.0, -1.0], [200, 200], 0.01
+    )
+    plate = RasterSet(np.stack([disk.mask, np.zeros_like(disk.mask)], axis=-1),
+                      [-1.0, -1.0, 0.0], 0.01)
+    start = time.perf_counter()
+    d = hd.raster_diameter(plate)
+    elapsed = time.perf_counter() - start
+    flat = hd.raster_diameter(disk) - 0.01 * math.sqrt(2)
+    assert d == pytest.approx(flat + 0.01 * math.sqrt(3), rel=1e-12)
+    assert elapsed < 1.0
 
 
 def test_lipschitz_image_bound():

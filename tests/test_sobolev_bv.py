@@ -188,6 +188,19 @@ def test_perimeter_disk_raw_vs_corrected():
     assert corrected == pytest.approx(true, rel=0.01)
 
 
+def test_perimeter_calibration_is_cached_per_lattice():
+    first = sb.perimeter_calibration(2, 1 / 64)
+    assert first == pytest.approx(4 / math.pi, rel=0.05)
+    assert sb.perimeter_calibration(2, 1 / 64) == first
+    assert sb.perimeter_calibration.cache_info().hits >= 1
+
+
+@pytest.mark.parametrize("n, h", [(0, 0.1), (2, 0.0), (2, -0.1), (2, math.nan), (2, math.inf)])
+def test_perimeter_calibration_rejects_bad_lattices(n, h):
+    with pytest.raises(ValueError, match="need n >= 1 and finite h > 0"):
+        sb.perimeter_calibration(n, h)
+
+
 def _full_grid_bump_field(f, seed, n_bumps=3):
     """seeded_bump_field from the public bump_value/bump_grad on every cell."""
     rng = np.random.default_rng(seed)
