@@ -365,6 +365,8 @@ def _simplex_preimages(
     pair, in simplex order (cell, then triangle), and the preimages,
     shape (pairs, k).
     """
+    if depth < 0:
+        raise ValueError(f"need at least one cell per axis (depth >= 0); got depth={depth}")
     k = phi.k
     m = 2**depth
     lo, hi = phi.domain_lo, phi.domain_hi
@@ -445,37 +447,22 @@ def _simplex_preimages(
     return y[hit], np.stack([x0, x1], axis=1)
 
 
-def _multiplicity_counts(
-    phi: ParametricMap, E: RasterSet | None, depth: int, y_axes: Sequence[np.ndarray]
-) -> np.ndarray:
-    """PL preimage counts at partition depth ``depth`` (``_simplex_preimages``)
-    for every y of the tensor grid ``y_axes[0] x ... x y_axes[n-1]``, as
-    an array of that shape."""
-    y, _ = _simplex_preimages(phi, E, depth, y_axes)
-    shape = tuple(len(ax) for ax in y_axes)
-    return np.bincount(y, minlength=math.prod(shape)).reshape(shape)
-
-
-def _preimage_integral(
+def _preimage_sums(
     phi: ParametricMap,
-    u: Callable[[np.ndarray], np.ndarray],
     E: RasterSet | None,
     depth: int,
     y_axes: Sequence[np.ndarray],
-    cell: float,
-) -> float:
-    """int sum_{x in Phi^-1(y) cap E} u(x) dy over the tensor y-grid
-    ``y_axes`` of cell volume ``cell``, the preimages those of the PL
-    interpolant at partition depth ``depth`` (``_simplex_preimages``)."""
+    u: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> np.ndarray:
+    """For every y of the tensor grid ``y_axes[0] x ... x y_axes[n-1]``, the
+    number of PL preimages at partition depth ``depth``
+    (``_simplex_preimages``), or with u the sum of u over them, as an
+    array of that shape; a y-grid integral is its whole sum times the
+    cell volume."""
     y, x = _simplex_preimages(phi, E, depth, y_axes)
-    weights = np.asarray(u(x), dtype=float).reshape(-1)
-    totals = np.bincount(y, weights=weights, minlength=math.prod(len(ax) for ax in y_axes))
-    # a running sum in row-major order, not numpy's pairwise sum, so the
-    # rounding is that of the plain per-y integral
-    integral = 0.0
-    for total in totals.tolist():
-        integral += total * cell
-    return integral
+    shape = tuple(len(ax) for ax in y_axes)
+    weights = None if u is None else np.asarray(u(x), dtype=float).reshape(-1)
+    return np.bincount(y, weights=weights, minlength=math.prod(shape)).reshape(shape)
 
 
 def multiplicity(
@@ -498,7 +485,7 @@ def multiplicity(
         raise ValueError(f"y must be a finite point of R^{phi.n}")
     counts = []
     for depth in depths:
-        counts.append(int(_multiplicity_counts(phi, E, depth, y[:, None]).sum()))
+        counts.append(int(_preimage_sums(phi, E, depth, y[:, None]).sum()))
         if len(counts) >= 2 and counts[-1] == counts[-2]:
             return MultiplicityProfile(y, tuple(counts), counts[-1], True)
     return MultiplicityProfile(y, tuple(counts), None, False)
@@ -524,11 +511,6 @@ def _y_grid(
     return [_centers_1d(y_lo[d], n_y, dy[d]) for d in range(phi.n)], float(np.prod(dy))
 
 
-def _y_grid_1d(phi: ParametricMap, n_y: int) -> tuple[np.ndarray, float]:
-    (ys,), dy = _y_grid(phi, n_y, 4096, 0.05)
-    return ys, dy
-
-
 def area_formula_with_multiplicity(
     phi: ParametricMap,
     E: RasterSet | None = None,
@@ -540,22 +522,26 @@ def area_formula_with_multiplicity(
 
     The lhs integrates ``multiplicity``'s PL preimage counts (a cell counts
     when min(Phi a, Phi b) <= y < max(Phi a, Phi b)) over a y-grid spanning
-    the observed image, at two depths (Richardson-free stabilization
-    check); the rhs is a midpoint sum of |Phi'|.  The counts are exact
-    off the critical values, a null set (Sard): a y-cell center on a turning
-    value is counted 0 times at a maximum and twice at a minimum.
+    the observed image, at depths ``depth`` and ``depth - 1``
+    (Richardson-free stabilization check, so depth below 1 is a
+    ValueError), as the whole-grid sum times dy; the rhs is a midpoint sum
+    of |Phi'|.  The counts are exact off the critical values, a null set
+    (Sard): a y-cell center on a turning value is counted 0 times at a
+    maximum and twice at a minimum.
     """
     if phi.k != 1 or phi.n != 1:
         raise ValueError("the two-sided area formula is implemented for k = n = 1")
-    ys, dy = _y_grid_1d(phi, n_y)
-    counts = _multiplicity_counts(phi, E, depth, [ys])
-    counts_prev = _multiplicity_counts(phi, E, depth - 1, [ys])
+    if depth < 1:
+        raise ValueError(f"need at least one partition level below depth; got depth={depth}")
+    y_axes, dy = _y_grid(phi, n_y, 4096, 0.05)
+    counts = _preimage_sums(phi, E, depth, y_axes)
+    counts_prev = _preimage_sums(phi, E, depth - 1, y_axes)
     disagree = float(np.mean(counts != counts_prev))
     if disagree > 0.05:
         raise NonConvergenceError(
             f"multiplicity unstable on {disagree:.0%} of the y-grid"
         )
-    lhs = float(counts.sum() * dy)
+    lhs = float(counts.sum()) * dy
     rhs = _cell_sum(phi, E, m_cells)
     return lhs, rhs
 
@@ -578,9 +564,12 @@ def change_of_variables(
     The rhs sums u over the preimages of each y of a y-grid under the PL
     interpolant of Phi (half-open simplices, ties broken as for
     y + (eps, eps^2), so a y on a vertex or edge image is counted once per
-    sheet and a critical value, a null set, gets an arbitrary count); it
-    is the same engine as ``multiplicity`` and ``jacobian_l1_check``'s
-    multiplicity integral, so it needs no injectivity flag.  For k = 1 the
+    sheet and a critical value, a null set, gets an arbitrary count), and
+    integrates as the whole-grid sum of those totals times the y-cell
+    volume.  It is the same engine and the same sum as ``multiplicity``'s
+    counts, so it needs no injectivity flag, and with u = 1 it equals the
+    multiplicity integral on the same grid bit for bit (for k = 1,
+    ``area_formula_with_multiplicity``'s lhs).  For k = 1 the
     scan runs at partition depth ``depth`` on ``n_y`` y-cells spanning the
     observed image (plus 5 % per side).  For k = 2 it runs at depth 9 (the
     lhs's default 512 cells per axis) on a 128 x 128 y-grid spanning the
@@ -596,11 +585,12 @@ def change_of_variables(
         )
     if phi.k == 1:
         lhs = _cell_sum(phi, E, m_cells, u)
-        ys, dy = _y_grid_1d(phi, n_y)
-        return lhs, _preimage_integral(phi, u, E, depth, [ys], dy)
-    lhs = _cell_sum(phi, E, int(round(math.sqrt(m_cells))) if m_cells > 4096 else 512, u)
-    y_axes, cell = _y_grid(phi, 128, 256, 0.02)
-    return lhs, _preimage_integral(phi, u, E, 9, y_axes, cell)
+        y_axes, cell = _y_grid(phi, n_y, 4096, 0.05)
+    else:
+        lhs = _cell_sum(phi, E, int(round(math.sqrt(m_cells))) if m_cells > 4096 else 512, u)
+        y_axes, cell = _y_grid(phi, 128, 256, 0.02)
+        depth = 9
+    return lhs, float(_preimage_sums(phi, E, depth, y_axes, u).sum()) * cell
 
 
 def jacobian_l1_check(
@@ -610,11 +600,12 @@ def jacobian_l1_check(
 
     For k = 1 both sides are ``area_formula_with_multiplicity``'s, swapped.
     For k = 2 the lhs is a midpoint sum on sqrt(m_cells) cells per axis and
-    the rhs is ``change_of_variables``'s preimage integral with u = 1 at
-    partition depth 7 on a 64 x 64 y-grid spanning the image (plus 2 % per
-    side): N at each y is the PL preimage count of ``multiplicity``, ties
-    broken as for y + (eps, eps^2); it is exact off the critical values
-    (z^2 at 0 counts 2).
+    the rhs is the whole-grid sum of the counts N, times the y-cell area,
+    on a 64 x 64 y-grid spanning the image (plus 2 % per side) at
+    partition depth 7; ``change_of_variables`` with u = 1 integrates the
+    same way.  N at each y is the PL preimage count of ``multiplicity``,
+    ties broken as for y + (eps, eps^2); it is exact off the critical
+    values (z^2 at 0 counts 2).
     """
     if phi.k != phi.n:
         raise ValueError("needs k = n")
@@ -625,4 +616,4 @@ def jacobian_l1_check(
         raise ValueError("implemented for k = n <= 2")
     lhs = _cell_sum(phi, E, int(round(math.sqrt(m_cells))))
     y_axes, cell = _y_grid(phi, 64, 256, 0.02)
-    return lhs, _preimage_integral(phi, lambda p: np.ones(len(p)), E, 7, y_axes, cell)
+    return lhs, float(_preimage_sums(phi, E, 7, y_axes).sum()) * cell

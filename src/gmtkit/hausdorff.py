@@ -170,10 +170,14 @@ class DimensionEstimate:
 
 
 def omega(s: float) -> float:
-    """Volume of the unit ball: pi^(s/2) / Gamma(1 + s/2), any real s >= 0."""
+    """Volume of the unit ball: pi^(s/2) / Gamma(1 + s/2), any real s >= 0;
+    through log Gamma where Gamma overflows, from about s = 341.25."""
     if not 0 <= s < math.inf:
         raise ValueError("omega is defined for finite s >= 0")
-    return math.pi ** (s / 2) / math.gamma(1 + s / 2)
+    try:
+        return math.pi ** (s / 2) / math.gamma(1 + s / 2)
+    except OverflowError:
+        return math.exp(s / 2 * math.log(math.pi) - math.lgamma(1 + s / 2))
 
 
 def _distinct_rows(idx: np.ndarray) -> int:

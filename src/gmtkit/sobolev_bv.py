@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import RegimeError
 from .grids import GridFunction, RasterSet
+from .hausdorff import omega
 from .pointwise import gradient_fd
 from .smoothing import _lattice_bump
 
@@ -215,8 +216,7 @@ def perimeter_calibration(n: int, h: float) -> float:
         extents=[ext] * n,
         h=h,
     )
-    surface = n * math.pi ** (n / 2) / math.gamma(1 + n / 2)  # n * omega_n
-    return perimeter(ball) / surface
+    return perimeter(ball) / (n * omega(n))
 
 
 def seeded_bump_field(

@@ -460,22 +460,23 @@ def _partition_vertices(phi, depth):
 def _preimage_sum_per_y(phi, u, E, n_y, depth):
     """Reference rhs of the 1-D change of variables, one y and one cell at a
     time: cell [a, b] holds a preimage of y when min(Phi a, Phi b) <= y <
-    max(Phi a, Phi b), the linear interpolate; sums run left to right."""
-    ys, dy = ar._y_grid_1d(phi, n_y)
+    max(Phi a, Phi b), the linear interpolate; each y's sum runs left to
+    right, and the integral is the whole sum of the per-y totals times dy."""
+    (ys,), dy = ar._y_grid(phi, n_y, 4096, 0.05)
     (corners,) = _partition_vertices(phi, depth)
     step = (phi.domain_hi[0] - phi.domain_lo[0]) / 2**depth
     vals = phi(corners[:, None])[:, 0].tolist()
     centers = 0.5 * (corners[:-1] + corners[1:])
     member = [True] * len(centers) if E is None else E.contains(centers[:, None]).tolist()
-    rhs = 0.0
+    totals = []
     for y in ys.tolist():
         total = 0.0
         for i, (fa, fb) in enumerate(zip(vals[:-1], vals[1:])):
             if member[i] and min(fa, fb) <= y < max(fa, fb):
                 x = corners[i] + (y - fa) / (fb - fa) * step
                 total += float(u(np.array([[x]]))[0])
-        rhs += total * dy
-    return rhs
+        totals.append(total)
+    return float(np.sum(totals)) * dy
 
 
 @pytest.mark.parametrize("laps", [3, 5])
@@ -544,10 +545,20 @@ def test_two_dimensional_change_of_variables_rhs_error(phi, u, E, exact, bound):
                          ids=["polar", "z2"])
 def test_two_dimensional_change_of_variables_of_one_is_multiplicity_integral(phi):
     y_axes, cell = ar._y_grid(phi, 128, 256, 0.02)
-    want = 0.0
-    for c in ar._multiplicity_counts(phi, None, 9, y_axes).ravel().tolist():
-        want += c * cell
+    want = float(ar._preimage_sums(phi, None, 9, y_axes).sum()) * cell
     assert ar.change_of_variables(phi, lambda p: np.ones(len(p)))[1] == want
+
+
+@pytest.mark.parametrize("n_y", [256, 4096])
+@pytest.mark.parametrize("name, params", [
+    ("fold", {"laps": 2}), ("fold", {"laps": 3}), ("fold", {"laps": 5}), ("square", {}),
+])
+def test_one_dimensional_change_of_variables_of_one_is_multiplicity_integral(name, params, n_y):
+    # u = 1 sums the same preimages as the counts, so both integrals are
+    # the same whole-grid sum, bit for bit
+    phi = ar.builtin_map(name, **params)
+    lhs, _ = ar.area_formula_with_multiplicity(phi, n_y=n_y)
+    assert ar.change_of_variables(phi, lambda p: np.ones(len(p)), n_y=n_y)[1] == lhs
 
 
 def test_jacobian_l1_identity_map():
@@ -699,7 +710,7 @@ def test_multiplicity_grid_matches_per_point_scan(name, restricted):
     axes = _with_vertex_images(
         phi, depth, [rng.uniform(*y_range, count) for _ in range(phi.n)], rng
     )
-    got = ar._multiplicity_counts(phi, E, depth, axes)
+    got = ar._preimage_sums(phi, E, depth, axes)
     want = np.array(_pl_counts(phi, E, depth, list(itertools.product(*axes)))).reshape(got.shape)
     assert np.array_equal(got, want)
     assert want.max() >= 1
@@ -718,14 +729,14 @@ def test_one_dimensional_counts_match_dense_run_starts(name, params, restricted,
     E = FOLD_FRAGMENTS if restricted else None
     rng = np.random.default_rng(n_y)
     for depth in (11, 12):
-        ys = _with_vertex_images(phi, depth, [ar._y_grid_1d(phi, n_y)[0]], rng, count=32)[0]
+        ys = _with_vertex_images(phi, depth, ar._y_grid(phi, n_y, 4096, 0.05)[0], rng, count=32)[0]
         (corners,) = _partition_vertices(phi, depth)
         vals = phi(corners[:, None])[:, 0]
         lo, hi = np.minimum(vals[:-1], vals[1:]), np.maximum(vals[:-1], vals[1:])
         hits = (ys[:, None] >= lo) & (ys[:, None] < hi)
         if E is not None:
             hits &= E.contains(0.5 * (corners[:-1] + corners[1:])[:, None])
-        assert np.array_equal(ar._multiplicity_counts(phi, E, depth, [ys]), hits.sum(axis=1))
+        assert np.array_equal(ar._preimage_sums(phi, E, depth, [ys]), hits.sum(axis=1))
 
 
 @pytest.mark.parametrize("shear", [0.0, 0.7], ids=["identity", "shear"])
@@ -806,10 +817,14 @@ def test_raster_of_wrong_dimension_is_rejected(call):
         lambda: ar.change_of_variables(ar.builtin_map("polar"), lambda p: p[:, 0], m_cells=-7),
         lambda: ar.change_of_variables(ar.builtin_map("polar"), lambda p: p[:, 0], n_y=-7),
         lambda: ar.change_of_variables(ar.builtin_map("polar"), lambda p: p[:, 0], depth=0),
+        lambda: ar.area_formula_with_multiplicity(ar.builtin_map("fold"), depth=0),
+        lambda: ar.area_formula_with_multiplicity(ar.builtin_map("fold"), depth=-3),
+        lambda: ar.multiplicity(ar.builtin_map("fold"), [0.3], depths=[-1]),
     ],
     ids=["surface-m0", "surface-m-2", "curve-nodes0", "area-formula-ny0", "area-formula-ny-5",
          "cov-1d-m0", "cov-1d-ny0", "jacobian-l1-polar-m0", "cov-1d-depth0", "cov-2d-m-7",
-         "cov-2d-ny-7", "cov-2d-depth0"],
+         "cov-2d-ny-7", "cov-2d-depth0", "area-formula-depth0", "area-formula-depth-3",
+         "multiplicity-depth-1"],
 )
 def test_non_positive_cell_counts_are_rejected(call):
     with pytest.raises(ValueError, match="at least one"):

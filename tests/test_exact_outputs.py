@@ -38,11 +38,11 @@ def _polar_half_disk_raster():
 
 def test_jacobian_l1_exact():
     assert ar.jacobian_l1_check(ar.builtin_map("polar")) == (
-        3.141592653589793, 3.1601201256034352
+        3.141592653589793, 3.160120125603282
     )
-    assert ar.jacobian_l1_check(Z_SQUARED) == (10.6640625, 10.663736003075504)
+    assert ar.jacobian_l1_check(Z_SQUARED) == (10.6640625, 10.66373600307574)
     assert ar.jacobian_l1_check(ar.builtin_map("polar"), E=_polar_half_disk_raster()) == (
-        0.7370777685790506, 0.764681474243562
+        0.7370777685790506, 0.7646814742435749
     )
 
 
@@ -123,10 +123,10 @@ def test_one_dimensional_multiplicity_scans_exact():
     )
     fold2 = ar.builtin_map("fold", laps=2)
     assert ar.change_of_variables(fold2, lambda p: p[:, 0], n_y=1024) == (
-        1.0, 0.9998534321581029
+        1.0, 0.9998534321581198
     )
     assert ar.change_of_variables(fold2, lambda p: p[:, 0], E=E, n_y=1024) == (
-        0.36011719703674316, 0.360634548634397
+        0.36011719703674316, 0.3606345486343966
     )
 
 
@@ -167,9 +167,9 @@ def test_linear_image_measure_shear_exact():
 def test_two_dimensional_change_of_variables_exact():
     polar = ar.builtin_map("polar")
     u = lambda p: p[:, 0] ** 2
-    assert ar.change_of_variables(polar, u) == (1.5707933307386701, 1.5703753641633005)
+    assert ar.change_of_variables(polar, u) == (1.5707933307386701, 1.5703753641632956)
     assert ar.change_of_variables(polar, u, E=_polar_half_disk_raster()) == (
-        0.09072593911095791, 0.09025377340945266
+        0.09072593911095791, 0.09025377340945248
     )
 
 

@@ -48,6 +48,14 @@ def test_non_finite_input_is_a_value_error(call, value):
         _NONFINITE[call](value)
 
 
+def test_omega_past_the_gamma_overflow():
+    # Gamma(1 + s/2) overflows from about s = 341.25; omega is tiny there
+    assert hd.omega(341) == math.pi ** 170.5 / math.gamma(171.5)
+    assert hd.omega(342) == 8.295644363831656e-225
+    assert hd.omega(400) == 3.4126040259155525e-276
+    assert isinstance(hd.premeasure_delta(_CLOUD, 400, 0.5), float)
+
+
 def test_point_cloud_csv_roundtrip(tmp_path):
     cloud = hd.PointCloud(np.array([[0.0, 1.0], [2.0, 3.0]]))
     p = tmp_path / "c.csv"
