@@ -558,7 +558,7 @@ def change_of_variables(
     for k = n <= 2.
 
     The lhs is a midpoint sum of u J(Phi): ``m_cells`` cells for k = 1;
-    for k = 2, sqrt(m_cells) cells per axis when m_cells > 4096, else 512.
+    for k = 2, max(512, round(sqrt(m_cells))) cells per axis.
     It calls u once per block of cells (``_cell_sum``), so u must be
     pointwise: row i of its (N,) result depends on row i of the points only.
     The rhs sums u over the preimages of each y of a y-grid under the PL
@@ -587,7 +587,7 @@ def change_of_variables(
         lhs = _cell_sum(phi, E, m_cells, u)
         y_axes, cell = _y_grid(phi, n_y, 4096, 0.05)
     else:
-        lhs = _cell_sum(phi, E, int(round(math.sqrt(m_cells))) if m_cells > 4096 else 512, u)
+        lhs = _cell_sum(phi, E, max(512, round(math.sqrt(m_cells))), u)
         y_axes, cell = _y_grid(phi, 128, 256, 0.02)
         depth = 9
     return lhs, float(_preimage_sums(phi, E, depth, y_axes, u).sum()) * cell

@@ -1,10 +1,11 @@
-"""Batch command-line front end.
+"""Batch command-line front end: ``gmtkit <command> [flags]``.
 
-Loads grids, point clouds, measures and map definitions from files,
-dispatches to the library, and writes a versioned JSON (or CSV) report
-plus optional standalone SVG plots.  All randomness flows from a single
---seed flag, so identical configs produce identical outputs; the one
-timestamp field can be disabled for byte-stable runs.
+COMMANDS drives each run: the command name is parsed first, then a parser
+built for that command's flags alone (``gmtkit -h`` lists the commands,
+``gmtkit <command> -h`` the flags); each --input file is read as the kind
+the table names before the handler runs.  A run writes a versioned JSON
+(or CSV) report plus optional SVG plots.  All randomness flows from
+--seed; --no-timestamp drops the one timestamp field for byte-stable runs.
 
 Exit codes: 0 success, 1 validation error (argv usage errors and every
 library input error, i.e. any ValueError, included), 2 numerical
@@ -56,36 +57,42 @@ def _parse_floats(text: str, count: int | None = None) -> list[float]:
 def _parse_scales(text: str) -> np.ndarray:
     """'a..b' -> dyadic scales 2^-a .. 2^-b."""
     try:
-        a, b = text.split("..")
-        return hd.default_scales(int(a), int(b))
+        a, b = map(int, text.split(".."))
     except (ValueError, TypeError) as exc:
         raise ValidationFailure(f"bad --scales {text!r}; expected 'a..b'") from exc
+    return hd.default_scales(a, b)
 
 
-def _load(path: str, kind: str, parse):
-    """``parse(path)`` of one input file; a missing or empty file, and any
-    parse failure, is a ValidationFailure naming the file and its ``kind``."""
+# each --input kind's reader; it looks its class up per call, not at import
+_READERS = {
+    "measure JSON": lambda p: ms.AtomicMeasure.from_json(p.read_text()),
+    "IFS JSON": lambda p: hd.IfsSystem.from_json(p.read_text()),
+    "point CSV": lambda p: hd.PointCloud.from_csv(p),
+    "raster CSV": lambda p: RasterSet.from_csv(p),
+    "grid CSV": lambda p: GridFunction.from_csv(p),
+}
+
+
+def _load(path: str, kind: str):
+    """One input file read as ``kind`` ("IFS JSON or point CSV": by suffix); a missing
+    or empty file, or a parse failure, is a ValidationFailure naming the kind read."""
     p = Path(path)
     if not p.is_file():
         raise ValidationFailure(f"input file not found: {path}")
     if p.stat().st_size == 0:
         raise ValidationFailure(f"input file is empty: {path}")
+    if kind == "IFS JSON or point CSV":
+        kind = "IFS JSON" if p.suffix == ".json" else "point CSV"
     try:
-        return parse(p)
+        return _READERS[kind](p)
     except Exception as exc:
         raise ValidationFailure(f"cannot parse {kind} {path}: {exc}") from exc
-
-
-def _load_grid(path: str) -> GridFunction:
-    return _load(path, "grid CSV", GridFunction.from_csv)
 
 
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_measure(args) -> dict:
-    mu = _load(args.input[0], "measure JSON",
-               lambda p: ms.AtomicMeasure.from_json(p.read_text()))
+def _cmd_measure(args, mu: ms.AtomicMeasure) -> dict:
     result = {
         "atoms": list(mu.atoms),
         "m": mu.m,
@@ -102,14 +109,8 @@ def _cmd_measure(args) -> dict:
     return result
 
 
-def _cmd_dim(args) -> dict:
-    scales = _parse_scales(args.scales)
-    path = args.input[0]
-    if Path(path).suffix == ".json":
-        obj = _load(path, "IFS JSON", lambda p: hd.IfsSystem.from_json(p.read_text()))
-    else:
-        obj = _load(path, "point CSV", hd.PointCloud.from_csv)
-    est = hd.dimension_estimate(obj, scales)
+def _cmd_dim(args, obj: hd.IfsSystem | hd.PointCloud) -> dict:
+    est = hd.dimension_estimate(obj, _parse_scales(args.scales))
     return {
         "slope": est.slope,
         "intercept": est.intercept,
@@ -120,8 +121,7 @@ def _cmd_dim(args) -> dict:
     }
 
 
-def _cmd_density(args) -> dict:
-    E = _load(args.input[0], "raster CSV", RasterSet.from_csv)
+def _cmd_density(args, E: RasterSet) -> dict:
     x = _parse_floats(args.point, E.ndim)
     report = pw.density(E, x)
     return {
@@ -133,8 +133,7 @@ def _cmd_density(args) -> dict:
     }
 
 
-def _cmd_mollify(args) -> dict:
-    f = _load_grid(args.input[0])
+def _cmd_mollify(args, f: GridFunction) -> dict:
     kernel = sm.make_standard_mollifier(f.ndim, args.eps)
     out = sm.mollify(f, kernel)
     out_path = Path(args.output) / "mollified.csv"
@@ -148,15 +147,13 @@ def _cmd_mollify(args) -> dict:
     }
 
 
-def _cmd_weakdiff(args) -> dict:
-    f, g = (_load_grid(path) for path in args.input)
+def _cmd_weakdiff(args, f: GridFunction, g: GridFunction) -> dict:
     battery = sm.TestFunctionBattery.seeded(*f._box(), seed=args.seed)
     residual = sm.weak_derivative_residual(f, g, args.axis, battery)
     return {"axis": args.axis, "residual": residual, "battery_size": battery.count}
 
 
-def _cmd_sobolev(args) -> dict:
-    f = _load_grid(args.input[0])
+def _cmd_sobolev(args, f: GridFunction) -> dict:
     p = args.p
     rep = sb.sobolev_norm(f, p)
     result = {
@@ -183,8 +180,7 @@ def _cmd_sobolev(args) -> dict:
     return result
 
 
-def _cmd_bv(args) -> dict:
-    f = _load_grid(args.input[0])
+def _cmd_bv(args, f: GridFunction) -> dict:
     if f.ndim == 1:
         dec = sb.decompose_1d(f.values, h=f.h)
         return {
@@ -215,24 +211,25 @@ def _cmd_area(args) -> dict:
 
 
 class Command(NamedTuple):
-    """A subcommand: its handler, how many --input files it takes, the flags
-    it reads besides _COMMON, and its plot kind (None: it takes no --plot)."""
+    """A subcommand: its handler, the kind of each --input file in order
+    (the handler takes the args and those files, loaded), the flags it reads
+    besides _COMMON, and its plot kind (None: it takes no --plot)."""
 
-    handler: Callable[[argparse.Namespace], dict]
-    inputs: int
+    handler: Callable[..., dict]
+    inputs: tuple[str, ...]
     flags: tuple[str, ...] = ()
     plot: str | None = None
 
 
 COMMANDS = {
-    "measure": Command(_cmd_measure, 1),
-    "dim": Command(_cmd_dim, 1, ("--scales",), plot="loglog"),
-    "density": Command(_cmd_density, 1, ("--point",)),
-    "mollify": Command(_cmd_mollify, 1, ("--eps",)),
-    "weakdiff": Command(_cmd_weakdiff, 2, ("--axis",)),
-    "sobolev": Command(_cmd_sobolev, 1, ("--p",)),
-    "bv": Command(_cmd_bv, 1, plot="levels"),
-    "area": Command(_cmd_area, 0, ("--map", "--range")),
+    "measure": Command(_cmd_measure, ("measure JSON",)),
+    "dim": Command(_cmd_dim, ("IFS JSON or point CSV",), ("--scales",), plot="loglog"),
+    "density": Command(_cmd_density, ("raster CSV",), ("--point",)),
+    "mollify": Command(_cmd_mollify, ("grid CSV",), ("--eps",)),
+    "weakdiff": Command(_cmd_weakdiff, ("grid CSV", "grid CSV"), ("--axis",)),
+    "sobolev": Command(_cmd_sobolev, ("grid CSV",), ("--p",)),
+    "bv": Command(_cmd_bv, ("grid CSV",), plot="levels"),
+    "area": Command(_cmd_area, (), ("--map", "--range")),
 }
 
 
@@ -387,16 +384,21 @@ _FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per COMMANDS entry; flags follow the command."""
-    parser = _Parser(prog="gmtkit", description="Batch front end for the gmtkit analysis library.")
-    commands = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, command in COMMANDS.items():
-        sub = commands.add_parser(name)
-        plot = ("--plot",) if command.plot else ()
-        for flag in _COMMON + command.flags + plot:
-            sub.add_argument(flag, **_FLAGS[flag])
-    return parser
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The command name, then a parser built for that command's flags alone."""
+    top = _Parser(prog="gmtkit", description="Batch front end for the gmtkit analysis library.")
+    top.add_argument("command", choices=COMMANDS, metavar="command", help=", ".join(COMMANDS))
+    rest = top.add_argument("flags", nargs=argparse.REMAINDER, help="see gmtkit <command> -h")
+    rest.required = False  # "gmtkit" alone lacks only the command
+    first = top.parse_args(argv)
+    command = COMMANDS[first.command]
+    parser = _Parser(prog=f"gmtkit {first.command}")
+    for flag in _COMMON + command.flags + (("--plot",) if command.plot else ()):
+        parser.add_argument(flag, **_FLAGS[flag])
+    args, unread = parser.parse_known_args(first.flags, argparse.Namespace(command=first.command))
+    if unread:
+        top.error(f"unrecognized arguments: {' '.join(unread)}")
+    return args
 
 
 def _argv_output(argv: list[str]) -> Path:
@@ -412,7 +414,7 @@ def _argv_output(argv: list[str]) -> Path:
 def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
     except ValidationFailure as exc:
         _write_error(_argv_output(argv), "validation", str(exc))
         return EXIT_VALIDATION
@@ -420,16 +422,13 @@ def run(argv: list[str] | None = None) -> int:
     command = COMMANDS[args.command]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if len(args.input) != command.inputs:
-            raise ValidationFailure(f"{args.command} takes {command.inputs} --input file(s), "
+        if len(args.input) != len(command.inputs):
+            raise ValidationFailure(f"{args.command} takes {len(command.inputs)} --input file(s), "
                                     f"got {len(args.input)}")
-        results = command.handler(args)
-        report = {
-            "schema": SCHEMA,
-            "command": args.command,
-            "seed": args.seed,
-            "results": results,
-        }
+        inputs = [_load(path, kind) for path, kind in zip(args.input, command.inputs)]
+        results = command.handler(args, *inputs)
+        report = {"schema": SCHEMA, "command": args.command, "seed": args.seed,
+                  "results": results}
         if not args.no_timestamp:
             report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
         # the plot goes first: a report that cannot be plotted (1-D bv has

@@ -262,7 +262,11 @@ def premeasure_delta(
 
 
 def default_scales(k_min: int = 3, k_max: int = 10) -> np.ndarray:
-    """Dyadic scale schedule 2^-k, k = k_min..k_max, decreasing."""
+    """Dyadic scale schedule 2^-k, k = k_min..k_max, decreasing; k_min and
+    k_max must lie in [-1023, 1074], where 2^-k is a positive finite double."""
+    if min(k_min, k_max) < -1023 or max(k_min, k_max) > 1074:
+        raise ValueError(f"scale exponents must lie in [-1023, 1074] (2^-k a positive finite "
+                         f"double); got k = {k_min}..{k_max}")
     return 2.0 ** (-np.arange(k_min, k_max + 1))
 
 

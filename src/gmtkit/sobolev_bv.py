@@ -306,10 +306,13 @@ def decompose_1d(
     peeled off iteratively, largest first.  Of the remaining increments,
     those with difference quotients beyond 10x the 90th percentile go to
     the singular part; the rest integrate into the absolutely continuous
-    part.  The three parts sum to f - f(first sample) exactly.
+    part.  The three parts sum to f - f(first sample) exactly.  Fewer than
+    2 samples is a ValueError, as in ``variation_1d``.
     """
     f = np.asarray(samples, dtype=float)
     N = f.size
+    if N < 2:
+        raise ValueError("need at least 2 samples")
     if h is None:
         h = 1.0 / N
     d = np.diff(f)

@@ -541,6 +541,16 @@ def test_two_dimensional_change_of_variables_rhs_error(phi, u, E, exact, bound):
     assert abs(rhs - want) <= bound * want
 
 
+def test_two_dimensional_lhs_is_no_coarser_above_the_default_cell_count():
+    # 512 cells per axis at m_cells <= 4096; above, round(sqrt(m_cells))
+    # cells per axis, so 4097 gave 64 per axis and an error 64 times larger
+    phi, u = ar.builtin_map("polar"), lambda p: p[:, 0] ** 2
+    err = {m: abs(ar.change_of_variables(phi, u, m_cells=m)[0] - math.pi / 2)
+           for m in (4096, 4097, 16384)}
+    assert err[4096] < 4e-6
+    assert err[4097] <= err[4096] and err[16384] <= err[4096]
+
+
 @pytest.mark.parametrize("phi", [ar.builtin_map("polar"), z_squared_map([-1.0, -1.0], [1.0, 1.0])],
                          ids=["polar", "z2"])
 def test_two_dimensional_change_of_variables_of_one_is_multiplicity_integral(phi):

@@ -328,6 +328,51 @@ def test_dim_checks_scales_before_building_the_attractor(tmp_path):
     assert message == "at least 4 scales are required"
 
 
+def test_dim_scales_past_the_double_range_write_error_json(tmp_path):
+    ifs = tmp_path / "cantor.json"
+    ifs.write_text(cantor_ifs_json(depth=4))
+    out = tmp_path / "out"
+    code = cli.run(["dim", "--input", str(ifs), "--scales", "3..9999999999", "--output", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    assert "[-1023, 1074]" in json.loads((out / "error.json").read_text())["error"]["message"]
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1)], ids=["1-D", "2-D"])
+@pytest.mark.parametrize("command, flags", [
+    ("bv", []), ("bv", ["--plot", "svg"]), ("sobolev", ["--p", "1"]), ("sobolev", ["--p", "3"]),
+    ("mollify", ["--eps", "0.25"]), ("weakdiff", []),
+])
+def test_one_cell_grid_keeps_the_exit_code_contract(tmp_path, shape, command, flags):
+    grid = tmp_path / "one.csv"
+    GridFunction(np.full(shape, 1.5), [0.0] * len(shape), 0.1).to_csv(grid)
+    inputs = [grid, grid] if command == "weakdiff" else [grid]
+    out = tmp_path / "out"
+    code = cli.run([command, *(a for p in inputs for a in ("--input", str(p))), *flags,
+                    "--output", str(out)])
+    assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NONCONVERGENCE)
+    assert (out / "error.json").exists() == (code != cli.EXIT_OK)
+
+
+@pytest.mark.parametrize("command, flags, names, kind", [
+    ("measure", [], ["garbage.json"], "measure JSON"),
+    ("dim", [], ["garbage.json"], "IFS JSON"),
+    ("dim", [], ["garbage.csv"], "point CSV"),
+    ("density", ["--point", "0.5,0.5"], ["garbage.csv"], "raster CSV"),
+    ("mollify", ["--eps", "0.25"], ["garbage.csv"], "grid CSV"),
+    ("weakdiff", [], ["grid2.csv", "garbage.csv"], "grid CSV"),
+    ("sobolev", [], ["garbage.csv"], "grid CSV"),
+    ("bv", [], ["garbage.csv"], "grid CSV"),
+])
+def test_an_unreadable_input_names_the_kind_it_was_read_as(fuzz_files, command, flags, names,
+                                                           kind):
+    out = Path(tempfile.mkdtemp(dir=fuzz_files))
+    argv = [command, *(a for name in names for a in ("--input", str(fuzz_files / name)))]
+    assert cli.run([*argv, *flags, "--output", str(out)]) == cli.EXIT_VALIDATION
+    message = json.loads((out / "error.json").read_text())["error"]["message"]
+    assert message.startswith(f"cannot parse {kind} {fuzz_files / names[-1]}: ")
+
+
 def test_dim_refuses_lattice_csv(tmp_path):
     grid = tmp_path / "grid2.csv"
     GridFunction.from_callable(lambda x, y: np.sin(3 * x) * y, [0, 0], [16, 16], 1 / 16).to_csv(grid)
@@ -495,10 +540,18 @@ def _refuse_constant(name):
     raise AssertionError(f"report.json holds {name}, which is not JSON")
 
 
+# the kind the command table names for each valid fuzz input
+FUZZ_KINDS = {"mu.json": "measure JSON", "ifs.json": "IFS JSON or point CSV",
+              "cloud.csv": "IFS JSON or point CSV", "raster.csv": "raster CSV",
+              "grid1.csv": "grid CSV", "grid2.csv": "grid CSV"}
+
+
 def test_command_table_matches_the_fuzz_table():
-    stated = {command: (len(inputs[0]), sorted(flags))
+    stated = {command: ({tuple(FUZZ_KINDS[name] for name in names) for names in inputs},
+                        sorted(flags))
               for command, (inputs, flags) in FUZZ_COMMANDS.items() if command != "nope"}
-    table = {name: (command.inputs, sorted(command.flags + (("--plot",) if command.plot else ())))
+    table = {name: ({command.inputs},
+                    sorted(command.flags + (("--plot",) if command.plot else ())))
              for name, command in cli.COMMANDS.items()}
     assert table == stated
     assert {name: c.plot for name, c in cli.COMMANDS.items() if c.plot} == {"dim": "loglog",
@@ -532,6 +585,27 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(fuzz_files, command):
         assert code == cli.EXIT_VALIDATION, extra
         assert sorted(p.name for p in out.iterdir()) == ["error.json"], extra
         assert extra[0] in json.loads((out / "error.json").read_text())["error"]["message"]
+
+
+def test_a_run_builds_only_its_own_command_parser(tmp_path, monkeypatch):
+    own = ("--input", "--output", "--seed", "--format", "--no-timestamp", "--map", "--range")
+    monkeypatch.setattr(cli, "_FLAGS", {flag: cli._FLAGS[flag] for flag in own})
+    out = tmp_path / "out"
+    assert cli.run(["area", "--map", "helix", "--output", str(out)]) == cli.EXIT_OK
+    assert "length" in read_report(out)["results"]
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["-h"], "usage: gmtkit [-h] command ..."),
+    (["--help"], "usage: gmtkit [-h] command ..."),
+    (["area", "-h"], "usage: gmtkit area [-h] [--input INPUT]"),
+    (["dim", "--help"], "usage: gmtkit dim [-h] [--input INPUT]"),
+])
+def test_help_prints_usage_and_exits_0(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(usage)
 
 
 def test_a_flag_before_the_command_is_a_usage_error(tmp_path):

@@ -188,6 +188,19 @@ def test_dimension_requires_enough_scales():
         hd.dimension_estimate(cloud, [0.5, 0.25])
 
 
+@pytest.mark.parametrize("k_min, k_max", [(3, 1075), (-1024, 3)])
+def test_default_scales_rejects_exponents_past_the_double_range(k_min, k_max):
+    with pytest.raises(ValueError, match=r"\[-1023, 1074\]"):
+        hd.default_scales(k_min, k_max)
+
+
+def test_default_scales_reach_both_ends_of_the_double_range():
+    scales = hd.default_scales(-1023, 1074)
+    assert scales.size == 2098
+    assert scales[0] == 2.0 ** 1023 and scales[-1] == math.ldexp(1.0, -1074)
+    assert np.all(np.isfinite(scales)) and np.all(scales > 0)
+
+
 def test_lebesgue_measure_box():
     E = RasterSet.from_predicate(
         lambda x, y: (x < 0.5) & (y < 0.25), [0.0, 0.0], [64, 64], 1 / 64

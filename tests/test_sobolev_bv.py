@@ -285,6 +285,12 @@ def test_decompose_pure_jumps():
     assert np.abs(dec.cantor_part).max() == 0.0
 
 
+@pytest.mark.parametrize("samples", [[], [1.0]], ids=["empty", "one"])
+def test_decompose_needs_two_samples(samples):
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        sb.decompose_1d(samples)
+
+
 def test_decompose_cantor_all_singular():
     N = 4096
     x = (np.arange(N) + 0.5) / N
