@@ -265,8 +265,8 @@ def _write_report(report: dict, out_dir: Path, fmt: str) -> Path:
 _SVG_W, _SVG_H, _SVG_MARGIN = 480, 360, 40
 
 
-def _svg_series(xs, ys, step=False, line_from=None):
-    """Step polyline, or markers and an optional line, for one series, with axis frame."""
+def _svg_series(xs, ys, line_from=None):
+    """Axis frame and one series: step polyline, or markers and the line_from (slope, intercept)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     x0, x1 = float(xs.min()), float(xs.max())
@@ -290,7 +290,7 @@ def _svg_series(xs, ys, step=False, line_from=None):
         f'<rect x="{margin}" y="{margin}" width="{w - 2 * margin}" '
         f'height="{h - 2 * margin}" fill="none" stroke="black"/>\n'
     ]
-    if step:
+    if line_from is None:
         pts = []
         for i in range(len(xs)):
             pts.append(f"{sx(xs[i]):.2f},{sy(ys[i]):.2f}")
@@ -298,13 +298,12 @@ def _svg_series(xs, ys, step=False, line_from=None):
                 pts.append(f"{sx(xs[i + 1]):.2f},{sy(ys[i]):.2f}")
         parts.append(f'<polyline points="{" ".join(pts)}" fill="none" stroke="steelblue"/>\n')
     else:
-        if line_from is not None:
-            slope, intercept = line_from
-            ya, yb = slope * x0 + intercept, slope * x1 + intercept
-            parts.append(
-                f'<line x1="{sx(x0):.2f}" y1="{sy(ya):.2f}" x2="{sx(x1):.2f}" '
-                f'y2="{sy(yb):.2f}" stroke="firebrick"/>\n'
-            )
+        slope, intercept = line_from
+        ya, yb = slope * x0 + intercept, slope * x1 + intercept
+        parts.append(
+            f'<line x1="{sx(x0):.2f}" y1="{sy(ya):.2f}" x2="{sx(x1):.2f}" '
+            f'y2="{sy(yb):.2f}" stroke="firebrick"/>\n'
+        )
         for x, y in zip(xs, ys):
             parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="steelblue"/>\n')
     parts.append(
@@ -335,7 +334,7 @@ def emit_plot(report: dict, kind: str, out_dir: Path) -> Path:
             raise ValidationFailure("report lacks the per_level series for a levels plot")
         xs = [t for t, _ in levels]
         ys = [p for _, p in levels]
-        svg = _svg_series(xs, ys, step=True)
+        svg = _svg_series(xs, ys)
         path = out_dir / "levels.svg"
     else:
         raise ValidationFailure(f"unknown plot kind {kind!r}")

@@ -38,11 +38,14 @@ class _Lattice:
     array is ``_cells``; points are (ndim,) or (..., ndim) float arrays."""
 
     def _check_lattice(self) -> None:
+        """The one lattice rule: a finite origin per axis, finite h > 0, a cell per axis."""
         object.__setattr__(self, "origin", np.atleast_1d(np.asarray(self.origin, dtype=float)))
-        if self.h <= 0:
-            raise ValueError("spacing must be positive")
-        if self.origin.shape != (self.ndim,):
-            raise ValueError("origin length must match lattice dimension")
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"spacing must be finite and positive, got {self.h}")
+        if self.origin.shape != (self.ndim,) or not np.all(np.isfinite(self.origin)):
+            raise ValueError(f"origin {self.origin} must be finite, one coordinate per axis")
+        if min(self.extents) < 1:
+            raise ValueError("a lattice needs at least one cell per axis")
 
     @property
     def ndim(self) -> int:
@@ -56,15 +59,22 @@ class _Lattice:
         return _centers_1d(self.origin[d], self.extents[d], self.h)
 
     def _point(self, x: Sequence[float]) -> np.ndarray:
-        """One point as a float array; a point of the wrong length is a ValueError."""
+        """One point as a float array; a wrong length or a non-finite coordinate is a ValueError."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.ndim,):
             raise ValueError(f"a point of shape {x.shape} does not match a {self.ndim}-D lattice")
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"point {x.tolist()} must be finite")
         return x
 
+    def _index(self, t: np.ndarray, rounding=np.floor) -> np.ndarray:
+        """``rounding(t)`` as ints, t in cells per axis, clipped in float to [-1, extent]
+        first (NaN to -1): a far-off value still lands outside and no cast overflows."""
+        return rounding(np.fmin(np.fmax(t, -1), self.extents)).astype(int)
+
     def _cell_index(self, x: np.ndarray) -> np.ndarray:
-        """Index of the cell containing each point, not clipped to the box."""
-        return np.floor((x - self.origin) / self.h).astype(int)
+        """Index of the cell containing each point; -1 or the extent where it is outside."""
+        return self._index((x - self.origin) / self.h)
 
     def _center(self, idx: np.ndarray) -> np.ndarray:
         """Center of each integer index, (..., ndim)."""
@@ -85,7 +95,7 @@ class _Lattice:
         window's own indices are built, never a whole axis."""
         ext, n = np.array(self.extents), self.ndim
         lo = np.clip(self._cell_index(x - r), 0, ext)
-        hi = np.clip(np.ceil((x + r - self.origin) / self.h).astype(int) + 1, 0, ext)
+        hi = np.clip(self._index((x + r - self.origin) / self.h, np.ceil) + 1, 0, ext)
         return tuple(map(slice, lo, hi)), [
             (_centers_1d(self.origin[k], hi[k], self.h, lo[k]) - x[k]).reshape(
                 (-1,) + (1,) * (n - 1 - k)) for k in range(n)
@@ -95,8 +105,8 @@ class _Lattice:
         """Index slices of the cube with the given side at corner ``lo``, rounded
         to a lattice line; a cube that escapes the box or spans no cell is a
         ValueError."""
-        i0 = np.floor((np.asarray(lo, dtype=float) - self.origin) / self.h + 0.5).astype(int)
-        m = int(round(side / self.h))
+        i0 = self._index((np.asarray(lo, dtype=float) - self.origin) / self.h + 0.5)
+        m = int(round(np.fmin(side / self.h, max(self.extents) + 1)))
         if m < 1:
             raise ValueError(f"cube side {side} spans no cell of spacing {self.h}")
         if np.any(i0 < 0) or np.any(i0 + m > np.array(self.extents)):
@@ -157,8 +167,8 @@ class GridFunction(_Lattice):
         """Multilinear interpolation between neighbouring cell centers."""
         x = self._point(x)
         t = (x - self.origin) / self.h - 0.5
-        lo = np.floor(t).astype(int)
-        frac = t - lo
+        lo = self._index(t)
+        frac = t - np.floor(t)
         ext = np.array(self.extents)
         val = 0.0
         for corner in np.ndindex(*([2] * self.ndim)):
@@ -187,8 +197,6 @@ class RasterSet(_Lattice):
     def __post_init__(self):
         object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
         self._check_lattice()
-        if any(s < 1 for s in self.mask.shape):
-            raise ValueError("mask must have at least one cell per axis")
 
     @property
     def _cells(self) -> np.ndarray:

@@ -204,12 +204,16 @@ def box_counts(
     kills the grid-alignment oscillation that biases slope fits on
     self-similar sets; a single anchored grid is the n_offsets = 1 case.
     Each count is the number of distinct integer box indices
-    floor((x - shift) / delta) over the cloud (``_distinct_rows``).
+    floor((x - shift) / delta) over the cloud (``_distinct_rows``); a scale
+    at which a coordinate's index would not fit in int64 is a ValueError.
     """
+    reach = float(np.abs(cloud.points).max(initial=0.0))
     counts = []
     for delta in scales:
         if not 0 < delta < math.inf:
             raise ValueError("scales must be finite and positive")
+        if reach >= 2.0**62 * delta:
+            raise ValueError(f"box indices at scale {delta:g} overflow int64 (|x| up to {reach:g})")
         total = 0
         for j in range(n_offsets):
             shift = delta * j / n_offsets
@@ -232,7 +236,8 @@ def premeasure_delta(
     still admissible delta-covers, and because the candidate family is
     nested across delta the refined estimate is monotone as delta shrinks
     (matching the true premeasure).  The floor must stay above the cloud's
-    sampling resolution or the estimate decays with the finite sample.
+    sampling resolution or the estimate decays with the finite sample.  An
+    interval that holds no dyadic size is a ValueError.
     """
     if not 0 < delta < math.inf:
         raise ValueError("delta must be finite and positive")
@@ -242,23 +247,19 @@ def premeasure_delta(
         raise ValueError("refine_floor must be finite and positive")
     if cloud.size == 0:
         return 0.0
-
-    def estimate(g: float) -> float:
-        n_boxes = float(box_counts(cloud, [g], n_offsets=1)[0])
-        diam = g * math.sqrt(cloud.n)
-        return omega(s) / 2**s * n_boxes * diam**s
-
     g_max = delta / math.sqrt(cloud.n)
-    if refine_floor is None:
-        return estimate(g_max)
-    if refine_floor > g_max:
-        raise ValueError("refine_floor exceeds the admissible grid size")
-    j = math.ceil(-math.log2(g_max) - 1e-12)
-    best = math.inf
-    while 2.0**-j >= refine_floor:
-        best = min(best, estimate(2.0**-j))
-        j += 1
-    return best
+    sizes = [g_max]
+    if refine_floor is not None:
+        if refine_floor > g_max:
+            raise ValueError("refine_floor exceeds the admissible grid size")
+        j = math.ceil(-math.log2(g_max) - 1e-12)
+        k_end = math.floor(-math.log2(refine_floor)) + 2  # past the finest size, with a margin
+        sizes = [2.0**-k for k in range(j, k_end) if 2.0**-k >= refine_floor]
+        if not sizes:
+            raise ValueError(f"no dyadic grid size lies in [{refine_floor}, {g_max}]")
+    counts = box_counts(cloud, sizes, n_offsets=1)
+    return min(omega(s) / 2**s * float(c) * (g * math.sqrt(cloud.n)) ** s
+               for g, c in zip(sizes, counts))
 
 
 def default_scales(k_min: int = 3, k_max: int = 10) -> np.ndarray:

@@ -98,15 +98,18 @@ def _standard_normalization(n: int, nodes: int = 64) -> float:
     return 1.0 / integral
 
 
-def make_standard_mollifier(n: int, eps: float) -> MollifierKernel:
+def _check_kernel(n: int, eps: float) -> None:
     if n < 1 or not 0 < eps < math.inf:
         raise ValueError("need n >= 1 and finite eps > 0")
+
+
+def make_standard_mollifier(n: int, eps: float) -> MollifierKernel:
+    _check_kernel(n, eps)
     return MollifierKernel("standard", n, eps, _standard_normalization(n))
 
 
 def make_ball_mollifier(n: int, eps: float) -> MollifierKernel:
-    if n < 1 or not 0 < eps < math.inf:
-        raise ValueError("need n >= 1 and finite eps > 0")
+    _check_kernel(n, eps)
     return MollifierKernel("ball-indicator", n, eps, 1.0 / omega(n))
 
 
@@ -140,10 +143,10 @@ def mollify(f: GridFunction, kernel: MollifierKernel, eps: float | None = None) 
     mollify to themselves exactly.  A kernel wider than the grid on any
     axis is a ValueError: the shrunken domain would be empty.
     """
-    eps = kernel.eps if eps is None else eps
-    if eps != kernel.eps:
+    if eps is not None:
         kernel = MollifierKernel(kernel.kind, kernel.n, eps, kernel.normalization)
-    h = f.h
+    _check_kernel(kernel.n, kernel.eps)
+    eps, h = kernel.eps, f.h
     if eps < 2 * h:
         raise UnderResolvedKernelError(f"eps = {eps} must be at least 2h = {2 * h}")
     kr = _kernel_radius(eps, h)
@@ -171,19 +174,13 @@ def difference_quotient(f: GridFunction, axis: int, step: float) -> GridFunction
     n = vals.shape[axis]
     if abs(s) >= n:
         raise ValueError("step exceeds the domain")
-    idx_cur = [slice(None)] * f.ndim
-    idx_back = [slice(None)] * f.ndim
-    if s > 0:
-        idx_cur[axis] = slice(s, None)
-        idx_back[axis] = slice(None, n - s)
-        new_origin_shift = s
-    else:
-        idx_cur[axis] = slice(None, n + s)
-        idx_back[axis] = slice(-s, None)
-        new_origin_shift = 0
+    # either sign: x runs over cells lo .. n + hi - 1 and x - s e_i over -hi .. n - lo - 1
+    lo, hi = max(s, 0), min(s, 0)
+    idx_cur, idx_back = [slice(None)] * f.ndim, [slice(None)] * f.ndim
+    idx_cur[axis], idx_back[axis] = slice(lo, n + hi), slice(-hi, n - lo)
     dq = (vals[tuple(idx_back)] - vals[tuple(idx_cur)]) / (s * h)
     origin = f.origin.copy()
-    origin[axis] += new_origin_shift * h
+    origin[axis] += lo * h
     return GridFunction(values=dq, origin=origin, h=h)
 
 
@@ -280,16 +277,6 @@ class TestFunctionBattery:
         return cls(np.array(data["centers"]), np.array(data["radii"]), int(data["seed"]))
 
 
-def _check_support_inside(f: GridFunction, battery: TestFunctionBattery) -> None:
-    lo, hi = f._box()
-    for i in range(battery.count):
-        c, r = battery.centers[i], battery.radii[i]
-        if not (np.all(np.isfinite(c)) and 0 < r < math.inf):
-            raise BatteryError(f"bump {i} needs a finite center and a finite radius > 0")
-        if np.any(c - r < lo) or np.any(c + r > hi):
-            raise BatteryError(f"bump {i} support escapes the domain")
-
-
 def weak_derivative_residual(
     f: GridFunction,
     g: GridFunction,
@@ -299,16 +286,20 @@ def weak_derivative_residual(
     """max_i | int phi_i g + int (d phi_i / dx_axis) f |  (midpoint sums).
 
     A small residual certifies g as the weak partial derivative of f on
-    the grid.
+    the grid.  A non-finite bump, or one that leaves the box, is a BatteryError.
     """
     if g.values.shape != f.values.shape:
         raise ValueError("candidate must share the lattice of f")
     if not -f.ndim <= axis < f.ndim:
         raise ValueError(f"axis {axis} out of range for a {f.ndim}-D grid")
-    _check_support_inside(f, battery)
+    lo, hi = f._box()
     cell = f.h**f.ndim
     worst = 0.0
-    for c, r in zip(battery.centers, battery.radii):
+    for i, (c, r) in enumerate(zip(battery.centers, battery.radii)):
+        if not (np.all(np.isfinite(c)) and 0 < r < math.inf):
+            raise BatteryError(f"bump {i} needs a finite center and a finite radius > 0")
+        if np.any(c - r < lo) or np.any(c + r > hi):
+            raise BatteryError(f"bump {i} support escapes the domain")
         window, inside, phi_in, grad_in = _lattice_bump(f, c, float(r), axis)
         # full-size arrays keep the full-array sums, and so their rounding
         phi, grad = np.zeros(f.extents), np.zeros(f.extents)

@@ -354,6 +354,30 @@ def test_one_cell_grid_keeps_the_exit_code_contract(tmp_path, shape, command, fl
     assert (out / "error.json").exists() == (code != cli.EXIT_OK)
 
 
+@pytest.mark.parametrize("bad", ["h=nan", "h=inf", "h=0", "origin=nan,0"])
+@pytest.mark.parametrize("command, flags, kind", [
+    ("sobolev", ["--p", "1"], "grid CSV"),
+    ("bv", [], "grid CSV"),
+    ("mollify", ["--eps", "0.25"], "grid CSV"),
+    ("weakdiff", [], "grid CSV"),
+    ("density", ["--point", "0.5,0.5"], "raster CSV"),
+])
+def test_a_bad_lattice_header_writes_only_error_json(tmp_path, bad, command, flags, kind):
+    fields = {"dims": "16x16", "origin": "0,0", "h": "0.0625"}
+    key, value = bad.split("=", 1)
+    fields[key] = value
+    path = tmp_path / "bad.csv"
+    path.write_text(";".join(f"{k}={v}" for k, v in fields.items()) + "\n" + "1\n" * 256)
+    inputs = [path, path] if command == "weakdiff" else [path]
+    out = tmp_path / "out"
+    code = cli.run([command, *(a for p in inputs for a in ("--input", str(p))), *flags,
+                    "--output", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    message = json.loads((out / "error.json").read_text())["error"]["message"]
+    assert message.startswith(f"cannot parse {kind} {path}: ")
+
+
 @pytest.mark.parametrize("command, flags, names, kind", [
     ("measure", [], ["garbage.json"], "measure JSON"),
     ("dim", [], ["garbage.json"], "IFS JSON"),

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,45 @@ def test_rejects_nonfinite_values():
 def test_rejects_bad_spacing():
     with pytest.raises(ValueError):
         GridFunction(np.zeros(3), origin=[0.0], h=0.0)
+
+
+LATTICE_RULE_CASES = {
+    "h=nan": ((4, 4), [0.0, 0.0], math.nan),
+    "h=inf": ((4, 4), [0.0, 0.0], math.inf),
+    "h=0": ((4, 4), [0.0, 0.0], 0.0),
+    "h<0": ((4, 4), [0.0, 0.0], -0.1),
+    "origin=nan": ((4, 4), [math.nan, 0.0], 0.1),
+    "origin=inf": ((4, 4), [0.0, -math.inf], 0.1),
+    "origin of wrong length": ((4, 4), [0.0], 0.1),
+    "no rows": ((0, 8), [0.0, 0.0], 0.1),
+    "no columns": ((8, 0), [0.0, 0.0], 0.1),
+    "no cells 1-D": ((0,), [0.0], 0.1),
+}
+
+
+@pytest.mark.parametrize("lattice", [GridFunction, RasterSet])
+@pytest.mark.parametrize("case", sorted(LATTICE_RULE_CASES))
+def test_both_lattice_types_keep_one_lattice_rule(lattice, case):
+    shape, origin, h = LATTICE_RULE_CASES[case]
+    with pytest.raises(ValueError):
+        lattice(np.zeros(shape), origin, h)
+
+
+def test_far_off_and_non_finite_points_never_reach_an_int_cast():
+    f = GridFunction.from_callable(lambda x, y: x + 2 * y, [0.0, 0.0], [16, 16], 1 / 16)
+    E = RasterSet(f.values < 1.0, f.origin, f.h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f.index_of([1e300, 0.5]) == f.index_of([100.0, 0.5]) == (15, 8)
+        assert f.index_of([-1e300, -1e300]) == (0, 0)
+        assert f.interpolate([1e300, 0.5]) == f.interpolate([100.0, 0.5])
+        assert E.contains([[1e300, 0.5], [math.nan, 0.5], [0.1, math.inf], [0.1, 0.1]]).tolist() \
+            == [False, False, False, True]
+        for x in ([math.nan, 0.5], [0.5, math.inf]):
+            with pytest.raises(ValueError, match="must be finite"):
+                f.index_of(x)
+            with pytest.raises(ValueError, match="must be finite"):
+                f.interpolate(x)
 
 
 def test_raster_contains_is_cell_membership():

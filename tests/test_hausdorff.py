@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,25 @@ def test_premeasure_refine_floor_validation():
     cloud = hd.PointCloud(np.zeros((1, 1)))
     with pytest.raises(ValueError):
         hd.premeasure_delta(cloud, 1.0, 0.1, refine_floor=0.5)
+
+
+def test_premeasure_refine_interval_without_a_dyadic_size_is_a_value_error():
+    cloud = hd.PointCloud(np.random.default_rng(3).random((50, 2)))
+    with pytest.raises(ValueError, match=r"no dyadic grid size lies in \[0\.28, 0\.3"):
+        hd.premeasure_delta(cloud, 1.0, 0.3 * math.sqrt(2), refine_floor=0.28)
+
+
+def test_box_indices_past_int64_are_a_value_error():
+    cloud = hd.PointCloud([[1e300], [2e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="box indices at scale 0.5 overflow int64"):
+            hd.box_counts(cloud, [0.5])
+        with pytest.raises(ValueError, match="overflow int64"):
+            hd.dimension_estimate(cloud)
+        with pytest.raises(ValueError, match="overflow int64"):
+            hd.box_counts(hd.PointCloud([[2.0**62]]), [1.0])
+        assert hd.box_counts(hd.PointCloud([[2.0**61], [-2.0**61]]), [1.0]).tolist() == [2.0]
 
 
 def test_premeasure_scaling_law():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +372,18 @@ def test_point_of_wrong_length_is_a_value_error(name):
     else:
         call([0.1, -0.2])
     call(HALF.origin)
+
+
+def test_density_far_off_answers_as_outside_and_a_non_finite_point_is_a_value_error():
+    E = RasterSet.from_predicate(lambda x, y: x < 0.5, [0.0, 0.0], [16, 16], 1 / 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far, huge = pw.density(E, [100.0, 0.5]), pw.density(E, [1e300, 0.5])
+    assert huge.classification == far.classification == "density-0"
+    assert huge.radii.tolist() == far.radii.tolist()
+    assert huge.ratios.tolist() == far.ratios.tolist()
+    with pytest.raises(ValueError, match="must be finite"):
+        pw.density(E, [math.nan, 0.5])
 
 
 EMPTY_CALLS = {

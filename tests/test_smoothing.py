@@ -115,6 +115,32 @@ def test_difference_quotient_linear():
     assert np.allclose(dq.values, -4.0, atol=1e-10)  # (f(x - s) - f(x)) / s
 
 
+@pytest.mark.parametrize("shape", [(23,), (9, 11), (5, 6, 7)], ids=["1-D", "2-D", "3-D"])
+def test_difference_quotient_of_either_sign_is_the_shifted_difference(shape):
+    rng = np.random.default_rng(4)
+    h = 0.125
+    f = GridFunction(rng.standard_normal(shape), rng.random(len(shape)) - 0.5, h)
+    for axis in range(f.ndim):
+        n = shape[axis]
+        for k in [*range(1 - n, 0), *range(1, n)]:
+            dq = sm.difference_quotient(f, axis, k * h)
+            # (f(x - k h e_axis) - f(x)) / (k h) over the cells i with i - k inside
+            cells = range(max(k, 0), n + min(k, 0))
+            back = np.take(f.values, [i - k for i in cells], axis=axis)
+            expected = (back - np.take(f.values, cells, axis=axis)) / (k * h)
+            assert np.array_equal(dq.values, expected)
+            origin = f.origin.copy()
+            origin[axis] += max(k, 0) * h
+            assert np.array_equal(dq.origin, origin)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0])
+def test_mollify_eps_override_passes_the_kernel_check(eps):
+    f = GridFunction(np.zeros(50), [0.0], 0.02)
+    with pytest.raises(ValueError, match="need n >= 1 and finite eps > 0"):
+        sm.mollify(f, sm.make_standard_mollifier(1, 0.1), eps=eps)
+
+
 def test_difference_quotient_requires_lattice_step():
     f = GridFunction(np.zeros(100), [0.0], 0.01)
     with pytest.raises(ValueError):

@@ -76,6 +76,9 @@ def test_bmo_bounded_by_sup():
         ((-0.1, 0.0), 0.25),  # negative start
         ((0.9, 0.0), 0.25),  # runs past the far edge
         ((0.3, 0.3), 0.4 / 64),  # thinner than half a cell
+        ((0.3, 0.3), math.inf),  # no finite side
+        ((math.nan, 0.3), 0.25),  # no finite corner
+        ((1e300, 0.3), 0.25),  # a corner past any int
     ],
 )
 def test_cubes_outside_the_lattice_are_rejected(lo, side):
