@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -198,16 +199,35 @@ def box_counts(
 ) -> np.ndarray:
     """Occupied boxes of side delta per scale, averaged over grid phases.
 
-    Counts are averaged over ``n_offsets`` deterministic diagonal shifts of
-    the box grid (offset j*delta/n_offsets on every axis).  The average is
-    the sausage-volume count Lebesgue(E + [-delta, 0]^n) / delta^n, which
-    kills the grid-alignment oscillation that biases slope fits on
-    self-similar sets; a single anchored grid is the n_offsets = 1 case.
+    Counts are averaged over ``n_offsets`` (an int >= 1) deterministic
+    diagonal shifts of the box grid (offset j*delta/n_offsets on every
+    axis).  The average is the sausage-volume count
+    Lebesgue(E + [-delta, 0]^n) / delta^n, which kills the grid-alignment
+    oscillation that biases slope fits on self-similar sets; a single
+    anchored grid is the n_offsets = 1 case.
+
     Each count is the number of distinct integer box indices
-    floor((x - shift) / delta) over the cloud (``_distinct_rows``); a scale
-    at which a coordinate's index would not fit in int64 is a ValueError.
+    floor((x - shift) / delta) over the cloud.  Subtraction, division by
+    delta > 0 and floor are monotone in IEEE doubles, so the floors of each
+    axis's min and max coordinate are exactly the least and greatest index
+    on that axis.  When the index box they span holds at most
+    max(4N, 2^16) boxes, every point's box folds into one mixed-radix key
+    and the count is the number of entries marked in a boolean occupancy
+    array, sized by N and reused across offsets, with no sort; a larger
+    span (3-D or fine-scale clouds) is counted by ``_distinct_rows``.  A
+    scale at which a coordinate's index would not fit in int64 is a
+    ValueError.
     """
-    reach = float(np.abs(cloud.points).max(initial=0.0))
+    if not isinstance(n_offsets, numbers.Integral) or n_offsets < 1:
+        raise ValueError(f"n_offsets must be an int >= 1; got {n_offsets!r}")
+    cols = np.ascontiguousarray(cloud.points.T)  # one contiguous row per axis
+    lows, highs = cols.min(axis=1, initial=math.inf), cols.max(axis=1, initial=-math.inf)
+    reach = float(max(-lows.min(), highs.max(), 0.0))
+    size = cols.shape[1]
+    limit = max(4 * size, 2**16)
+    floors = np.empty_like(cols)
+    keys = np.empty(size, dtype=np.intp)
+    occupied = np.zeros(limit, dtype=bool)
     counts = []
     for delta in scales:
         if not 0 < delta < math.inf:
@@ -215,10 +235,28 @@ def box_counts(
         if reach >= 2.0**62 * delta:
             raise ValueError(f"box indices at scale {delta:g} overflow int64 (|x| up to {reach:g})")
         total = 0
-        for j in range(n_offsets):
+        for j in range(n_offsets if size else 0):  # an empty cloud has no boxes
             shift = delta * j / n_offsets
-            idx = np.floor((cloud.points - shift) / delta).astype(np.int64)
-            total += _distinct_rows(idx)
+            np.subtract(cols, shift, out=floors)
+            np.divide(floors, delta, out=floors)
+            np.floor(floors, out=floors)
+            first = [math.floor((x - shift) / delta) for x in lows]
+            spans = [math.floor((x - shift) / delta) - a + 1 for x, a in zip(highs, first)]
+            boxes = math.prod(spans)
+            if boxes > limit:
+                total += _distinct_rows(floors.astype(np.int64).T)
+                continue
+            # every term below is an integer of magnitude < prod(spans), so exact
+            key = floors[0]
+            key -= first[0]
+            for row, a, span in zip(floors[1:], first[1:], spans[1:]):
+                row -= a
+                key *= span
+                key += row
+            np.copyto(keys, key, casting="unsafe")
+            occupied[keys] = True
+            total += np.count_nonzero(occupied[:boxes])
+            occupied[keys] = False
         counts.append(total / n_offsets)
     return np.array(counts, dtype=float)
 
@@ -430,11 +468,16 @@ def lipschitz_image_bound_check(
 ) -> tuple[float, float]:
     """Premeasure of f(E) at L*delta against L^s times the premeasure of E.
 
-    ``f`` maps an (N, n) array of points to an (N, n') array.
+    ``f`` maps an (N, n) array of points to an (N, n') array.  When
+    L*delta is 0 (L = 0, or a product below the smallest double) there is
+    no cover of that size; the image side is then H^s of the finite image,
+    which is exact: 0 for s > 0 and its number of distinct points for
+    s = 0 (one point for a constant f).
     """
     if not 0 <= lipschitz_const < math.inf:
         raise ValueError("Lipschitz constant must be finite and nonnegative")
-    image = PointCloud(f(cloud.points))
-    image_pm = premeasure_delta(image, s, delta * max(lipschitz_const, 1e-300))
     bound = lipschitz_const**s * premeasure_delta(cloud, s, delta)
-    return image_pm, bound
+    image = PointCloud(f(cloud.points))
+    if delta * lipschitz_const == 0:
+        return (0.0 if s > 0 else float(_distinct_rows(image.points))), bound
+    return premeasure_delta(image, s, delta * lipschitz_const), bound

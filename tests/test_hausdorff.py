@@ -153,6 +153,70 @@ def test_box_indices_past_int64_are_a_value_error():
         assert hd.box_counts(hd.PointCloud([[2.0**61], [-2.0**61]]), [1.0]).tolist() == [2.0]
 
 
+@pytest.mark.parametrize("n_offsets", [0, -1, 2.5])
+def test_box_counts_n_offsets_must_be_a_positive_int(n_offsets):
+    with pytest.raises(ValueError, match="n_offsets must be an int >= 1"):
+        hd.box_counts(_CLOUD, [0.25], n_offsets=n_offsets)
+
+
+def _reference_box_counts(points, scales, n_offsets):
+    """Distinct floored box indices per offset by np.unique, averaged."""
+    counts = []
+    for delta in scales:
+        total = 0
+        for j in range(n_offsets):
+            shift = delta * j / n_offsets
+            total += len(np.unique(np.floor((points - shift) / delta).astype(np.int64), axis=0))
+        counts.append(total / n_offsets)
+    return counts
+
+
+# a dyadic coordinate k / 2^m lies on the edges of the dyadic boxes; a float
+# in [-1024, 1024] spans over 2^16 boxes per axis at the finest scales
+_box_coordinate = st.one_of(
+    st.builds(lambda k, m: k / 2**m, st.integers(-(2**12), 2**12), st.integers(0, 12)),
+    st.floats(-1024, 1024),
+)
+
+
+@st.composite
+def _box_cases(draw):
+    """A cloud (possibly empty, with repeated points) in R^1..R^3, scales on
+    both sides of the occupancy limit, and a number of offsets; or two
+    points 2^62 apart at scales of at least 1."""
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(_box_coordinate, min_size=n, max_size=n), max_size=30))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=10))
+    scales = st.one_of(st.integers(-2, 14).map(lambda k: 2.0**-k), st.floats(1e-4, 8))
+    if draw(st.integers(0, 9)) == 0:
+        rows += [[2.0**61] * n, [-(2.0**61)] * n]
+        scales = st.sampled_from([1.0, 2.0, 4.0])
+    points = np.array(rows, dtype=float).reshape(-1, n)
+    return points, draw(st.lists(scales, min_size=1, max_size=4)), draw(st.integers(1, 16))
+
+
+@given(_box_cases())
+@settings(max_examples=300, deadline=None)
+def test_box_counts_match_unique_floors(case):
+    points, scales, n_offsets = case
+    got = hd.box_counts(hd.PointCloud(points), scales, n_offsets)
+    assert got.tolist() == _reference_box_counts(points, scales, n_offsets)
+
+
+def test_box_counts_past_the_occupancy_limit_stay_small():
+    # 3-D at fine scales the index box holds far more than 4N boxes; the
+    # counts then come from sorting, and no array grows with the span
+    cloud = hd.PointCloud(np.random.default_rng(5).random((20000, 3)))
+    tracemalloc.start()
+    try:
+        hd.box_counts(cloud, hd.default_scales(3, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_premeasure_scaling_law():
     # H^s_delta(tE) at t*delta equals t^s H^s_delta(E)
     rng = np.random.default_rng(3)
@@ -361,6 +425,17 @@ def test_lipschitz_image_bound():
     f = lambda pts: L * pts  # exactly L-Lipschitz
     image_pm, bound = hd.lipschitz_image_bound_check(f, L, cloud, s=1.5, delta=0.1)
     assert image_pm <= bound + 1e-9
+
+
+def test_lipschitz_image_bound_with_zero_constant_is_exact():
+    # a constant map's image is one point: H^s is 0 for s > 0 and 1 for s = 0
+    cloud = hd.PointCloud(np.random.default_rng(0).random((50, 2)))
+    assert hd.lipschitz_image_bound_check(lambda p: 0 * p, 0.0, cloud, 1.0, 0.2) == (0.0, 0.0)
+    image_pm, bound = hd.lipschitz_image_bound_check(lambda p: 0 * p, 0.0, cloud, 0.0, 0.2)
+    assert image_pm == 1.0 <= bound
+    # L * delta below the smallest double: no cover of that size either
+    image_pm, bound = hd.lipschitz_image_bound_check(lambda p: 0 * p, 5e-324, cloud, 1.0, 0.2)
+    assert image_pm == 0.0 <= bound
 
 
 # one coordinate: a few small values (so rows repeat), or anything in int64,
