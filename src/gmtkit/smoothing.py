@@ -50,12 +50,11 @@ def _unscaled_standard(r2: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _gauss_legendre(a: float, b: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``nodes``-point Gauss-Legendre rule on [a, b]: scipy's nodes
-    and weights mapped from [-1, 1], cached and read-only (every caller
-    shares the same arrays)."""
-    from scipy.special import roots_legendre
-
-    x, w = roots_legendre(nodes)
+    """The ``nodes``-point Gauss-Legendre rule on [a, b]: numpy's
+    ``leggauss`` nodes (Jacobi-matrix eigenvalues, after Golub-Welsch, with
+    one Newton step) and weights mapped from [-1, 1], cached and read-only
+    (every caller shares the same arrays)."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
     x, w = 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
     x.setflags(write=False)
     w.setflags(write=False)
@@ -118,21 +117,31 @@ def _kernel_radius(eps: float, h: float) -> int:
     return int(math.ceil(eps / h)) - 1
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 5-smooth integer 2^a 3^b 5^c that is at least n >= 1."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2^a >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _fft_convolve_valid(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Valid-mode linear convolution of ``a`` with a kernel ``k`` that is
-    no longer than ``a`` and longer than one cell on every axis.
-
-    The step-by-step arithmetic of scipy.signal.fftconvolve(a, k, "valid")
-    on that domain: real FFTs padded to scipy.fft's fast lengths, product,
-    inverse, then the valid slice, so the result is the same to the bit.
-    scipy.fft is imported here, not with the module: importing
-    scipy.signal would load scipy.stats, scipy.interpolate and
-    scipy.optimize on every ``import gmtkit``.
-    """
-    from scipy import fft
-
-    fshape = [fft.next_fast_len(s1 + s2 - 1, True) for s1, s2 in zip(a.shape, k.shape)]
-    full = fft.irfftn(fft.rfftn(a, fshape) * fft.rfftn(k, fshape), fshape)
+    """Valid-mode linear convolution of ``a`` with a kernel ``k`` no longer
+    than ``a`` on any axis: real FFTs on numpy.fft, padded to 5-smooth
+    lengths, product, inverse, then the valid slice."""
+    # valid output j in [s2 - 1, s1 - 1] sums a[j - i] k[i] over 0 <= i < s2,
+    # and 0 <= j - i <= s1 - 1, so a cyclic convolution of any length
+    # L >= s1 forms the same sums: no term of the valid slice wraps around
+    axes = tuple(range(a.ndim))
+    fshape = [_next_fast_len(s1) for s1 in a.shape]
+    spectrum = np.fft.rfftn(a, s=fshape, axes=axes) * np.fft.rfftn(k, s=fshape, axes=axes)
+    full = np.fft.irfftn(spectrum, s=fshape, axes=axes)
     return full[tuple(slice(s2 - 1, s1) for s1, s2 in zip(a.shape, k.shape))].copy()
 
 

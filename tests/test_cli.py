@@ -421,7 +421,7 @@ def test_dim_of_saturated_cloud_writes_only_error(tmp_path):
 
 def _scipy_modules_loaded(code, *args):
     """The scipy modules loaded after ``code`` runs in a fresh interpreter."""
-    code += "; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = str(Path(cli.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
@@ -431,7 +431,7 @@ def _scipy_modules_loaded(code, *args):
 
 
 def test_importing_cli_loads_no_scipy():
-    # each command imports the scipy submodule it needs on first use
+    # the library runs on numpy alone
     assert _scipy_modules_loaded("import gmtkit.cli, sys") == "[]"
 
 
@@ -455,6 +455,38 @@ def test_isodiametric_check_loads_no_scipy(n):
             "E = RasterSet.from_predicate(lambda *x: sum(t**2 for t in x) <= 1.0, [-1.0] * n, "
             "[64] * n, 1 / 32); measure, bound = isodiametric_check(E); assert measure <= bound")
     assert _scipy_modules_loaded(code, str(n)) == "[]"
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # every subcommand, mollify and weakdiff included, runs in one fresh
+    # interpreter on numpy alone
+    def path(name):
+        return str(tmp_path / name)
+
+    (tmp_path / "mu.json").write_text(json.dumps({"atoms": ["a", "b"], "m": 1,
+                                                  "weights": [[1.0], [-2.0]]}))
+    (tmp_path / "cantor.json").write_text(cantor_ifs_json())
+    RasterSet.from_predicate(lambda x, y: x < 0, [-1, -1], [64, 64], 2 / 64).to_csv(path("half.csv"))
+    GridFunction.from_callable(lambda x, y: np.sin(3 * x) * y, [0, 0], [32, 32], 1 / 32).to_csv(path("f.csv"))
+    GridFunction.from_callable(lambda x: np.maximum(x, 0.0), [-1], [2000], 1e-3).to_csv(path("xplus.csv"))
+    GridFunction.from_callable(lambda x: (x > 0).astype(float), [-1], [2000], 1e-3) \
+        .to_csv(path("heaviside.csv"))
+    argvs = [
+        ["measure", "--input", path("mu.json")],
+        ["dim", "--input", path("cantor.json"), "--scales", "3..10"],
+        ["density", "--input", path("half.csv"), "--point", "-0.5,0"],
+        ["mollify", "--input", path("f.csv"), "--eps", "0.1"],
+        ["weakdiff", "--input", path("xplus.csv"), "--input", path("heaviside.csv")],
+        ["sobolev", "--input", path("f.csv"), "--p", "3"],
+        ["bv", "--input", path("f.csv")],
+        *(["area", "--map", name] for name in ("helix", "polar", "sphere", "fold", "square")),
+    ]
+    assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
+    argvs = [[*argv, "--output", path(f"out{i}"), "--no-timestamp"] for i, argv in enumerate(argvs)]
+    code = ("import json, sys, gmtkit.cli; argvs = json.loads(sys.argv[1]); "
+            "assert [gmtkit.cli.run(argv) for argv in argvs] == [gmtkit.cli.EXIT_OK] * len(argvs)")
+    assert _scipy_modules_loaded(code, json.dumps(argvs)) == "[]"
+    assert read_report(tmp_path / "out3")["results"]["kernel_mass"] == pytest.approx(1.0, abs=1e-8)
 
 
 # ------------------------------------------------------------- fuzzed argv

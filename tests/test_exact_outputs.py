@@ -229,7 +229,7 @@ def test_mollified_lattice_exact():
     assert g.origin.tolist() == [-0.331, 0.249]
     assert g.extents == (34, 42)
     assert float(g.values.sum()) == -223.91821464471178
-    assert g.values[3, 5] == -0.24179704567460752
+    assert g.values[3, 5] == -0.24179704567460766
 
 
 def test_weak_derivative_residuals_exact():

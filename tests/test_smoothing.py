@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
+from scipy.special import roots_legendre
 
 from gmtkit import smoothing as sm
 from gmtkit.errors import UnderResolvedKernelError
@@ -93,9 +96,16 @@ def grids_with_fitting_kernels(draw):
     return np.random.default_rng(seed).standard_normal(extents), h, eps
 
 
+def _case(shape, h, eps, seed):
+    return np.random.default_rng(seed).standard_normal(shape), h, eps
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=grids_with_fitting_kernels())
-def test_mollify_matches_scipy_signal_fftconvolve_bitwise(case):
+@example(case=_case((7, 7), 1 / 16, 0.25, 1))  # kernel as wide as the grid: one cell out
+@example(case=_case((500,), 1 / 500, 0.05, 2))  # 1-D, a 49-cell kernel
+@example(case=_case((20, 17, 23), 0.05, 0.3, 3))  # 3-D, an 11-cell kernel
+def test_fft_convolve_valid_matches_direct_sum_and_fftconvolve(case):
     values, h, eps = case
     n = values.ndim
     kernel = sm.make_standard_mollifier(n, eps)
@@ -103,10 +113,34 @@ def test_mollify_matches_scipy_signal_fftconvolve_bitwise(case):
     offsets = np.arange(-kr, kr + 1) * h
     K = kernel.scaled(np.stack(np.meshgrid(*([offsets] * n), indexing="ij"), axis=-1))
     K /= K.sum() * h**n
-    expected = fftconvolve(values, K, mode="valid") * h**n
+    conv = sm._fft_convolve_valid(values, K)
+    # out[j] = sum_i a[j - i] k[i]: each valid window against the flipped kernel
+    direct = np.tensordot(sliding_window_view(values, K.shape), np.flip(K), axes=n)
+    # every |term sum| sum_i |a[j - i] k[i]| is at most sum |a| * max |k|
+    bound = 64 * np.finfo(float).eps * np.abs(values).sum() * np.abs(K).max()
+    assert conv.shape == direct.shape
+    assert np.abs(conv - direct).max() <= bound
+    assert np.abs(conv - fftconvolve(values, K, mode="valid")).max() <= bound
     out = sm.mollify(GridFunction(values, np.zeros(n), h), kernel)
-    assert out.values.shape == expected.shape
-    assert (out.values == expected).all()
+    assert (out.values == conv * h**n).all()
+
+
+def test_next_fast_len_is_scipys_real_fast_length():
+    assert [sm._next_fast_len(n) for n in range(1, 5000)] == [
+        next_fast_len(n, True) for n in range(1, 5000)
+    ]
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 3, 8, 64, 96, 128])
+def test_gauss_legendre_rule(nodes):
+    x, w = sm._gauss_legendre(-1.0, 1.0, nodes)
+    # ulps of 1, the half-length of [-1, 1]: scipy's own nodes near 0 sit
+    # up to 17 of their own ulps from the exact roots, numpy's within 1
+    assert np.abs(x - roots_legendre(nodes)[0]).max() <= 2 * np.spacing(1.0)
+    # exact for x^k, k <= 2 nodes - 1, up to 1e-14 of the integral of 1 over [0, 1]
+    x, w = sm._gauss_legendre(0.0, 1.0, nodes)
+    errors = [abs(float((w * x**k).sum()) - 1 / (k + 1)) for k in range(2 * nodes)]
+    assert max(errors) <= 1e-14
 
 
 def test_difference_quotient_linear():
