@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, _check_count
 from .grids import GridFunction, RasterSet, _centers_1d, tensor_points
 from .hausdorff import SingularMapError, lebesgue_measure
 from .pointwise import _central_differences, gradient_fd
@@ -290,8 +290,7 @@ def _cell_sum(
     Cells are evaluated in blocks of whole first-axis rows, about
     ``_BLOCK_CELLS`` cells each, into one array that is summed once, so u
     (called once per block) must be pointwise."""
-    if m < 1:
-        raise ValueError("need at least one cell per axis")
+    _check_count("m", m, 1, "cell per axis")
     row = m ** (phi.k - 1)
     rows = max(1, _BLOCK_CELLS // row)
     steps = (phi.domain_hi - phi.domain_lo) / m
@@ -328,6 +327,7 @@ def curve_length(phi: ParametricMap, nodes: int = 1024) -> float:
     (which also cancels the O(step^2) error of a central-difference speed)."""
     if phi.k != 1:
         raise ValueError("curve_length needs a 1-parameter map")
+    _check_count("nodes", nodes, 1, "cell")
     return surface_measure(phi, m=nodes)
 
 
@@ -365,8 +365,7 @@ def _simplex_preimages(
     pair, in simplex order (cell, then triangle), and the preimages,
     shape (pairs, k).
     """
-    if depth < 0:
-        raise ValueError(f"need at least one cell per axis (depth >= 0); got depth={depth}")
+    _check_count("depth", depth, 0, "cell per axis")
     k = phi.k
     m = 2**depth
     lo, hi = phi.domain_lo, phi.domain_hi
@@ -491,14 +490,17 @@ def multiplicity(
     return MultiplicityProfile(y, tuple(counts), None, False)
 
 
-def _y_grid(
-    phi: ParametricMap, n_y: int, probe: int, pad: float
-) -> tuple[list[np.ndarray], float]:
+# per k = n: the y-grid's probe lattice points per domain axis and padding per
+# side (a share of the image span), change_of_variables's default n_y and depth
+_Y_GRID = {1: (4096, 0.05, 256, 12), 2: (256, 0.02, 128, 9)}
+
+
+def _y_grid(phi: ParametricMap, n_y: int) -> tuple[list[np.ndarray], float]:
     """Axes of the n_y-per-axis grid of cell centers spanning the image of
-    a ``probe``-per-axis lattice of phi's domain box, widened by ``pad`` of
-    its span per side, and the volume of one grid cell."""
-    if n_y < 1:
-        raise ValueError("need at least one y-cell per axis")
+    phi's probe lattice, widened by its pad of the span per side (both from
+    ``_Y_GRID`` by phi.k), and the volume of one grid cell."""
+    _check_count("n_y", n_y, 1, "y-cell per axis")
+    probe, pad = _Y_GRID[phi.k][:2]
     lo, hi = phi.domain_lo, phi.domain_hi
     img = phi(tensor_points([np.linspace(lo[d], hi[d], probe) for d in range(phi.k)]))
     # one reduction per column: numpy reduces an (N, n) array along axis 0
@@ -509,6 +511,15 @@ def _y_grid(
     y_lo = y_lo - pad * span
     dy = (y_hi + pad * span - y_lo) / n_y
     return [_centers_1d(y_lo[d], n_y, dy[d]) for d in range(phi.n)], float(np.prod(dy))
+
+
+def _preimage_integral(phi: ParametricMap, E: RasterSet | None, depth: int, n_y: int,
+                       u: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
+    """int sum_{x in Phi^-1(y)} u(x) dy, or int N(Phi, E, y) dy without u, on
+    the n_y-per-axis ``_y_grid`` at partition depth ``depth``: the whole-grid
+    sum of ``_preimage_sums`` times the y-cell volume."""
+    y_axes, cell = _y_grid(phi, n_y)
+    return float(_preimage_sums(phi, E, depth, y_axes, u).sum()) * cell
 
 
 def area_formula_with_multiplicity(
@@ -531,27 +542,23 @@ def area_formula_with_multiplicity(
     """
     if phi.k != 1 or phi.n != 1:
         raise ValueError("the two-sided area formula is implemented for k = n = 1")
-    if depth < 1:
-        raise ValueError(f"need at least one partition level below depth; got depth={depth}")
-    y_axes, dy = _y_grid(phi, n_y, 4096, 0.05)
+    _check_count("depth", depth, 1, "partition level below it")
+    _check_count("m_cells", m_cells, 1, "cell")
+    y_axes, dy = _y_grid(phi, n_y)
     counts = _preimage_sums(phi, E, depth, y_axes)
     counts_prev = _preimage_sums(phi, E, depth - 1, y_axes)
     disagree = float(np.mean(counts != counts_prev))
     if disagree > 0.05:
-        raise NonConvergenceError(
-            f"multiplicity unstable on {disagree:.0%} of the y-grid"
-        )
-    lhs = float(counts.sum()) * dy
-    rhs = _cell_sum(phi, E, m_cells)
-    return lhs, rhs
+        raise NonConvergenceError(f"multiplicity unstable on {disagree:.0%} of the y-grid")
+    return float(counts.sum()) * dy, _cell_sum(phi, E, m_cells)
 
 
 def change_of_variables(
     phi: ParametricMap,
     u: Callable[[np.ndarray], np.ndarray],
     E: RasterSet | None = None,
-    n_y: int = 256,
-    depth: int = 12,
+    n_y: int | None = None,
+    depth: int | None = None,
     m_cells: int = 4096,
 ) -> tuple[float, float]:
     """(lhs, rhs) of  int u J(Phi)  =  int sum_{x in Phi^-1(y)} u(x) dy
@@ -569,28 +576,22 @@ def change_of_variables(
     volume.  It is the same engine and the same sum as ``multiplicity``'s
     counts, so it needs no injectivity flag, and with u = 1 it equals the
     multiplicity integral on the same grid bit for bit (for k = 1,
-    ``area_formula_with_multiplicity``'s lhs).  For k = 1 the
-    scan runs at partition depth ``depth`` on ``n_y`` y-cells spanning the
-    observed image (plus 5 % per side).  For k = 2 it runs at depth 9 (the
-    lhs's default 512 cells per axis) on a 128 x 128 y-grid spanning the
-    image (plus 2 % per side); ``n_y`` and ``depth`` are not used, but
-    ``m_cells``, ``n_y`` and ``depth`` below 1 are a ValueError either way.
+    ``area_formula_with_multiplicity``'s lhs; for k = 2 at n_y = 64 and
+    depth 7, ``jacobian_l1_check``'s rhs).  The scan runs at partition
+    depth ``depth`` (None: 12 for k = 1, 9 for k = 2) on ``n_y`` y-cells
+    per axis (None: 256 for k = 1, 128 for k = 2) spanning the observed
+    image plus 5 % (k = 1) or 2 % (k = 2) per side.  ``m_cells``, ``n_y``
+    and ``depth`` must be ints >= 1.
     """
     if phi.k != phi.n or phi.k > 2:
         raise ValueError("implemented for k = n <= 2")
-    if min(m_cells, n_y, depth) < 1:
-        raise ValueError(
-            "need at least one cell, one y-cell and one partition level; "
-            f"got m_cells={m_cells}, n_y={n_y}, depth={depth}"
-        )
-    if phi.k == 1:
-        lhs = _cell_sum(phi, E, m_cells, u)
-        y_axes, cell = _y_grid(phi, n_y, 4096, 0.05)
-    else:
-        lhs = _cell_sum(phi, E, max(512, round(math.sqrt(m_cells))), u)
-        y_axes, cell = _y_grid(phi, 128, 256, 0.02)
-        depth = 9
-    return lhs, float(_preimage_sums(phi, E, depth, y_axes, u).sum()) * cell
+    grid_n_y, grid_depth = _Y_GRID[phi.k][2:]
+    n_y = grid_n_y if n_y is None else n_y
+    depth = grid_depth if depth is None else depth
+    _check_count("depth", depth, 1, "partition level")
+    _check_count("m_cells", m_cells, 1, "cell")
+    lhs = _cell_sum(phi, E, m_cells if phi.k == 1 else max(512, round(math.sqrt(m_cells))), u)
+    return lhs, _preimage_integral(phi, E, depth, n_y, u)
 
 
 def jacobian_l1_check(
@@ -599,21 +600,18 @@ def jacobian_l1_check(
     """(int |det DPhi|, int N(Phi, E, y) dy) for k = n <= 2; they must agree.
 
     For k = 1 both sides are ``area_formula_with_multiplicity``'s, swapped.
-    For k = 2 the lhs is a midpoint sum on sqrt(m_cells) cells per axis and
-    the rhs is the whole-grid sum of the counts N, times the y-cell area,
-    on a 64 x 64 y-grid spanning the image (plus 2 % per side) at
-    partition depth 7; ``change_of_variables`` with u = 1 integrates the
-    same way.  N at each y is the PL preimage count of ``multiplicity``,
-    ties broken as for y + (eps, eps^2); it is exact off the critical
-    values (z^2 at 0 counts 2).
+    For k = 2 the lhs is a midpoint sum on round(sqrt(m_cells)) cells per
+    axis and the rhs is the whole-grid sum of the counts N, times the y-cell
+    area, on a 64 x 64 y-grid spanning the image (plus 2 % per side) at
+    partition depth 7, cheaper than ``change_of_variables``'s default grid;
+    ``change_of_variables`` with u = 1, n_y = 64 and depth = 7 gives the
+    same rhs bit for bit.  N at each y is the PL preimage count of
+    ``multiplicity``, ties broken as for y + (eps, eps^2); it is exact off
+    the critical values (z^2 at 0 counts 2).  ``m_cells`` must be an int >= 1.
     """
-    if phi.k != phi.n:
-        raise ValueError("needs k = n")
-    if phi.k == 1:
-        rhs, lhs = area_formula_with_multiplicity(phi, E, m_cells=m_cells)
-        return lhs, rhs
-    if phi.k != 2:
+    if phi.k != phi.n or phi.k > 2:
         raise ValueError("implemented for k = n <= 2")
-    lhs = _cell_sum(phi, E, int(round(math.sqrt(m_cells))))
-    y_axes, cell = _y_grid(phi, 64, 256, 0.02)
-    return lhs, float(_preimage_sums(phi, E, 7, y_axes).sum()) * cell
+    _check_count("m_cells", m_cells, 1, "cell")
+    if phi.k == 1:
+        return area_formula_with_multiplicity(phi, E, m_cells=m_cells)[::-1]
+    return _cell_sum(phi, E, round(math.sqrt(m_cells))), _preimage_integral(phi, E, 7, 64)

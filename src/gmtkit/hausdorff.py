@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ResolutionError
+from .errors import ResolutionError, _check_count
 from .grids import RasterSet, _centers_1d, _write_csv_rows, tensor_points
 
 __all__ = [
@@ -218,8 +217,7 @@ def box_counts(
     scale at which a coordinate's index would not fit in int64 is a
     ValueError.
     """
-    if not isinstance(n_offsets, numbers.Integral) or n_offsets < 1:
-        raise ValueError(f"n_offsets must be an int >= 1; got {n_offsets!r}")
+    _check_count("n_offsets", n_offsets, 1, "grid phase")
     cols = np.ascontiguousarray(cloud.points.T)  # one contiguous row per axis
     lows, highs = cols.min(axis=1, initial=math.inf), cols.max(axis=1, initial=-math.inf)
     reach = float(max(-lows.min(), highs.max(), 0.0))

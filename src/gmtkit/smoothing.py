@@ -310,14 +310,8 @@ def weak_derivative_residual(
         if np.any(c - r < lo) or np.any(c + r > hi):
             raise BatteryError(f"bump {i} support escapes the domain")
         window, inside, phi_in, grad_in = _lattice_bump(f, c, float(r), axis)
-        # full-size arrays keep the full-array sums, and so their rounding
-        phi, grad = np.zeros(f.extents), np.zeros(f.extents)
-        phi[window][inside] = phi_in
-        grad[window][inside] = grad_in
-        residual = abs(
-            float((phi.ravel() * g.values.ravel()).sum() * cell)
-            + float((grad.ravel() * f.values.ravel()).sum() * cell)
-        )
+        residual = abs(float((phi_in * g.values[window][inside]).sum() * cell)
+                       + float((grad_in * f.values[window][inside]).sum() * cell))
         worst = max(worst, residual)
     return worst
 

@@ -462,7 +462,7 @@ def _preimage_sum_per_y(phi, u, E, n_y, depth):
     time: cell [a, b] holds a preimage of y when min(Phi a, Phi b) <= y <
     max(Phi a, Phi b), the linear interpolate; each y's sum runs left to
     right, and the integral is the whole sum of the per-y totals times dy."""
-    (ys,), dy = ar._y_grid(phi, n_y, 4096, 0.05)
+    (ys,), dy = ar._y_grid(phi, n_y)
     (corners,) = _partition_vertices(phi, depth)
     step = (phi.domain_hi[0] - phi.domain_lo[0]) / 2**depth
     vals = phi(corners[:, None])[:, 0].tolist()
@@ -554,9 +554,19 @@ def test_two_dimensional_lhs_is_no_coarser_above_the_default_cell_count():
 @pytest.mark.parametrize("phi", [ar.builtin_map("polar"), z_squared_map([-1.0, -1.0], [1.0, 1.0])],
                          ids=["polar", "z2"])
 def test_two_dimensional_change_of_variables_of_one_is_multiplicity_integral(phi):
-    y_axes, cell = ar._y_grid(phi, 128, 256, 0.02)
+    y_axes, cell = ar._y_grid(phi, 128)
     want = float(ar._preimage_sums(phi, None, 9, y_axes).sum()) * cell
     assert ar.change_of_variables(phi, lambda p: np.ones(len(p)))[1] == want
+
+
+@pytest.mark.parametrize("E, want", [(None, 3.160120125603282), (POLAR_HALF_DISK, 0.7646814742435749)],
+                         ids=["disk", "half-disk"])
+def test_two_dimensional_change_of_variables_reads_its_grid(E, want):
+    # n_y and depth set the k = 2 y-grid: at 64 x 64 and depth 7 the u = 1
+    # rhs is jacobian_l1_check's, bit for bit
+    polar = ar.builtin_map("polar")
+    rhs = ar.change_of_variables(polar, lambda p: np.ones(len(p)), E=E, n_y=64, depth=7)[1]
+    assert rhs == ar.jacobian_l1_check(polar, E=E)[1] == want
 
 
 @pytest.mark.parametrize("n_y", [256, 4096])
@@ -739,7 +749,7 @@ def test_one_dimensional_counts_match_dense_run_starts(name, params, restricted,
     E = FOLD_FRAGMENTS if restricted else None
     rng = np.random.default_rng(n_y)
     for depth in (11, 12):
-        ys = _with_vertex_images(phi, depth, ar._y_grid(phi, n_y, 4096, 0.05)[0], rng, count=32)[0]
+        ys = _with_vertex_images(phi, depth, ar._y_grid(phi, n_y)[0], rng, count=32)[0]
         (corners,) = _partition_vertices(phi, depth)
         vals = phi(corners[:, None])[:, 0]
         lo, hi = np.minimum(vals[:-1], vals[1:]), np.maximum(vals[:-1], vals[1:])
@@ -838,4 +848,27 @@ def test_raster_of_wrong_dimension_is_rejected(call):
 )
 def test_non_positive_cell_counts_are_rejected(call):
     with pytest.raises(ValueError, match="at least one"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("n_y", lambda: ar.change_of_variables(ar.builtin_map("fold", laps=2),
+                                               lambda p: np.ones(len(p)), n_y=2.5)),
+        ("depth", lambda: ar.area_formula_with_multiplicity(ar.builtin_map("fold"), depth=8.5)),
+        ("m_cells", lambda: ar.change_of_variables(ar.builtin_map("fold"), lambda p: p[:, 0],
+                                                   m_cells=100.5)),
+        ("m", lambda: ar.surface_measure(ar.builtin_map("sphere"), m=8.5)),
+        ("nodes", lambda: ar.curve_length(ar.builtin_map("helix"), nodes=10.5)),
+        ("depth", lambda: ar.multiplicity(ar.builtin_map("polar"), [0.5, 0.0], depths=[2.5])),
+        ("m_cells", lambda: ar.jacobian_l1_check(ar.builtin_map("polar"), m_cells=-4)),
+    ],
+    ids=["cov-ny-2.5", "area-formula-depth-8.5", "cov-m-cells-100.5", "surface-m-8.5",
+         "curve-nodes-10.5", "multiplicity-depth-2.5", "jacobian-l1-m-cells-4"],
+)
+def test_resolutions_must_be_ints(name, call):
+    # a float count once ran on a grid past the image (n_y = 2.5) or raised
+    # TypeError, and a negative m_cells a math domain error
+    with pytest.raises(ValueError, match=f"^{name} must be an int >= "):
         call()
