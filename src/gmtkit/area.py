@@ -152,6 +152,10 @@ class ParametricMap:
         G = np.einsum("pik,pil->pkl", J, J)
         return np.sqrt(np.maximum(np.linalg.det(G), 0.0))
 
+    def _check_scannable(self) -> None:
+        if self.k != self.n or self.k > 2:
+            raise ValueError(f"implemented for k = n <= 2; got k = {self.k}, n = {self.n}")
+
     def signed_det(self, pts: np.ndarray, step: float) -> np.ndarray:
         if self.k != self.n:
             raise ValueError("signed determinant needs k = n")
@@ -208,9 +212,7 @@ def _sphere() -> ParametricMap:
 
 def _fold(laps: int = 2) -> ParametricMap:
     """Piecewise-linear tent with ``laps`` laps on ]0, 1[."""
-    laps = int(laps)
-    if laps < 1:
-        raise ValueError("laps must be >= 1")
+    _check_count("laps", laps, 1, "lap")
 
     def fold_eval(p):
         u = np.clip(p[:, 0], 0.0, 1.0) * laps
@@ -477,8 +479,7 @@ def multiplicity(
     value it is a tie-break artefact (x^2 and z^2 at 0 give 2, sin 3x at
     its maximum 1 gives 0).
     """
-    if phi.k != phi.n or phi.k > 2:
-        raise ValueError("multiplicity is implemented for k = n <= 2")
+    phi._check_scannable()
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (phi.n,) or not np.all(np.isfinite(y)):
         raise ValueError(f"y must be a finite point of R^{phi.n}")
@@ -583,8 +584,7 @@ def change_of_variables(
     image plus 5 % (k = 1) or 2 % (k = 2) per side.  ``m_cells``, ``n_y``
     and ``depth`` must be ints >= 1.
     """
-    if phi.k != phi.n or phi.k > 2:
-        raise ValueError("implemented for k = n <= 2")
+    phi._check_scannable()
     grid_n_y, grid_depth = _Y_GRID[phi.k][2:]
     n_y = grid_n_y if n_y is None else n_y
     depth = grid_depth if depth is None else depth
@@ -609,8 +609,7 @@ def jacobian_l1_check(
     ``multiplicity``, ties broken as for y + (eps, eps^2); it is exact off
     the critical values (z^2 at 0 counts 2).  ``m_cells`` must be an int >= 1.
     """
-    if phi.k != phi.n or phi.k > 2:
-        raise ValueError("implemented for k = n <= 2")
+    phi._check_scannable()
     _check_count("m_cells", m_cells, 1, "cell")
     if phi.k == 1:
         return area_formula_with_multiplicity(phi, E, m_cells=m_cells)[::-1]

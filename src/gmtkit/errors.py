@@ -1,12 +1,20 @@
-"""Exception types and the one count check, shared across modules."""
+"""Exception types and the argument rules shared across modules: counts and bounded reals."""
 
+import math
 import numbers
 
 
 def _check_count(name: str, value, minimum: int, unit: str) -> None:
-    """A count (cells, y-cells, depth, offsets) is an int >= ``minimum``, else a ValueError."""
+    """A count (cells, depth, levels, bumps) is an int >= ``minimum``, else a ValueError."""
     if not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an int >= {minimum} (at least one {unit}); got {value!r}")
+
+
+def _check_real(name: str, value, minimum: float | None = None) -> None:
+    """A real is finite and > 0, or >= ``minimum`` when one is given, else a ValueError."""
+    if not (0 < value < math.inf if minimum is None else minimum <= value < math.inf):
+        bound = "positive" if minimum is None else "nonnegative" if minimum == 0 else f">= {minimum}"
+        raise ValueError(f"{name} must be finite and {bound}, got {value}")
 
 
 class NonConvergenceError(RuntimeError):

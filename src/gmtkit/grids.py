@@ -13,6 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import _check_real
+
 __all__ = ["GridFunction", "RasterSet", "tensor_points"]
 
 
@@ -40,12 +42,21 @@ class _Lattice:
     def _check_lattice(self) -> None:
         """The one lattice rule: a finite origin per axis, finite h > 0, a cell per axis."""
         object.__setattr__(self, "origin", np.atleast_1d(np.asarray(self.origin, dtype=float)))
-        if not 0 < self.h < np.inf:
-            raise ValueError(f"spacing must be finite and positive, got {self.h}")
+        _check_real("spacing", self.h)
         if self.origin.shape != (self.ndim,) or not np.all(np.isfinite(self.origin)):
             raise ValueError(f"origin {self.origin} must be finite, one coordinate per axis")
         if min(self.extents) < 1:
             raise ValueError("a lattice needs at least one cell per axis")
+
+    def _check_axis(self, axis: int) -> None:
+        """The one axis rule: an int in [-ndim, ndim)."""
+        if not isinstance(axis, (int, np.integer)) or not -self.ndim <= axis < self.ndim:
+            raise ValueError(f"axis {axis} out of range for a {self.ndim}-D grid")
+
+    def _check_same_lattice(self, other: "_Lattice", message: str) -> None:
+        """The one same-lattice rule: equal extents, origin and spacing."""
+        if (other.extents, other.h) != (self.extents, self.h) or np.any(other.origin != self.origin):
+            raise ValueError(message)
 
     @property
     def ndim(self) -> int:

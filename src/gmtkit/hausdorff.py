@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ResolutionError, _check_count
+from .errors import ResolutionError, _check_count, _check_real
 from .grids import RasterSet, _centers_1d, _write_csv_rows, tensor_points
 
 __all__ = [
@@ -172,8 +172,7 @@ class DimensionEstimate:
 def omega(s: float) -> float:
     """Volume of the unit ball: pi^(s/2) / Gamma(1 + s/2), any real s >= 0;
     through log Gamma where Gamma overflows, from about s = 341.25."""
-    if not 0 <= s < math.inf:
-        raise ValueError("omega is defined for finite s >= 0")
+    _check_real("s", s, 0)
     try:
         return math.pi ** (s / 2) / math.gamma(1 + s / 2)
     except OverflowError:
@@ -228,8 +227,7 @@ def box_counts(
     occupied = np.zeros(limit, dtype=bool)
     counts = []
     for delta in scales:
-        if not 0 < delta < math.inf:
-            raise ValueError("scales must be finite and positive")
+        _check_real("scales", delta)
         if reach >= 2.0**62 * delta:
             raise ValueError(f"box indices at scale {delta:g} overflow int64 (|x| up to {reach:g})")
         total = 0
@@ -275,17 +273,12 @@ def premeasure_delta(
     sampling resolution or the estimate decays with the finite sample.  An
     interval that holds no dyadic size is a ValueError.
     """
-    if not 0 < delta < math.inf:
-        raise ValueError("delta must be finite and positive")
-    if not 0 <= s < math.inf:
-        raise ValueError("s must be finite and nonnegative")
-    if refine_floor is not None and not 0 < refine_floor < math.inf:
-        raise ValueError("refine_floor must be finite and positive")
-    if cloud.size == 0:
-        return 0.0
+    _check_real("delta", delta)
+    _check_real("s", s, 0)
     g_max = delta / math.sqrt(cloud.n)
     sizes = [g_max]
     if refine_floor is not None:
+        _check_real("refine_floor", refine_floor)
         if refine_floor > g_max:
             raise ValueError("refine_floor exceeds the admissible grid size")
         j = math.ceil(-math.log2(g_max) - 1e-12)
@@ -293,6 +286,8 @@ def premeasure_delta(
         sizes = [2.0**-k for k in range(j, k_end) if 2.0**-k >= refine_floor]
         if not sizes:
             raise ValueError(f"no dyadic grid size lies in [{refine_floor}, {g_max}]")
+    if cloud.size == 0:
+        return 0.0
     counts = box_counts(cloud, sizes, n_offsets=1)
     return min(omega(s) / 2**s * float(c) * (g * math.sqrt(cloud.n)) ** s
                for g, c in zip(sizes, counts))
@@ -318,6 +313,7 @@ def ifs_points(ifs: IfsSystem, depth: int | None = None, min_scale: float | None
     if depth <= 0:
         if min_scale is None:
             raise ValueError("either depth or min_scale must be given")
+        _check_real("min_scale", min_scale)
         rmax = max(m.ratio for m in ifs.maps)
         depth = max(1, math.ceil(math.log(min_scale / 4) / math.log(rmax)))
     # fixed point of the first map as seed; any bounded seed works
@@ -343,8 +339,8 @@ def dimension_estimate(
     scales = np.asarray(default_scales() if scales is None else scales, dtype=float)
     if len(scales) < 4:
         raise ValueError("at least 4 scales are required")
-    if not np.all(np.isfinite(scales) & (scales > 0)):
-        raise ValueError("scales must be finite and positive")
+    for delta in scales:
+        _check_real("scales", delta)
     if np.any(np.diff(scales) >= 0):
         raise ValueError("scales must be strictly decreasing")
     if isinstance(obj, IfsSystem):
@@ -472,8 +468,7 @@ def lipschitz_image_bound_check(
     which is exact: 0 for s > 0 and its number of distinct points for
     s = 0 (one point for a constant f).
     """
-    if not 0 <= lipschitz_const < math.inf:
-        raise ValueError("Lipschitz constant must be finite and nonnegative")
+    _check_real("Lipschitz constant", lipschitz_const, 0)
     bound = lipschitz_const**s * premeasure_delta(cloud, s, delta)
     image = PointCloud(f(cloud.points))
     if delta * lipschitz_const == 0:

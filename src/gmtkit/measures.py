@@ -61,9 +61,11 @@ class AtomicMeasure:
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("atom identifiers must be unique")
         if w.shape[0] != len(self.atoms):
-            raise ValueError("one weight vector per atom required")
+            raise AlignmentError("one weight vector per atom required")
         if w.shape[1] < 1:
             raise ValueError("weight dimension m must be >= 1")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
 
     @property
     def m(self) -> int:
@@ -80,14 +82,10 @@ class AtomicMeasure:
         return AtomSubset(np.zeros(self.size, dtype=bool))
 
     def __add__(self, other: "AtomicMeasure") -> "AtomicMeasure":
-        if other.atoms != self.atoms or other.m != self.m:
-            raise AlignmentError("measures must share atoms and weight dimension")
-        return AtomicMeasure(self.atoms, self.weights + other.weights)
+        return AtomicMeasure(self.atoms, self.weights + _aligned_weights(self, other, same_m=True))
 
     def __sub__(self, other: "AtomicMeasure") -> "AtomicMeasure":
-        if other.atoms != self.atoms or other.m != self.m:
-            raise AlignmentError("measures must share atoms and weight dimension")
-        return AtomicMeasure(self.atoms, self.weights - other.weights)
+        return AtomicMeasure(self.atoms, self.weights - _aligned_weights(self, other, same_m=True))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -97,12 +95,10 @@ class AtomicMeasure:
     @classmethod
     def from_json(cls, text: str) -> "AtomicMeasure":
         data = json.loads(text)
-        w = np.asarray(data["weights"], dtype=float)
-        if w.ndim == 1:
-            w = w[:, None]
-        if w.shape[1] != data["m"]:
+        mu = cls(tuple(data["atoms"]), data["weights"])
+        if mu.m != data["m"]:
             raise ValueError("weight rows must have length m")
-        return cls(tuple(data["atoms"]), w)
+        return mu
 
 
 @dataclass(frozen=True)
@@ -135,6 +131,20 @@ def _check_aligned(mu: AtomicMeasure, E: AtomSubset) -> None:
         )
 
 
+def _aligned_weights(mu: AtomicMeasure, nu: AtomicMeasure, same_m: bool = False) -> np.ndarray:
+    """The one same-atom-list rule (``same_m``: and the same m): nu's weights on mu's atoms."""
+    if nu.atoms != mu.atoms or (same_m and nu.m != mu.m):
+        raise AlignmentError(f"measures must share the atom list{' and m' if same_m else ''}")
+    return nu.weights
+
+
+def _real_weights(mu: AtomicMeasure, role: str) -> np.ndarray:
+    """The one real-measure rule: mu's weights as an (atoms,) array when m = 1."""
+    if mu.m != 1:
+        raise VectorMeasureError(f"{role} must be real (m = 1), got m = {mu.m}")
+    return mu.weights[:, 0]
+
+
 def measure_of(mu: AtomicMeasure, E: AtomSubset) -> np.ndarray:
     """mu(E): componentwise sum of weights over member atoms."""
     _check_aligned(mu, E)
@@ -154,9 +164,7 @@ def total_variation(mu: AtomicMeasure, E: AtomSubset) -> float:
 
 def jordan_decomposition(mu: AtomicMeasure) -> tuple[AtomicMeasure, AtomicMeasure]:
     """Split a real measure into mutually singular positive/negative parts."""
-    if mu.m != 1:
-        raise VectorMeasureError("Jordan decomposition requires a real measure (m = 1)")
-    w = mu.weights[:, 0]
+    w = _real_weights(mu, "the decomposed measure")
     pos = AtomicMeasure(mu.atoms, np.maximum(w, 0.0))
     neg = AtomicMeasure(mu.atoms, np.maximum(-w, 0.0))
     return pos, neg
@@ -164,9 +172,7 @@ def jordan_decomposition(mu: AtomicMeasure) -> tuple[AtomicMeasure, AtomicMeasur
 
 def hahn_decomposition(mu: AtomicMeasure) -> tuple[AtomSubset, AtomSubset]:
     """Positive/negative atom sets; weight-0 atoms go to the positive side."""
-    if mu.m != 1:
-        raise VectorMeasureError("Hahn decomposition requires a real measure (m = 1)")
-    pos = AtomSubset(mu.weights[:, 0] >= 0)
+    pos = AtomSubset(_real_weights(mu, "the decomposed measure") >= 0)
     return pos, ~pos
 
 
@@ -179,11 +185,8 @@ def radon_nikodym(
     on atoms where nu > 0 the density is the weight ratio, elsewhere the
     whole weight is singular.
     """
-    if nu.m != 1:
-        raise VectorMeasureError("reference measure must be real (m = 1)")
-    if nu.atoms != mu.atoms:
-        raise AlignmentError("measures must share the atom list")
-    nw = nu.weights[:, 0]
+    nw = _real_weights(nu, "the reference measure")
+    _aligned_weights(mu, nu)
     if np.any(nw < 0):
         raise NotAPositiveMeasureError("reference measure has negative weights")
     positive = nw > 0
@@ -195,16 +198,11 @@ def radon_nikodym(
 
 def density_tv_identity(f: np.ndarray, nu: AtomicMeasure) -> tuple[float, float]:
     """Both sides of |f nu|(X) = sum_i ||f_i|| nu_i, computed independently."""
-    f = np.asarray(f, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
-    if nu.m != 1:
-        raise VectorMeasureError("reference measure must be real (m = 1)")
-    if f.shape[0] != nu.size:
-        raise AlignmentError("density rows must match atom count")
-    fnu = AtomicMeasure(nu.atoms, f * nu.weights[:, 0][:, None])
+    nw = _real_weights(nu, "the reference measure")
+    f = AtomicMeasure(nu.atoms, f).weights  # the weight rules: one finite vector per atom
+    fnu = AtomicMeasure(nu.atoms, f * nw[:, None])
     lhs = total_variation(fnu, fnu.full_subset())
-    rhs = float((np.linalg.norm(f, axis=1) * nu.weights[:, 0]).sum())
+    rhs = float((np.linalg.norm(f, axis=1) * nw).sum())
     return lhs, rhs
 
 
@@ -216,9 +214,7 @@ def restrict(mu: AtomicMeasure, E: AtomSubset) -> AtomicMeasure:
 
 def is_absolutely_continuous(mu: AtomicMeasure, nu: AtomicMeasure) -> bool:
     """nu(atom) = 0 implies the atom carries no mu mass."""
-    if nu.atoms != mu.atoms:
-        raise AlignmentError("measures must share the atom list")
-    null = nu.weights[:, 0] == 0
+    null = _aligned_weights(mu, nu)[:, 0] == 0
     return bool(np.all(np.linalg.norm(mu.weights[null], axis=1) == 0))
 
 

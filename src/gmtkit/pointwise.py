@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonConvergenceError, ResolutionError
+from .errors import NonConvergenceError, ResolutionError, _check_count, _check_real
 from .grids import GridFunction, RasterSet
 from .hausdorff import omega
 
@@ -56,6 +56,8 @@ def directional_derivative(
     v = np.asarray(v, dtype=float)
     if np.linalg.norm(v) == 0:
         raise ValueError("direction must be nonzero")
+    _check_real("h0", h0)
+    _check_count("levels", levels, 1, "step size")
     if isinstance(f, GridFunction):
         evaluate = lambda p: f.interpolate(p)
     else:
@@ -125,6 +127,7 @@ def _central_differences(
 
 def default_radii(f: GridFunction | RasterSet, x: Sequence[float], count: int = 8) -> np.ndarray:
     """Geometric radius schedule from a quarter of the box down to ~3h."""
+    _check_count("count", count, 1, "radius")
     lo, hi = f._box()
     x = f._point(x)
     span = min(min(x[d] - lo[d], hi[d] - x[d]) for d in range(f.ndim))
@@ -170,6 +173,8 @@ def _schedule(f: GridFunction | RasterSet, x: Sequence[float], radii: Sequence[f
     radii = np.asarray(default_radii(f, x) if radii is None else radii, dtype=float)
     if radii.size == 0:
         raise ValueError("the radius schedule is empty")
+    for r in radii:
+        _check_real("radius", r)
     return x, radii
 
 
@@ -315,6 +320,7 @@ def approx_partials(
     difference quotients, the finite analog of discarding a density-0
     exceptional set.
     """
+    _check_count("max_steps", max_steps, 1, "step")
     idx = np.array(f.index_of(x))
     out = np.zeros(f.ndim)
     steps = np.arange(-max_steps, max_steps + 1)

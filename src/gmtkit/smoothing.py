@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UnderResolvedKernelError
+from .errors import UnderResolvedKernelError, _check_count, _check_real
 from .grids import GridFunction, tensor_points
 from .hausdorff import omega
 from .pointwise import gradient_fd
@@ -63,12 +63,16 @@ def _gauss_legendre(a: float, b: float, nodes: int) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class MollifierKernel:
-    """Nonnegative even unit-mass kernel supported in B(0, eps)."""
+    """Nonnegative even unit-mass kernel supported in B(0, eps), with an int n >= 1 and eps > 0."""
 
     kind: str  # "standard" | "ball-indicator"
     n: int
     eps: float
     normalization: float
+
+    def __post_init__(self):
+        _check_count("n", self.n, 1, "axis")
+        _check_real("eps", self.eps)
 
     def unscaled(self, pts: np.ndarray) -> np.ndarray:
         """phi on the unit ball; pts has shape (..., n)."""
@@ -97,18 +101,13 @@ def _standard_normalization(n: int, nodes: int = 64) -> float:
     return 1.0 / integral
 
 
-def _check_kernel(n: int, eps: float) -> None:
-    if n < 1 or not 0 < eps < math.inf:
-        raise ValueError("need n >= 1 and finite eps > 0")
-
-
 def make_standard_mollifier(n: int, eps: float) -> MollifierKernel:
-    _check_kernel(n, eps)
+    _check_count("n", n, 1, "axis")  # before the normalization uses it; the kernel checks eps
     return MollifierKernel("standard", n, eps, _standard_normalization(n))
 
 
 def make_ball_mollifier(n: int, eps: float) -> MollifierKernel:
-    _check_kernel(n, eps)
+    _check_count("n", n, 1, "axis")
     return MollifierKernel("ball-indicator", n, eps, 1.0 / omega(n))
 
 
@@ -154,7 +153,6 @@ def mollify(f: GridFunction, kernel: MollifierKernel, eps: float | None = None) 
     """
     if eps is not None:
         kernel = MollifierKernel(kernel.kind, kernel.n, eps, kernel.normalization)
-    _check_kernel(kernel.n, kernel.eps)
     eps, h = kernel.eps, f.h
     if eps < 2 * h:
         raise UnderResolvedKernelError(f"eps = {eps} must be at least 2h = {2 * h}")
@@ -174,8 +172,8 @@ def mollify(f: GridFunction, kernel: MollifierKernel, eps: float | None = None) 
 def difference_quotient(f: GridFunction, axis: int, step: float) -> GridFunction:
     """(f(x - step e_i) - f(x)) / step on the cells where both terms exist."""
     h = f.h
-    if abs(step) < h:
-        raise ValueError("step must be at least one cell")
+    f._check_axis(axis)
+    _check_real("|step|", abs(step), h)  # at least one cell
     s = int(round(step / h))
     if not math.isclose(s * h, step, rel_tol=1e-9):
         raise ValueError("step must be a lattice multiple of the spacing")
@@ -260,6 +258,7 @@ class TestFunctionBattery:
     ) -> "TestFunctionBattery":
         lo = np.asarray(box_lo, dtype=float)
         hi = np.asarray(box_hi, dtype=float)
+        _check_count("count", count, 1, "bump")
         rng = np.random.default_rng(seed)
         centers, radii = [], []
         for _ in range(count):
@@ -297,10 +296,8 @@ def weak_derivative_residual(
     A small residual certifies g as the weak partial derivative of f on
     the grid.  A non-finite bump, or one that leaves the box, is a BatteryError.
     """
-    if g.values.shape != f.values.shape:
-        raise ValueError("candidate must share the lattice of f")
-    if not -f.ndim <= axis < f.ndim:
-        raise ValueError(f"axis {axis} out of range for a {f.ndim}-D grid")
+    f._check_same_lattice(g, "candidate must share the lattice of f")
+    f._check_axis(axis)
     lo, hi = f._box()
     cell = f.h**f.ndim
     worst = 0.0
@@ -323,6 +320,8 @@ def mollify_commutes_with_weak_derivative(
     axis: int = 0,
 ) -> float:
     """sup over the doubly-shrunken domain of |d_axis(f_eps) - (g)_eps|."""
+    f._check_same_lattice(g, "candidate must share the lattice of f")
+    f._check_axis(axis)
     f_eps = mollify(f, kernel)
     # drop another kernel radius so one-sided stencils never enter
     kr = _kernel_radius(kernel.eps, f.h)

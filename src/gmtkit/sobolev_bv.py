@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import RegimeError
+from .errors import RegimeError, _check_count, _check_real
 from .grids import GridFunction, RasterSet
 from .hausdorff import omega
 from .pointwise import gradient_fd
@@ -72,6 +72,7 @@ class Bv1dDecomposition:
 
 
 def _lp(values: np.ndarray, p: float, cell: float) -> float:
+    _check_real("p", p, 1)  # every L^p norm here needs a finite p >= 1
     return float((np.abs(values) ** p).sum() * cell) ** (1.0 / p)
 
 
@@ -81,8 +82,6 @@ def _grad_norm(f: GridFunction) -> np.ndarray:
 
 def sobolev_norm(f: GridFunction, p: float) -> SobolevReport:
     """Discrete W^{1,p} norm: L^p norm of f plus L^p norm of |grad f|."""
-    if not 1 <= p < math.inf:
-        raise ValueError(f"need 1 <= p < inf; got p = {p}")
     cell = f.h**f.ndim
     lp = _lp(f.values, p, cell)
     grad_lp = _lp(_grad_norm(f), p, cell)
@@ -122,6 +121,7 @@ def poincare_cube_check(
 
 def _dyadic_blocks(f: GridFunction, generations: int):
     """(first index, cells per side) of each cube ``dyadic_cubes`` lists."""
+    _check_count("generations", generations, 1, "cube generation")
     side0 = float((np.array(f.extents) * f.h).min())
     for g in range(generations):
         m = int(round(side0 / 2**g / f.h))
@@ -158,6 +158,7 @@ def morrey_check(
     n = f.ndim
     if not n < p < math.inf:
         raise RegimeError(f"Morrey needs n < p < inf; got p = {p}, n = {n}")
+    _check_count("n_pairs", n_pairs, 1, "pair")
     C = 2.0 * n * p / (p - n)
     grad_lp = _lp(_grad_norm(f), p, f.h**n)
     # one draw yields the integers of n_pairs successive (z, y) draws
@@ -207,8 +208,8 @@ def perimeter_calibration(n: int, h: float) -> float:
     """Face-count perimeter of the rasterized unit ball over its true
     surface measure; ~4/pi for the disk.  Cached per (n, h).
     """
-    if n < 1 or not 0 < h < math.inf:
-        raise ValueError("need n >= 1 and finite h > 0")
+    _check_count("n", n, 1, "axis")
+    _check_real("h", h)
     ext = int(math.ceil(2.4 / h))
     ball = RasterSet.from_predicate(
         lambda *xs: sum(x**2 for x in xs) <= 1.0,
@@ -227,6 +228,7 @@ def seeded_bump_field(
     Returns (field, divergence) with analytic divergence; used by the
     divergence-sup variation lower bound.
     """
+    _check_count("n_bumps", n_bumps, 1, "bump")
     rng = np.random.default_rng(seed)
     lo, hi = f._box()
     n = f.ndim
@@ -262,6 +264,8 @@ def variation_nd(
     divergence-sup: max of int f div(Phi) over a seeded smooth family with
     |Phi| <= 1 — a lower bound by construction.
     """
+    _check_count("n_levels", n_levels, 1, "level")
+    _check_count("n_fields", n_fields, 1, "field")
     cell = f.h**f.ndim
     if method == "gradient-integral":
         return VariationReport(float(_grad_norm(f).sum() * cell), method)
@@ -371,9 +375,8 @@ def lsc_check(
 
     Lower semicontinuity demands tv(limit) <= liminf.
     """
-    shapes = {g.extents for g in sequence} | {limit.extents}
-    if len(shapes) != 1:
-        raise ValueError("sequence and limit must share one lattice")
+    for g in sequence:
+        limit._check_same_lattice(g, "sequence and limit must share one lattice")
 
     def tv(g: GridFunction) -> float:
         if g.ndim == 1:

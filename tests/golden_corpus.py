@@ -34,7 +34,8 @@ GOLDEN = Path(__file__).parent / "golden"
 SEED = 7
 
 # (name, argv without --output and --no-timestamp, exit code): one job per
-# subcommand and branch, plus the exit-1 jobs of the CI smoke step
+# subcommand and branch, the exit-1 jobs of the CI smoke step, and two inputs
+# that break an argument rule (a NaN weight, a candidate on another lattice)
 JOBS = [
     ("measure-json", ["measure", "--input", "mu.json"], 0),
     ("measure-csv", ["measure", "--input", "mu.json", "--format", "csv"], 0),
@@ -59,6 +60,9 @@ JOBS = [
     ("area-polar-range", ["area", "--map", "polar", "--range", "0,1"], 1),
     ("bv-h-nan", ["bv", "--input", "hnan.csv"], 1),
     ("measure-eps", ["measure", "--input", "mu.json", "--eps", "0.1"], 1),
+    ("measure-nan-weight", ["measure", "--input", "mu_nan.json"], 1),
+    ("weakdiff-other-lattice",
+     ["weakdiff", "--input", "xplus.csv", "--input", "heaviside_moved.csv"], 1),
 ]
 
 
@@ -103,6 +107,11 @@ def write_inputs(where: Path, seed: int = SEED) -> None:
         stairs[loc + 1:] += height
     GridFunction(stairs, [0.0], 1 / n).to_csv(where / "stairs.csv")
     (where / "hnan.csv").write_text("dims=4;origin=0;h=nan\n" + "1\n" * 4)
+    (where / "mu_nan.json").write_text(
+        json.dumps({"atoms": ["a", "b"], "m": 1, "weights": [1.0, math.nan]}))
+    # the shape of heaviside.csv on another lattice: origin 5, h = 7e-3
+    GridFunction.from_callable(
+        lambda x: (x > 0).astype(float), [5], [2000], 7e-3).to_csv(where / "heaviside_moved.csv")
 
 
 def run_jobs(where: Path) -> dict[str, int]:

@@ -863,12 +863,14 @@ def test_non_positive_cell_counts_are_rejected(call):
         ("nodes", lambda: ar.curve_length(ar.builtin_map("helix"), nodes=10.5)),
         ("depth", lambda: ar.multiplicity(ar.builtin_map("polar"), [0.5, 0.0], depths=[2.5])),
         ("m_cells", lambda: ar.jacobian_l1_check(ar.builtin_map("polar"), m_cells=-4)),
+        ("laps", lambda: ar.builtin_map("fold", laps=2.5)),
     ],
     ids=["cov-ny-2.5", "area-formula-depth-8.5", "cov-m-cells-100.5", "surface-m-8.5",
-         "curve-nodes-10.5", "multiplicity-depth-2.5", "jacobian-l1-m-cells-4"],
+         "curve-nodes-10.5", "multiplicity-depth-2.5", "jacobian-l1-m-cells-4", "fold-laps-2.5"],
 )
 def test_resolutions_must_be_ints(name, call):
-    # a float count once ran on a grid past the image (n_y = 2.5) or raised
-    # TypeError, and a negative m_cells a math domain error
+    # a float count once ran on a grid past the image (n_y = 2.5), built a
+    # 2-lap fold for laps = 2.5 or raised TypeError, and a negative m_cells
+    # a math domain error
     with pytest.raises(ValueError, match=f"^{name} must be an int >= "):
         call()

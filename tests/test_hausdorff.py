@@ -39,6 +39,7 @@ _NONFINITE = {
     "linear-map": lambda v: hd.linear_image_measure_check(_SQUARE, [[1.0, v], [0.0, 1.0]]),
     "lipschitz-constant": lambda v: hd.lipschitz_image_bound_check(
         lambda p: p, v, _CLOUD, 1.0, 0.25),
+    "ifs-min-scale": lambda v: hd.ifs_points(hd.IfsSystem.from_json(cantor_ifs_json(0)), min_scale=v),
 }
 
 
@@ -47,6 +48,23 @@ _NONFINITE = {
 def test_non_finite_input_is_a_value_error(call, value):
     with pytest.raises(ValueError, match="finite"):
         _NONFINITE[call](value)
+
+
+@pytest.mark.parametrize(
+    "match, call",
+    [
+        # math domain error
+        ("min_scale must be finite and positive",
+         lambda: hd.ifs_points(hd.IfsSystem.from_json(cantor_ifs_json(0)), min_scale=0.0)),
+        # an empty cloud returned 0.0 before the floor was compared with delta / sqrt(n)
+        ("refine_floor exceeds", lambda: hd.premeasure_delta(
+            hd.PointCloud(np.empty((0, 2))), 1.0, 0.5, refine_floor=0.9)),
+    ],
+    ids=["ifs-min-scale-0", "premeasure-empty-cloud-floor"],
+)
+def test_bad_arguments_are_value_errors(match, call):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_omega_past_the_gamma_overflow():

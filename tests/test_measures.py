@@ -154,3 +154,20 @@ def test_partition_sup_rejects_large_instances():
     mu = real_measure(list(range(1, 18)))
     with pytest.raises(ValueError):
         ms.partition_variation_sup(mu)
+
+
+_BAD_ARGUMENTS = {
+    # a NaN weight was kept and listed on the negative side of the Hahn decomposition
+    "nan-weight": lambda: ms.AtomicMeasure(("a", "b"), [1.0, float("nan")]),
+    "inf-weight": lambda: ms.AtomicMeasure(("a", "b"), [[1.0, float("inf")], [0.0, 1.0]]),
+    "json-nan-weight": lambda: ms.AtomicMeasure.from_json(
+        '{"atoms": ["a", "b"], "m": 1, "weights": [1.0, NaN]}'),
+    # (nan, nan)
+    "nan-density": lambda: ms.density_tv_identity([1.0, float("nan")], real_measure([1.0, 2.0])),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_ARGUMENTS))
+def test_bad_arguments_are_value_errors(name):
+    with pytest.raises(ValueError, match="weights must be finite"):
+        _BAD_ARGUMENTS[name]()

@@ -443,3 +443,31 @@ def test_density_of_a_tiny_ball_reads_only_its_window():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+_BAD_ARGUMENTS = {
+    # TypeError, NonConvergenceError, IndexError
+    "directional-levels-2.5": ("levels must be an int >= 1", lambda: pw.directional_derivative(
+        lambda x, y: x * y, [0.5, 0.5], [1.0, 0.0], levels=2.5)),
+    "directional-h0-0": ("h0 must be finite and positive", lambda: pw.directional_derivative(
+        lambda x, y: x * y, [0.5, 0.5], [1.0, 0.0], h0=0.0)),
+    "approx-partials-max-steps-2.5": ("max_steps must be an int >= 1",
+                                      lambda: pw.approx_partials(LINEAR, [0.1, 0.1], max_steps=2.5)),
+    # one radius for count = 0
+    "default-radii-count-0": ("count must be an int >= 1",
+                              lambda: pw.default_radii(LINEAR, [0.1, 0.1], count=0)),
+    # ratios [nan, 0.] classified "boundary" with limit_estimate nan; averages [nan, 0.]
+    "density-nan-radius": ("radius must be finite and positive",
+                           lambda: pw.density(HALF, [-0.5, 0.0], radii=[math.nan, 0.3])),
+    "density-inf-radius": ("radius must be finite and positive",
+                           lambda: pw.density(HALF, [-0.5, 0.0], radii=[math.inf, 0.3])),
+    "lebesgue-nan-radius": ("radius must be finite and positive",
+                            lambda: pw.lebesgue_point_check(LINEAR, [0.1, 0.1], radii=[math.nan, 0.3])),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_ARGUMENTS))
+def test_bad_arguments_are_value_errors(name):
+    match, call = _BAD_ARGUMENTS[name]
+    with pytest.raises(ValueError, match=match):
+        call()

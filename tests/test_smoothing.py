@@ -171,7 +171,7 @@ def test_difference_quotient_of_either_sign_is_the_shifted_difference(shape):
 @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1.0])
 def test_mollify_eps_override_passes_the_kernel_check(eps):
     f = GridFunction(np.zeros(50), [0.0], 0.02)
-    with pytest.raises(ValueError, match="need n >= 1 and finite eps > 0"):
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
         sm.mollify(f, sm.make_standard_mollifier(1, 0.1), eps=eps)
 
 
@@ -296,3 +296,39 @@ def test_mollify_commutes_rejects_empty_doubly_shrunk_domain():
     g = GridFunction.from_callable(lambda x: 3 * np.cos(3 * x), [0.0], [40], 1 / 40)
     with pytest.raises(ValueError, match="doubly-shrunken domain"):
         sm.mollify_commutes_with_weak_derivative(f, g, sm.make_standard_mollifier(1, 0.3))
+
+
+_X_PLUS = GridFunction.from_callable(lambda x: np.maximum(x, 0.0), [-1.0], [2000], 1e-3)
+_WAVE = GridFunction.from_callable(lambda x, y: np.sin(3 * x) * y, [0.0, 0.0], [32, 32], 1 / 32)
+# the shape of _X_PLUS on another lattice (origin 5, h = 7e-3)
+_MOVED = GridFunction.from_callable(lambda x: (x > 0).astype(float), [5.0], [2000], 7e-3)
+_BAD_ARGUMENTS = {
+    # a kernel for a fractional dimension (normalization 2.164879914809173, 0.38947775171918575)
+    "standard-n-1.5": ("n must be an int >= 1", lambda: sm.make_standard_mollifier(1.5, 0.1)),
+    "ball-n-1.5": ("n must be an int >= 1", lambda: sm.make_ball_mollifier(1.5, 0.1)),
+    "kernel-eps-nan": ("eps must be finite and positive",
+                       lambda: sm.MollifierKernel("standard", 1, math.nan, 1.0)),
+    # TypeError, and an empty battery that certified any candidate with residual 0
+    "battery-count-2.5": ("count must be an int >= 1",
+                          lambda: sm.TestFunctionBattery.seeded([0.0], [1.0], count=2.5)),
+    "battery-count-0": ("count must be an int >= 1",
+                        lambda: sm.TestFunctionBattery.seeded([0.0], [1.0], count=0)),
+    # OverflowError, IndexError
+    "difference-step-inf": ("step. must be finite", lambda: sm.difference_quotient(_WAVE, 0, math.inf)),
+    "difference-axis-2": ("axis 2 out of range", lambda: sm.difference_quotient(_WAVE, 2, 1 / 32)),
+    "commute-axis-2": ("axis 2 out of range", lambda: sm.mollify_commutes_with_weak_derivative(
+        _WAVE, _WAVE, sm.make_standard_mollifier(2, 0.1), axis=2)),
+    # only the shapes were compared: residual 0.2314230364029199
+    "residual-other-lattice": ("candidate must share the lattice", lambda: sm.weak_derivative_residual(
+        _X_PLUS, _MOVED, 0, sm.TestFunctionBattery.seeded([-1.0], [1.0]))),
+    "commute-other-lattice": ("candidate must share the lattice",
+                              lambda: sm.mollify_commutes_with_weak_derivative(
+                                  _X_PLUS, _MOVED, sm.make_standard_mollifier(1, 0.05))),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_ARGUMENTS))
+def test_bad_arguments_are_value_errors(name):
+    match, call = _BAD_ARGUMENTS[name]
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -135,7 +135,7 @@ def test_morrey_regime_guard():
 
 @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 0.5])
 def test_sobolev_norm_needs_a_finite_exponent_of_at_least_one(p):
-    with pytest.raises(ValueError, match="1 <= p < inf"):
+    with pytest.raises(ValueError, match="p must be finite and >= 1"):
         sb.sobolev_norm(bump_2d(32), p)
 
 
@@ -200,7 +200,7 @@ def test_perimeter_calibration_is_cached_per_lattice():
 
 @pytest.mark.parametrize("n, h", [(0, 0.1), (2, 0.0), (2, -0.1), (2, math.nan), (2, math.inf)])
 def test_perimeter_calibration_rejects_bad_lattices(n, h):
-    with pytest.raises(ValueError, match="need n >= 1 and finite h > 0"):
+    with pytest.raises(ValueError, match="^(n must be an int >= 1 |h must be finite and positive)"):
         sb.perimeter_calibration(n, h)
 
 
@@ -366,3 +366,40 @@ def test_lsc_rejects_mismatched_lattices():
     b = GridFunction(np.zeros(20), [0.0], 0.05)
     with pytest.raises(ValueError):
         sb.lsc_check([a], b)
+
+
+_BAD_ARGUMENTS = {
+    # ZeroDivisionError, and a coarea sum on 2.5 levels (1.2260740218372004)
+    "coarea-n-levels-0": ("n_levels must be an int >= 1",
+                          lambda: sb.variation_nd(bump_2d(32), "coarea", n_levels=0)),
+    "coarea-n-levels-2.5": ("n_levels must be an int >= 1",
+                            lambda: sb.variation_nd(bump_2d(32), "coarea", n_levels=2.5)),
+    "divergence-n-fields-0": ("n_fields must be an int >= 1",
+                              lambda: sb.variation_nd(bump_2d(32), "divergence-sup", n_fields=0)),
+    "bump-field-n-bumps-2.5": ("n_bumps must be an int >= 1",
+                               lambda: sb.seeded_bump_field(bump_2d(32), 1, n_bumps=2.5)),
+    # TypeError, and no cubes (a BMO seminorm of 0) for 0 generations
+    "dyadic-generations-2.5": ("generations must be an int >= 1",
+                               lambda: sb.dyadic_cubes(bump_2d(32), 2.5)),
+    "bmo-generations-0": ("generations must be an int >= 1",
+                          lambda: sb.bmo_seminorm(bump_2d(32), generations=0)),
+    "perimeter-calibration-n-1.5": ("n must be an int >= 1", lambda: sb.perimeter_calibration(1.5, 0.1)),
+    # ZeroDivisionError, and (nan, nan)
+    "poincare-p-0": ("p must be finite and >= 1",
+                     lambda: sb.poincare_cube_check(bump_2d(32, 1 / 32), [0.0, 0.0], 0.5, 0.0)),
+    "poincare-p-nan": ("p must be finite and >= 1",
+                       lambda: sb.poincare_cube_check(bump_2d(32, 1 / 32), [0.0, 0.0], 0.5, math.nan)),
+    # a worst ratio of 0 from no pairs
+    "morrey-n-pairs-0": ("n_pairs must be an int >= 1",
+                         lambda: sb.morrey_check(bump_2d(32), 4.0, n_pairs=0)),
+    # only the shapes were compared
+    "lsc-other-lattice": ("share one lattice", lambda: sb.lsc_check(
+        [GridFunction(np.zeros(10), [0.5], 0.1)], GridFunction(np.zeros(10), [0.0], 0.1))),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_ARGUMENTS))
+def test_bad_arguments_are_value_errors(name):
+    match, call = _BAD_ARGUMENTS[name]
+    with pytest.raises(ValueError, match=match):
+        call()
