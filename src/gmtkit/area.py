@@ -263,7 +263,7 @@ def graph_area(f: GridFunction, mask: np.ndarray | None = None) -> float:
     integrand = np.sqrt(1.0 + gn2)
     if mask is not None:
         integrand = np.where(mask, integrand, 0.0)
-    return float(integrand.sum() * f.h**f.ndim)
+    return f._midpoint_sum(integrand)
 
 
 def _cell_centers(phi: ParametricMap, m: int, rows: slice = slice(None)) -> np.ndarray:

@@ -23,7 +23,8 @@ def _centers_1d(origin: float, stop: int, h: float, start: int = 0) -> np.ndarra
     return origin + (np.arange(start, stop) + 0.5) * h
 
 
-def _center_grids(origin: np.ndarray, extents: Sequence[int], h: float) -> list[np.ndarray]:
+def _center_grids(origin: Sequence[float], extents: Sequence[int], h: float) -> list[np.ndarray]:
+    origin = np.atleast_1d(np.asarray(origin, dtype=float))
     axes = [_centers_1d(origin[d], extents[d], h) for d in range(len(origin))]
     return list(np.meshgrid(*axes, indexing="ij"))
 
@@ -61,6 +62,15 @@ class _Lattice:
     @property
     def ndim(self) -> int:
         return self._cells.ndim
+
+    @property
+    def _weight(self) -> float:
+        """The cell weight h^n of every midpoint sum."""
+        return self.h**self.ndim
+
+    def _midpoint_sum(self, values: np.ndarray) -> float:
+        """Midpoint sum over this lattice's cells: the sum of ``values`` times the cell weight."""
+        return float(values.sum() * self._weight)
 
     @property
     def extents(self) -> tuple[int, ...]:
@@ -159,12 +169,11 @@ class GridFunction(_Lattice):
         h: float,
     ) -> "GridFunction":
         """Sample ``fn(x1, ..., xn)`` (vectorized) at cell centers."""
-        origin = np.atleast_1d(np.asarray(origin, dtype=float))
         values = np.asarray(fn(*_center_grids(origin, extents, h)), dtype=float)
         return cls(values=values, origin=origin, h=h)
 
     def integral(self) -> float:
-        return float(self.values.sum() * self.h**self.ndim)
+        return self._midpoint_sum(self.values)
 
     def index_of(self, x: Sequence[float]) -> tuple[int, ...]:
         """Lattice index of the cell containing x (clipped to the box)."""
@@ -240,7 +249,6 @@ class RasterSet(_Lattice):
         extents: Sequence[int],
         h: float,
     ) -> "RasterSet":
-        origin = np.atleast_1d(np.asarray(origin, dtype=float))
         mask = np.asarray(pred(*_center_grids(origin, extents, h)), dtype=bool)
         return cls(mask=mask, origin=origin, h=h)
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResolutionError, _check_count, _check_real
-from .grids import RasterSet, _centers_1d, _write_csv_rows, tensor_points
+from .grids import RasterSet, _write_csv_rows
 
 __all__ = [
     "PointCloud",
@@ -371,7 +371,7 @@ def dimension_estimate(
 
 def lebesgue_measure(raster: RasterSet) -> float:
     """Cell-counting Lebesgue measure: (true cells) * h^n."""
-    return float(raster.mask.sum()) * raster.h**raster.ndim
+    return raster._midpoint_sum(raster.mask)
 
 
 def linear_image_measure_check(raster: RasterSet, T: np.ndarray) -> tuple[float, float]:
@@ -391,18 +391,16 @@ def linear_image_measure_check(raster: RasterSet, T: np.ndarray) -> tuple[float,
         raise SingularMapError("T is singular")
     rhs = abs(det) * lebesgue_measure(raster)
 
-    centers = raster.true_centers()
-    if len(centers) == 0:
+    img = raster.true_centers() @ T.T
+    if len(img) == 0:
         return 0.0, rhs
-    img = centers @ T.T
-    h = raster.h
+    h, inverse = raster.h, np.linalg.inv(T).T
     lo = img.min(axis=0) - h
-    hi = img.max(axis=0) + h
-    ext = np.maximum(1, np.ceil((hi - lo) / h).astype(int))
-    ycenters = tensor_points([_centers_1d(lo[d], ext[d], h) for d in range(n)])
-    hit = raster.contains(ycenters @ np.linalg.inv(T).T)
-    lhs = float(hit.sum()) * h**n
-    return lhs, rhs
+    ext = np.maximum(1, np.ceil((img.max(axis=0) + h - lo) / h).astype(int))
+    image = RasterSet.from_predicate(
+        lambda *ys: raster.contains(np.stack(ys, -1).reshape(-1, n) @ inverse).reshape(ext),
+        lo, ext, h)
+    return lebesgue_measure(image), rhs
 
 
 def _line_ends(keys: np.ndarray) -> np.ndarray:

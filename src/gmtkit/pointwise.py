@@ -215,7 +215,7 @@ def _density_ratios(balls: list[tuple[np.ndarray, float]], cell: float) -> np.nd
 def density(E: RasterSet, x: Sequence[float], radii: Sequence[float] | None = None) -> DensityReport:
     """Density ratios Lebesgue(E ∩ B(x,r)) / (omega_n r^n) across radii."""
     x, radii = _schedule(E, x, radii)
-    ratios = _density_ratios(_balls(E, _ball_samples(E, x, radii), radii), E.h**E.ndim)
+    ratios = _density_ratios(_balls(E, _ball_samples(E, x, radii), radii), E._weight)
     tail = ratios[-3:] if len(ratios) >= 3 else ratios
     spread = float(tail.max() - tail.min())
     estimate = float(tail.mean())
@@ -271,7 +271,7 @@ def approx_limit(
     if near.size == 0:
         raise ResolutionError("no samples near x")
     keep = [i for i, r in enumerate(radii) if r >= 8 * f.h] or list(range(len(radii)))
-    balls, cell = _balls(f, [samples[i] for i in keep], radii[keep]), f.h**f.ndim
+    balls, cell = _balls(f, [samples[i] for i in keep], radii[keep]), f._weight
     candidate = float(np.median(near))
     if _limsups([(np.abs(v - candidate), vol) for v, vol in balls], cell).min() < tol:
         return candidate
@@ -302,11 +302,8 @@ def lebesgue_point_check(
     radii under 3h are a ResolutionError."""
     x, radii = _schedule(f, x, radii)
     fx = f.value_at(x)
-    cell = f.h**f.ndim
-    averages = np.array([
-        float(np.abs(vals - fx).sum()) * cell / vol
-        for vals, vol in _balls(f, _ball_samples(f, x, radii), radii)
-    ])
+    averages = np.array([f._midpoint_sum(np.abs(vals - fx)) / vol
+                         for vals, vol in _balls(f, _ball_samples(f, x, radii), radii)])
     return averages, bool(averages[radii.argmin()] < tol)
 
 

@@ -163,9 +163,9 @@ def mollify(f: GridFunction, kernel: MollifierKernel, eps: float | None = None) 
         )
     offsets = np.arange(-kr, kr + 1) * h
     K = kernel.scaled(tensor_points([offsets] * f.ndim)).reshape((offsets.size,) * f.ndim)
-    K /= K.sum() * h**f.ndim
+    K /= f._midpoint_sum(K)
     # K is even, so convolution and correlation coincide
-    out = _fft_convolve_valid(f.values, K) * h**f.ndim
+    out = _fft_convolve_valid(f.values, K) * f._weight
     return GridFunction(values=out, origin=f._corner(kr), h=h)
 
 
@@ -299,7 +299,6 @@ def weak_derivative_residual(
     f._check_same_lattice(g, "candidate must share the lattice of f")
     f._check_axis(axis)
     lo, hi = f._box()
-    cell = f.h**f.ndim
     worst = 0.0
     for i, (c, r) in enumerate(zip(battery.centers, battery.radii)):
         if not (np.all(np.isfinite(c)) and 0 < r < math.inf):
@@ -307,8 +306,8 @@ def weak_derivative_residual(
         if np.any(c - r < lo) or np.any(c + r > hi):
             raise BatteryError(f"bump {i} support escapes the domain")
         window, inside, phi_in, grad_in = _lattice_bump(f, c, float(r), axis)
-        residual = abs(float((phi_in * g.values[window][inside]).sum() * cell)
-                       + float((grad_in * f.values[window][inside]).sum() * cell))
+        residual = abs(f._midpoint_sum(phi_in * g.values[window][inside])
+                       + f._midpoint_sum(grad_in * f.values[window][inside]))
         worst = max(worst, residual)
     return worst
 

@@ -71,9 +71,10 @@ class Bv1dDecomposition:
     jump_locations: list[tuple[float, float]]  # (position, height)
 
 
-def _lp(values: np.ndarray, p: float, cell: float) -> float:
+def _lp(values: np.ndarray, p: float, f: GridFunction) -> float:
+    """The L^p norm of per-cell values as a midpoint sum on f's lattice."""
     _check_real("p", p, 1)  # every L^p norm here needs a finite p >= 1
-    return float((np.abs(values) ** p).sum() * cell) ** (1.0 / p)
+    return f._midpoint_sum(np.abs(values) ** p) ** (1.0 / p)
 
 
 def _grad_norm(f: GridFunction) -> np.ndarray:
@@ -82,9 +83,8 @@ def _grad_norm(f: GridFunction) -> np.ndarray:
 
 def sobolev_norm(f: GridFunction, p: float) -> SobolevReport:
     """Discrete W^{1,p} norm: L^p norm of f plus L^p norm of |grad f|."""
-    cell = f.h**f.ndim
-    lp = _lp(f.values, p, cell)
-    grad_lp = _lp(_grad_norm(f), p, cell)
+    lp = _lp(f.values, p, f)
+    grad_lp = _lp(_grad_norm(f), p, f)
     n = f.ndim
     p_star = n * p / (n - p) if p < n else None
     return SobolevReport(p, lp, grad_lp, lp + grad_lp, p_star)
@@ -98,9 +98,8 @@ def gns_check(f: GridFunction, p: float) -> tuple[float, float, float]:
                           "(use the BMO or Morrey checks for p >= n)")
     C = 1.0 if p == 1 else p * (n - 1) / (n - p)
     p_star = n * p / (n - p)
-    cell = f.h**n
-    lhs = _lp(f.values, p_star, cell)
-    rhs = C * _lp(_grad_norm(f), p, cell)
+    lhs = _lp(f.values, p_star, f)
+    rhs = C * _lp(_grad_norm(f), p, f)
     return lhs, rhs, C
 
 
@@ -111,11 +110,10 @@ def poincare_cube_check(
     n = f.ndim
     sl = f._cube_slices(cube_lo, side)
     block = f.values[sl]
-    cell = f.h**n
     mean = float(block.mean())
-    lhs = _lp(block - mean, p, cell)
+    lhs = _lp(block - mean, p, f)
     gn = _grad_norm(f)[sl]
-    rhs = (n ** (p + 1)) ** (1.0 / p) * side * _lp(gn, p, cell)
+    rhs = (n ** (p + 1)) ** (1.0 / p) * side * _lp(gn, p, f)
     return lhs, rhs
 
 
@@ -160,7 +158,7 @@ def morrey_check(
         raise RegimeError(f"Morrey needs n < p < inf; got p = {p}, n = {n}")
     _check_count("n_pairs", n_pairs, 1, "pair")
     C = 2.0 * n * p / (p - n)
-    grad_lp = _lp(_grad_norm(f), p, f.h**n)
+    grad_lp = _lp(_grad_norm(f), p, f)
     # one draw yields the integers of n_pairs successive (z, y) draws
     iz, iy = np.moveaxis(
         np.random.default_rng(seed).integers(0, f.extents, size=(n_pairs, 2, n)), 1, 0
@@ -266,9 +264,8 @@ def variation_nd(
     """
     _check_count("n_levels", n_levels, 1, "level")
     _check_count("n_fields", n_fields, 1, "field")
-    cell = f.h**f.ndim
     if method == "gradient-integral":
-        return VariationReport(float(_grad_norm(f).sum() * cell), method)
+        return VariationReport(f._midpoint_sum(_grad_norm(f)), method)
     if method == "coarea":
         tmin, tmax = float(f.values.min()), float(f.values.max())
         if tmax <= tmin:
@@ -287,7 +284,7 @@ def variation_nd(
         best = 0.0
         for j in range(n_fields):
             _, div = seeded_bump_field(f, seed + j)
-            val = abs(float((f.values * div).sum() * cell))
+            val = abs(f._midpoint_sum(f.values * div))
             best = max(best, val)
         return VariationReport(best, method)
     raise ValueError(f"unknown method {method!r}")

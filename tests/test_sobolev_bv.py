@@ -98,7 +98,7 @@ def _morrey_per_pair(f, p, n_pairs, seed):
     """Reference ``morrey_check``: one pair at a time, two draws per pair."""
     n = f.ndim
     C = 2.0 * n * p / (p - n)
-    grad_lp = sb._lp(sb._grad_norm(f), p, f.h**n)
+    grad_lp = sb._lp(sb._grad_norm(f), p, f)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_pairs):
