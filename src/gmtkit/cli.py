@@ -186,7 +186,7 @@ def _cmd_bv(args, f: GridFunction) -> dict:
         return {
             "variation": sb.variation_1d(f.values),
             "bv_norm": sb.bv_norm(f.values, h=f.h),
-            "jumps": [{"x": x, "height": h} for x, h in dec.jump_locations],
+            "jumps": [{"x": float(f.origin[0] + x), "height": h} for x, h in dec.jump_locations],
             "ac_rise": float(dec.ac_part[-1] - dec.ac_part[0]),
             "singular_rise": float(dec.cantor_part[-1] - dec.cantor_part[0]),
         }
@@ -425,9 +425,15 @@ def run(argv: list[str] | None = None) -> int:
             raise ValidationFailure(f"{args.command} takes {len(command.inputs)} --input file(s), "
                                     f"got {len(args.input)}")
         inputs = [_load(path, kind) for path, kind in zip(args.input, command.inputs)]
-        results = command.handler(args, *inputs)
+        with np.errstate(all="ignore"):  # an overflow or NaN that reaches the report fails below
+            results = command.handler(args, *inputs)
         report = {"schema": SCHEMA, "command": args.command, "seed": args.seed,
                   "results": results}
+        rows: list[tuple[str, str]] = []
+        _flatten("", report, rows)
+        bad = [k for k, v in rows if v in ("NaN", "Infinity", "-Infinity")]
+        if bad:
+            raise ValidationFailure(f"report values must be finite; not finite: {', '.join(bad)}")
         if not args.no_timestamp:
             report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
         # the plot goes first: a report that cannot be plotted (1-D bv has

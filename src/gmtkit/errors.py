@@ -10,11 +10,14 @@ def _check_count(name: str, value, minimum: int, unit: str) -> None:
         raise ValueError(f"{name} must be an int >= {minimum} (at least one {unit}); got {value!r}")
 
 
-def _check_real(name: str, value, minimum: float | None = None) -> None:
-    """A real is finite and > 0, or >= ``minimum`` when one is given, else a ValueError."""
-    if not (0 < value < math.inf if minimum is None else minimum <= value < math.inf):
+def _check_real(name: str, value, minimum: float | None = None, maximum: float = math.inf) -> None:
+    """A real is finite and > 0, or >= ``minimum`` when one is given, and at
+    most ``maximum``, else a ValueError."""
+    above = 0 < value if minimum is None else minimum <= value
+    if not (above and value < math.inf and value <= maximum):
         bound = "positive" if minimum is None else "nonnegative" if minimum == 0 else f">= {minimum}"
-        raise ValueError(f"{name} must be finite and {bound}, got {value}")
+        cap = "" if maximum == math.inf else f" and <= {maximum}"
+        raise ValueError(f"{name} must be finite and {bound}{cap}, got {value}")
 
 
 class NonConvergenceError(RuntimeError):

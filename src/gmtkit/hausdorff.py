@@ -120,6 +120,7 @@ class IfsSystem:
         object.__setattr__(self, "maps", tuple(self.maps))
         if len(self.maps) < 2:
             raise ValueError("an IFS needs at least two maps")
+        _check_count("depth", self.depth, 0, "level, or 0 to choose from min_scale")
 
     @property
     def n(self) -> int:
@@ -151,7 +152,7 @@ class IfsSystem:
             )
             for m in data["maps"]
         )
-        return cls(maps=maps, depth=int(data.get("depth", 0)))
+        return cls(maps=maps, depth=data.get("depth", 0))
 
 
 @dataclass(frozen=True)
@@ -305,12 +306,14 @@ def default_scales(k_min: int = 3, k_max: int = 10) -> np.ndarray:
 def ifs_points(ifs: IfsSystem, depth: int | None = None, min_scale: float | None = None) -> PointCloud:
     """Attractor sample: all depth-fold map compositions applied to a seed.
 
-    When depth is not fixed, picks the smallest depth whose residual
-    contraction (max ratio)^depth out-resolves min_scale / 4.
+    A depth of None or 0 defers to ``ifs.depth``; where that is 0 too, picks
+    the smallest depth whose residual contraction (max ratio)^depth
+    out-resolves min_scale / 4.
     """
-    if depth is None or depth <= 0:
-        depth = ifs.depth
-    if depth <= 0:
+    if depth is not None:
+        _check_count("depth", depth, 0, "level, or 0 to choose from min_scale")
+    depth = depth or ifs.depth
+    if depth == 0:
         if min_scale is None:
             raise ValueError("either depth or min_scale must be given")
         _check_real("min_scale", min_scale)

@@ -214,7 +214,7 @@ def restrict(mu: AtomicMeasure, E: AtomSubset) -> AtomicMeasure:
 
 def is_absolutely_continuous(mu: AtomicMeasure, nu: AtomicMeasure) -> bool:
     """nu(atom) = 0 implies the atom carries no mu mass."""
-    null = _aligned_weights(mu, nu)[:, 0] == 0
+    null = ~np.any(_aligned_weights(mu, nu), axis=1)
     return bool(np.all(np.linalg.norm(mu.weights[null], axis=1) == 0))
 
 

@@ -265,6 +265,8 @@ def approx_limit(
     x, radii = _schedule(f, x, radii)
     if len(eps_list) == 0:
         raise ValueError("eps_list must hold at least one tolerance")
+    for eps in eps_list:
+        _check_real("eps_list", eps)
     tol = min(eps_list)  # the sets shrink as eps grows, so the least eps decides
     samples = _ball_samples(f, x, radii)
     near = samples[radii.argmin()][1]
@@ -301,6 +303,7 @@ def lebesgue_point_check(
     """Ball averages of |f - f(x)| per radius and a Lebesgue-point flag;
     radii under 3h are a ResolutionError."""
     x, radii = _schedule(f, x, radii)
+    _check_real("tol", tol)
     fx = f.value_at(x)
     averages = np.array([f._midpoint_sum(np.abs(vals - fx)) / vol
                          for vals, vol in _balls(f, _ball_samples(f, x, radii), radii)])
@@ -318,6 +321,7 @@ def approx_partials(
     exceptional set.
     """
     _check_count("max_steps", max_steps, 1, "step")
+    _check_real("central_fraction", central_fraction, maximum=1)
     idx = np.array(f.index_of(x))
     out = np.zeros(f.ndim)
     steps = np.arange(-max_steps, max_steps + 1)

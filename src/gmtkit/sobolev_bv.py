@@ -72,9 +72,14 @@ class Bv1dDecomposition:
 
 
 def _lp(values: np.ndarray, p: float, f: GridFunction) -> float:
-    """The L^p norm of per-cell values as a midpoint sum on f's lattice."""
     _check_real("p", p, 1)  # every L^p norm here needs a finite p >= 1
-    return f._midpoint_sum(np.abs(values) ** p) ** (1.0 / p)
+    v = np.abs(values)
+    with np.errstate(over="ignore"):
+        total = f._midpoint_sum(v**p)
+    if math.isfinite(total):
+        return total ** (1.0 / p)
+    top = float(v.max())  # |v|^p overflowed: scale by max |v|
+    return top * f._midpoint_sum((v / top) ** p) ** (1.0 / p)
 
 
 def _grad_norm(f: GridFunction) -> np.ndarray:
@@ -171,19 +176,24 @@ def morrey_check(
     return float((diff / denom[ok]).max(initial=0.0))
 
 
+def _samples_1d(samples: Sequence[float], h: float | None = None) -> tuple[np.ndarray, float]:
+    """The one 1-D sample rule: a row of at least 2 finite samples, h finite and > 0 (None: 1/N)."""
+    v = np.asarray(samples, dtype=float)
+    if v.ndim != 1 or v.size < 2 or not np.all(np.isfinite(v)):
+        raise ValueError(f"need a row of at least 2 samples, all finite; got shape {v.shape}")
+    if h is not None:
+        _check_real("h", h)
+    return v, 1.0 / v.size if h is None else h
+
+
 def variation_1d(samples: Sequence[float]) -> float:
     """Total variation of sampled values: sum of |successive differences|."""
-    v = np.asarray(samples, dtype=float)
-    if v.size < 2:
-        raise ValueError("need at least 2 samples")
-    return float(np.abs(np.diff(v)).sum())
+    return float(np.abs(np.diff(_samples_1d(samples)[0])).sum())
 
 
 def bv_norm(samples: Sequence[float], h: float | None = None) -> float:
     """||f||_BV = L1 norm + variation for samples on ]0,1[."""
-    v = np.asarray(samples, dtype=float)
-    if h is None:
-        h = 1.0 / v.size
+    v, h = _samples_1d(samples, h)
     return float(np.abs(v).sum() * h) + variation_1d(v)
 
 
@@ -307,15 +317,16 @@ def decompose_1d(
     peeled off iteratively, largest first.  Of the remaining increments,
     those with difference quotients beyond 10x the 90th percentile go to
     the singular part; the rest integrate into the absolutely continuous
-    part.  The three parts sum to f - f(first sample) exactly.  Fewer than
-    2 samples is a ValueError, as in ``variation_1d``.
+    part.  The three parts sum to f - f(first sample) exactly.  Samples and
+    h follow the rule of ``variation_1d`` and ``bv_norm``; each position is
+    measured from the left edge of the first sample's cell.
     """
-    f = np.asarray(samples, dtype=float)
+    f, h = _samples_1d(samples, h)
+    _check_real("jump_threshold", jump_threshold)
+    _check_real("dominance", dominance, maximum=1)
+    if window is not None:
+        _check_count("window", window, 1, "increment")
     N = f.size
-    if N < 2:
-        raise ValueError("need at least 2 samples")
-    if h is None:
-        h = 1.0 / N
     d = np.diff(f)
     masd = float(np.median(np.abs(d)))
     W = window if window is not None else max(4, min(32, N // 8))
