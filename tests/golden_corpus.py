@@ -34,8 +34,10 @@ GOLDEN = Path(__file__).parent / "golden"
 SEED = 7
 
 # (name, argv without --output and --no-timestamp, exit code): one job per
-# subcommand and branch, the exit-1 jobs of the CI smoke step, and two inputs
-# that break an argument rule (a NaN weight, a candidate on another lattice)
+# subcommand and branch, the exit-1 jobs of the CI smoke step, two inputs
+# that break an argument rule (a NaN weight, a candidate on another lattice),
+# a 1-D bv on an offset grid, a p whose |v|^p overflows, and two map ranges
+# whose report would not be finite
 JOBS = [
     ("measure-json", ["measure", "--input", "mu.json"], 0),
     ("measure-csv", ["measure", "--input", "mu.json", "--format", "csv"], 0),
@@ -48,7 +50,9 @@ JOBS = [
     ("sobolev-gns", ["sobolev", "--input", "bump.csv", "--p", "1.5"], 0),
     ("sobolev-bmo", ["sobolev", "--input", "bump.csv", "--p", "2"], 0),
     ("sobolev-morrey", ["sobolev", "--input", "f.csv", "--p", "3"], 0),
+    ("sobolev-p-1000", ["sobolev", "--input", "f3.csv", "--p", "1000"], 0),
     ("bv-1d", ["bv", "--input", "stairs.csv"], 0),
+    ("bv-1d-offset", ["bv", "--input", "step.csv"], 0),
     ("bv-2d", ["bv", "--input", "bump.csv", "--plot", "svg"], 0),
     ("area-helix", ["area", "--map", "helix", "--range", "0,2"], 0),
     ("area-sphere", ["area", "--map", "sphere"], 0),
@@ -63,6 +67,8 @@ JOBS = [
     ("measure-nan-weight", ["measure", "--input", "mu_nan.json"], 1),
     ("weakdiff-other-lattice",
      ["weakdiff", "--input", "xplus.csv", "--input", "heaviside_moved.csv"], 1),
+    ("area-helix-overflow", ["area", "--map", "helix", "--range", "0,1e308"], 1),
+    ("area-square-overflow", ["area", "--map", "square", "--range", "-1e200,1e200"], 1),
 ]
 
 
@@ -87,7 +93,11 @@ def write_inputs(where: Path, seed: int = SEED) -> None:
     GridFunction.from_callable(
         lambda x, y: np.sin(3 * x) * y, [0, 0], [32, 32], 1 / 32).to_csv(where / "f.csv")
     GridFunction.from_callable(
+        lambda x, y: 3 * np.sin(3 * x) * y, [0, 0], [32, 32], 1 / 32).to_csv(where / "f3.csv")
+    GridFunction.from_callable(
         lambda x: np.maximum(x, 0.0), [-1], [2000], 1e-3).to_csv(where / "xplus.csv")
+    GridFunction.from_callable(
+        lambda x: (x > 0) + 0.1 * np.sin(x), [-1], [2000], 1e-3).to_csv(where / "step.csv")
     GridFunction.from_callable(
         lambda x: (x > 0).astype(float), [-1], [2000], 1e-3).to_csv(where / "heaviside.csv")
     GridFunction.from_callable(

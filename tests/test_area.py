@@ -8,6 +8,7 @@ from scipy.special import ellipeinc
 
 from conftest import z_squared_map
 from gmtkit import area as ar
+from gmtkit.errors import NonConvergenceError
 from gmtkit.grids import GridFunction, RasterSet
 from gmtkit.hausdorff import SingularMapError
 
@@ -874,3 +875,9 @@ def test_resolutions_must_be_ints(name, call):
     # a math domain error
     with pytest.raises(ValueError, match=f"^{name} must be an int >= "):
         call()
+
+
+def test_multiplicity_unstable_between_depths_is_non_convergence():
+    # at depth 1 the two PL partitions disagree on most y-cells of x^2
+    with pytest.raises(NonConvergenceError, match="multiplicity unstable on 91% of the y-grid"):
+        ar.area_formula_with_multiplicity(ar.builtin_map("square"), depth=1)

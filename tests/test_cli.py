@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import cantor_ifs_json
 from gmtkit import cli
+from gmtkit.errors import NonConvergenceError
 from gmtkit.grids import GridFunction, RasterSet, tensor_points
 from gmtkit.hausdorff import PointCloud
 
@@ -688,3 +689,52 @@ def test_non_finite_point_is_validation_error(tmp_path):
     code = cli.run(["density", "--input", str(raster), "--point", "nan,0", "--output", str(out)])
     assert code == cli.EXIT_VALIDATION
     assert "finite" in json.loads((out / "error.json").read_text())["error"]["message"]
+
+
+def test_1d_bv_jumps_sit_on_the_grid_axis(tmp_path):
+    # positions were measured from the grid's left edge: x = 1.0 for this step at 0
+    f = GridFunction.from_callable(lambda x: (x > 0) + 0.1 * np.sin(x), [-1.0], [2000], 1e-3)
+    grid = tmp_path / "step.csv"
+    f.to_csv(grid)
+    out = tmp_path / "out"
+    assert cli.run(["bv", "--input", str(grid), "--output", str(out)]) == cli.EXIT_OK
+    assert read_report(out)["results"]["jumps"] == [{"height": 1.0000999999958333, "x": 0.0}]
+
+
+def test_sobolev_norms_past_the_float_range_of_v_to_the_p_stay_finite(tmp_path):
+    # |v|^1000 overflows: the norms read Infinity and the Morrey ratio 0.0
+    f = GridFunction.from_callable(lambda x, y: 3 * np.sin(3 * x) * y, [0, 0], [32, 32], 1 / 32)
+    grid = tmp_path / "f.csv"
+    f.to_csv(grid)
+    out = tmp_path / "out"
+    code = cli.run(["sobolev", "--input", str(grid), "--p", "1000", "--output", str(out)])
+    assert code == cli.EXIT_OK
+    res = read_report(out)["results"]
+    assert (res["lp_norm"], res["grad_lp_norm"]) == (2.932212497793691, 8.815203829780314)
+    assert res["embedding"] == {"holds": True, "worst_ratio": 0.16682831279553811}
+
+
+@pytest.mark.parametrize("name, span, keys", [
+    ("helix", "0,1e308", "results.length"),
+    ("square", "-1e200,1e200", "results.multiplicity_integral, results.jacobian_integral"),
+])
+def test_a_non_finite_report_writes_only_error_json(tmp_path, name, span, keys):
+    # exit 0 with Infinity (and NaN) in a report.json that is not JSON
+    out = tmp_path / "out"
+    code = cli.run(["area", "--map", name, "--range", span, "--output", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    message = json.loads((out / "error.json").read_text())["error"]["message"]
+    assert message.endswith(f"not finite: {keys}")
+
+
+def test_non_convergence_writes_only_error_json(tmp_path, monkeypatch):
+    def diverge(args):
+        raise NonConvergenceError("schedule did not settle")
+
+    monkeypatch.setitem(cli.COMMANDS, "area", cli.COMMANDS["area"]._replace(handler=diverge))
+    out = tmp_path / "out"
+    assert cli.run(["area", "--map", "helix", "--output", str(out)]) == cli.EXIT_NONCONVERGENCE
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error == {"kind": "non-convergence", "message": "schedule did not settle"}

@@ -59,8 +59,20 @@ def test_non_finite_input_is_a_value_error(call, value):
         # an empty cloud returned 0.0 before the floor was compared with delta / sqrt(n)
         ("refine_floor exceeds", lambda: hd.premeasure_delta(
             hd.PointCloud(np.empty((0, 2))), 1.0, 0.5, refine_floor=0.9)),
+        # TypeError
+        ("depth must be an int >= 0",
+         lambda: hd.ifs_points(hd.IfsSystem.from_json(cantor_ifs_json(0)), depth=2.5)),
+        # chose the depth from min_scale as if depth were 0
+        ("depth must be an int >= 0", lambda: hd.ifs_points(
+            hd.IfsSystem.from_json(cantor_ifs_json(0)), depth=-2, min_scale=1e-3)),
+        # TypeError at the first ifs_points
+        ("depth must be an int >= 0",
+         lambda: hd.IfsSystem(hd.IfsSystem.from_json(cantor_ifs_json(0)).maps, depth=2.5)),
+        # a depth of 2
+        ("depth must be an int >= 0", lambda: hd.IfsSystem.from_json(cantor_ifs_json(2.7))),
     ],
-    ids=["ifs-min-scale-0", "premeasure-empty-cloud-floor"],
+    ids=["ifs-min-scale-0", "premeasure-empty-cloud-floor", "ifs-points-depth-2.5",
+         "ifs-points-depth--2", "ifs-system-depth-2.5", "ifs-json-depth-2.7"],
 )
 def test_bad_arguments_are_value_errors(match, call):
     with pytest.raises(ValueError, match=match):
@@ -114,6 +126,32 @@ def test_ifs_points_land_in_attractor_hull():
     pts = hd.ifs_points(ifs, depth=8).points
     assert pts.min() >= -1e-12 and pts.max() <= 1 + 1e-12
     assert len(pts) == 2**8
+
+
+def test_ifs_points_choose_the_depth_from_min_scale():
+    # (1/3)^8 <= 1e-3 / 4 < (1/3)^7
+    ifs = hd.IfsSystem.from_json(cantor_ifs_json(0))
+    assert hd.ifs_points(ifs, min_scale=1e-3).size == 256
+    assert hd.ifs_points(ifs, depth=0, min_scale=1e-3).size == 256
+
+
+def test_similarity_map_rotation_must_be_orthogonal():
+    quarter_turn = [[0.0, -1.0], [1.0, 0.0]]
+    m = hd.SimilarityMap(0.5, [1.0, 0.0], quarter_turn)
+    assert m.apply(np.array([[2.0, 0.0]])).tolist() == [[1.0, 1.0]]
+    with pytest.raises(ValueError, match="rotation part must be orthogonal"):
+        hd.SimilarityMap(0.5, [0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
+
+
+def test_ifs_json_roundtrip_keeps_a_rotation():
+    quarter_turn = [[0.0, -1.0], [1.0, 0.0]]
+    ifs = hd.IfsSystem((hd.SimilarityMap(0.5, [0.0, 0.0], quarter_turn),
+                        hd.SimilarityMap(0.5, [0.5, 0.5])), depth=3)
+    back = hd.IfsSystem.from_json(ifs.to_json())
+    assert back.maps[0].rotation.tolist() == quarter_turn
+    assert back.maps[1].rotation is None
+    assert back.depth == 3
+    assert np.array_equal(hd.ifs_points(back).points, hd.ifs_points(ifs).points)
 
 
 def test_similarity_map_requires_contraction():

@@ -108,6 +108,15 @@ def test_radon_nikodym_reconstruction(mws, nws):
     )
 
 
+def test_absolute_continuity_reads_every_component_of_nu():
+    # no atom is nu-null: the first component alone called atom "a" null
+    mu = ms.AtomicMeasure(("a", "b"), [[1.0, 0.0], [1.0, 0.0]])
+    nu = ms.AtomicMeasure(("a", "b"), [[0.0, 1.0], [1.0, 0.0]])
+    assert ms.is_absolutely_continuous(mu, nu)
+    null = ms.AtomicMeasure(("a", "b"), [[0.0, 0.0], [1.0, 0.0]])
+    assert not ms.is_absolutely_continuous(mu, null)
+
+
 def test_radon_nikodym_rejects_signed_reference():
     mu = real_measure([1.0])
     nu = real_measure([-1.0])

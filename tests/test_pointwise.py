@@ -445,6 +445,13 @@ def test_density_of_a_tiny_ball_reads_only_its_window():
     assert peak < 2**20
 
 
+SMOOTH = GridFunction.from_callable(lambda x, y: np.sin(x) + y * y, [-1, -1], [128, 128], 2 / 128)
+
+
+def _smooth_limit(eps):
+    return pw.approx_limit(SMOOTH, [0.1, -0.2], eps_list=(eps,), radii=(0.32, 0.16, 0.08))
+
+
 _BAD_ARGUMENTS = {
     # TypeError, NonConvergenceError, IndexError
     "directional-levels-2.5": ("levels must be an int >= 1", lambda: pw.directional_derivative(
@@ -463,6 +470,17 @@ _BAD_ARGUMENTS = {
                            lambda: pw.density(HALF, [-0.5, 0.0], radii=[math.inf, 0.3])),
     "lebesgue-nan-radius": ("radius must be finite and positive",
                             lambda: pw.lebesgue_point_check(LINEAR, [0.1, 0.1], radii=[math.nan, 0.3])),
+    # None for each, where the default eps_list raises ResolutionError
+    "approx-limit-eps-nan": ("eps_list must be finite and positive", lambda: _smooth_limit(math.nan)),
+    "approx-limit-eps--1": ("eps_list must be finite and positive", lambda: _smooth_limit(-1)),
+    "approx-limit-eps-0": ("eps_list must be finite and positive", lambda: _smooth_limit(0)),
+    # False
+    "lebesgue-tol-nan": ("tol must be finite and positive",
+                         lambda: pw.lebesgue_point_check(LINEAR, [0.1, 0.1], tol=math.nan)),
+    # 2.055 on x^2 at x = 1, where the default gives 2.01
+    "approx-partials-central-fraction-2": (
+        "central_fraction must be finite and positive and <= 1",
+        lambda: pw.approx_partials(LINEAR, [0.1, 0.1], central_fraction=2.0)),
 }
 
 

@@ -288,7 +288,8 @@ def test_decompose_pure_jumps():
     assert np.abs(dec.cantor_part).max() == 0.0
 
 
-@pytest.mark.parametrize("samples", [[], [1.0]], ids=["empty", "one"])
+@pytest.mark.parametrize("samples", [[], [1.0], [0.0, math.nan, 1.0], [[0.0], [1.0]]],
+                         ids=["empty", "one", "nan", "column"])
 def test_decompose_needs_two_samples(samples):
     with pytest.raises(ValueError, match="at least 2 samples"):
         sb.decompose_1d(samples)
@@ -368,6 +369,8 @@ def test_lsc_rejects_mismatched_lattices():
         sb.lsc_check([a], b)
 
 
+_UNIT_STEP = np.r_[np.zeros(20), np.ones(20)] + 0.01 * np.sin(np.arange(40))
+
 _BAD_ARGUMENTS = {
     # ZeroDivisionError, and a coarea sum on 2.5 levels (1.2260740218372004)
     "coarea-n-levels-0": ("n_levels must be an int >= 1",
@@ -395,6 +398,20 @@ _BAD_ARGUMENTS = {
     # only the shapes were compared
     "lsc-other-lattice": ("share one lattice", lambda: sb.lsc_check(
         [GridFunction(np.zeros(10), [0.5], 0.1)], GridFunction(np.zeros(10), [0.0], 0.1))),
+    # ZeroDivisionError, nan, nan
+    "bv-norm-empty": ("at least 2 samples", lambda: sb.bv_norm([])),
+    "bv-norm-h-nan": ("h must be finite and positive", lambda: sb.bv_norm([0, 1, 0.5], h=math.nan)),
+    "variation-nan-sample": ("at least 2 samples", lambda: sb.variation_1d([0.0, math.nan])),
+    # a jump at x = -20.0
+    "decompose-h--1": ("h must be finite and positive", lambda: sb.decompose_1d(_UNIT_STEP, h=-1.0)),
+    # no jump for each of the next three, TypeError for the last
+    "decompose-jump-threshold-nan": ("jump_threshold must be finite and positive",
+                                     lambda: sb.decompose_1d(_UNIT_STEP, jump_threshold=math.nan)),
+    "decompose-dominance-2": ("dominance must be finite and positive and <= 1",
+                              lambda: sb.decompose_1d(_UNIT_STEP, dominance=2.0)),
+    "decompose-dominance-nan": ("dominance must be finite and positive and <= 1",
+                                lambda: sb.decompose_1d(_UNIT_STEP, dominance=math.nan)),
+    "decompose-window-2.5": ("window must be an int >= 1", lambda: sb.decompose_1d(_UNIT_STEP, window=2.5)),
 }
 
 
