@@ -25,6 +25,15 @@ def test_from_callable_2d_shapes():
     assert f.value_at([0.1, 1.1]) == pytest.approx(0.25 + 12.5)
 
 
+@pytest.mark.parametrize("sample", [GridFunction.from_callable, RasterSet.from_predicate])
+def test_sampled_lattices_take_a_scalar_origin_and_keep_the_lattice_rule(sample):
+    lattice = sample(lambda x: x > 0.5, 0, [4], 0.25)
+    assert lattice.origin.tolist() == [0.0]
+    assert lattice.axis_centers(0).tolist() == [0.125, 0.375, 0.625, 0.875]
+    with pytest.raises(ValueError, match="must be finite"):
+        sample(lambda x: x > 0.5, [math.nan], [4], 0.25)
+
+
 def test_index_of_and_value_at():
     f = GridFunction(np.arange(10, dtype=float), origin=[0.0], h=0.1)
     assert f.index_of([0.55]) == (5,)
