@@ -148,6 +148,19 @@ def test_non_finite_domain_bounds_are_rejected(params):
         ar.ParametricMap(lambda p: p, [0.0, 0.0], [1.0, params.get("hi", params.get("lo"))], n=2)
 
 
+@pytest.mark.parametrize("lo, hi", [(-1e200, 1e200), (0.0, 1.4e154), (-1.4e154, 0.0)])
+def test_square_needs_a_finite_image(lo, hi):
+    # x^2 overflowed in the evaluator: the area formula returned (nan, inf)
+    with pytest.raises(ValueError, match="image of .* is not finite"):
+        ar.builtin_map("square", lo=lo, hi=hi)
+
+
+def test_curve_length_near_the_float_range_stays_finite():
+    # 4 * fine overflowed in the Richardson step: inf for a length of sqrt(2) * 1e308
+    length = ar.curve_length(ar.builtin_map("helix", lo=0.0, hi=1e308))
+    assert length == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+
+
 def _plane_curve(f, a, b, jacobian=None):
     return ar.ParametricMap(lambda p: np.concatenate(f(p), axis=1), [a], [b], n=2,
                             jacobian=jacobian, injective=True)

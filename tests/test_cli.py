@@ -714,18 +714,45 @@ def test_sobolev_norms_past_the_float_range_of_v_to_the_p_stay_finite(tmp_path):
     assert res["embedding"] == {"holds": True, "worst_ratio": 0.16682831279553811}
 
 
-@pytest.mark.parametrize("name, span, keys", [
-    ("helix", "0,1e308", "results.length"),
-    ("square", "-1e200,1e200", "results.multiplicity_integral, results.jacobian_integral"),
-])
-def test_a_non_finite_report_writes_only_error_json(tmp_path, name, span, keys):
-    # exit 0 with Infinity (and NaN) in a report.json that is not JSON
+def test_sobolev_norms_below_the_float_range_of_v_to_the_p_stay_positive(tmp_path):
+    # |v|^1000 underflows to 0: the norms read 0.0 and Morrey dropped every pair
+    f = GridFunction.from_callable(lambda x, y: 0.1 * np.sin(3 * x) * y, [0, 0], [32, 32], 1 / 32)
+    grid = tmp_path / "f.csv"
+    f.to_csv(grid)
     out = tmp_path / "out"
-    code = cli.run(["area", "--map", name, "--range", span, "--output", str(out)])
+    code = cli.run(["sobolev", "--input", str(grid), "--p", "1000", "--output", str(out)])
+    assert code == cli.EXIT_OK
+    res = read_report(out)["results"]
+    # the norms are 1-homogeneous and the Morrey ratio 0-homogeneous in f
+    assert res["lp_norm"] == pytest.approx(0.1 / 3 * 2.932212497793691, rel=1e-14)
+    assert res["grad_lp_norm"] == pytest.approx(0.1 / 3 * 8.815203829780314, rel=1e-14)
+    assert res["embedding"] == {"holds": True, "worst_ratio": 0.16682831279553811}
+
+
+def test_a_non_finite_report_writes_only_error_json(tmp_path, monkeypatch):
+    # a handler's NaN or Infinity went into a report.json that is not JSON
+    def overflow(args):
+        return {"map": args.map, "length": math.nan, "runs": [1.0, -math.inf]}
+
+    monkeypatch.setitem(cli.COMMANDS, "area", cli.COMMANDS["area"]._replace(handler=overflow))
+    out = tmp_path / "out"
+    assert cli.run(["area", "--map", "helix", "--output", str(out)]) == cli.EXIT_VALIDATION
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    message = json.loads((out / "error.json").read_text())["error"]["message"]
+    assert message.endswith("not finite: results.length, results.runs[1]")
+
+
+def test_area_ranges_near_the_float_range(tmp_path):
+    # helix wrote "length": Infinity and square Infinity and NaN, both with exit 0
+    out = tmp_path / "helix"
+    assert cli.run(["area", "--map", "helix", "--range", "0,1e308", "--output", str(out)]) == 0
+    assert read_report(out)["results"]["length"] == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+    out = tmp_path / "square"
+    code = cli.run(["area", "--map", "square", "--range", "-1e200,1e200", "--output", str(out)])
     assert code == cli.EXIT_VALIDATION
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
     message = json.loads((out / "error.json").read_text())["error"]["message"]
-    assert message.endswith(f"not finite: {keys}")
+    assert message == "square's image of ]-1e+200, 1e+200[ is not finite"
 
 
 def test_non_convergence_writes_only_error_json(tmp_path, monkeypatch):
