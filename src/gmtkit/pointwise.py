@@ -207,15 +207,15 @@ def _balls(f: GridFunction | RasterSet, samples: list, radii: np.ndarray):
     return [(vals, wn * r**f.ndim) for (_, vals), r in zip(samples, radii)]
 
 
-def _density_ratios(balls: list[tuple[np.ndarray, float]], cell: float) -> np.ndarray:
+def _density_ratios(balls: list[tuple[np.ndarray, float]], E: RasterSet) -> np.ndarray:
     """|E ∩ B| / |B| per ball, each given by its samples of E's indicator."""
-    return np.array([min(float(inball.sum()) * cell / vol, 1.0) for inball, vol in balls])
+    return np.array([min(E._midpoint_sum(inball) / vol, 1.0) for inball, vol in balls])
 
 
 def density(E: RasterSet, x: Sequence[float], radii: Sequence[float] | None = None) -> DensityReport:
     """Density ratios Lebesgue(E ∩ B(x,r)) / (omega_n r^n) across radii."""
     x, radii = _schedule(E, x, radii)
-    ratios = _density_ratios(_balls(E, _ball_samples(E, x, radii), radii), E._weight)
+    ratios = _density_ratios(_balls(E, _ball_samples(E, x, radii), radii), E)
     tail = ratios[-3:] if len(ratios) >= 3 else ratios
     spread = float(tail.max() - tail.min())
     estimate = float(tail.mean())
@@ -230,12 +230,12 @@ def density(E: RasterSet, x: Sequence[float], radii: Sequence[float] | None = No
     return DensityReport(radii=radii, ratios=ratios, limit_estimate=limit, classification=cls)
 
 
-def _limsups(balls: list[tuple[np.ndarray, float]], cell: float) -> np.ndarray:
+def _limsups(balls: list[tuple[np.ndarray, float]], f: GridFunction) -> np.ndarray:
     """Per ball, the least t with {f > t} of density zero in it: its k-th
     largest sample, where k samples are the fewest that fail the predicate
     of ``_density_ratios`` (counts past the band plus one cell all fail it
     and are not built), or -inf when the ball holds fewer than k."""
-    out = []
+    out, cell = [], f._weight
     for v, vol in balls:
         counts = np.arange(min(v.size, int(DENSITY_ZERO_BAND * vol / cell) + 2) + 1)
         k = int(np.searchsorted(counts * cell / vol, DENSITY_ZERO_BAND))
@@ -273,13 +273,13 @@ def approx_limit(
     if near.size == 0:
         raise ResolutionError("no samples near x")
     keep = [i for i, r in enumerate(radii) if r >= 8 * f.h] or list(range(len(radii)))
-    balls, cell = _balls(f, [samples[i] for i in keep], radii[keep]), f._weight
+    balls = _balls(f, [samples[i] for i in keep], radii[keep])
     candidate = float(np.median(near))
-    if _limsups([(np.abs(v - candidate), vol) for v, vol in balls], cell).min() < tol:
+    if _limsups([(np.abs(v - candidate), vol) for v, vol in balls], f).min() < tol:
         return candidate
     # the liminf is -limsup(-f); a ball with too few samples bounds neither
-    ups = np.maximum(_limsups(balls, cell), f.values.min())
-    downs = np.minimum(-_limsups([(-v, vol) for v, vol in balls], cell), f.values.max())
+    ups = np.maximum(_limsups(balls, f), f.values.min())
+    downs = np.minimum(-_limsups([(-v, vol) for v, vol in balls], f), f.values.max())
     up, down = float(ups.min()), float(downs.max())
     if abs(up - down) <= tol:
         return 0.5 * (up + down)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,10 +77,10 @@ def _lp(values: np.ndarray, p: float, f: GridFunction) -> float:
     v = np.abs(values)
     with np.errstate(over="ignore"):
         total = f._midpoint_sum(v**p)
-    if math.isfinite(total):
+    if sys.float_info.min <= total < math.inf:
         return total ** (1.0 / p)
-    top = float(v.max())  # |v|^p overflowed: scale by max |v|
-    return top * f._midpoint_sum((v / top) ** p) ** (1.0 / p)
+    top = float(v.max())  # |v|^p overflowed or underflowed: scale by max |v|
+    return top and top * f._midpoint_sum((v / top) ** p) ** (1.0 / p)
 
 
 def _grad_norm(f: GridFunction) -> np.ndarray:
@@ -194,7 +195,7 @@ def variation_1d(samples: Sequence[float]) -> float:
 def bv_norm(samples: Sequence[float], h: float | None = None) -> float:
     """||f||_BV = L1 norm + variation for samples on ]0,1[."""
     v, h = _samples_1d(samples, h)
-    return float(np.abs(v).sum() * h) + variation_1d(v)
+    return float(np.abs(v).sum() * h) + float(np.abs(np.diff(v)).sum())
 
 
 def perimeter(E: RasterSet, corrected: bool = False) -> float:

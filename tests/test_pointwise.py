@@ -217,8 +217,8 @@ def _next(t: float, to: float) -> float:
         return np.nextafter(t, to)
 
 
-def _zero_at(balls, cell, pred) -> bool:
-    return pw._density_ratios([(pred(v), vol) for v, vol in balls], cell).min() < pw.DENSITY_ZERO_BAND
+def _zero_at(balls, f, pred) -> bool:
+    return pw._density_ratios([(pred(v), vol) for v, vol in balls], f).min() < pw.DENSITY_ZERO_BAND
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -228,7 +228,7 @@ def test_approx_limit_order_statistics_match_the_density_predicate(case):
     radii = np.array(radii)
     samples = pw._ball_samples(f, x, radii)
     keep = [i for i, r in enumerate(radii) if r >= 8 * f.h] or list(range(len(radii)))
-    balls, cell = pw._balls(f, [samples[i] for i in keep], radii[keep]), f.h**f.ndim
+    balls = pw._balls(f, [samples[i] for i in keep], radii[keep])
     lo, hi = float(f.values.min()), float(f.values.max())
     with np.errstate(all="raise"):
         try:
@@ -238,20 +238,20 @@ def test_approx_limit_order_statistics_match_the_density_predicate(case):
         near = samples[int(radii.argmin())][1]  # the median near x: the smallest ball
         if near.size:
             m = float(np.median(near))
-            passes = all(_zero_at(balls, cell, lambda v: np.abs(v - m) >= eps) for eps in eps_list)
-            closed = pw._limsups([(np.abs(v - m), vol) for v, vol in balls], cell).min()
+            passes = all(_zero_at(balls, f, lambda v: np.abs(v - m) >= eps) for eps in eps_list)
+            closed = pw._limsups([(np.abs(v - m), vol) for v, vol in balls], f).min()
             assert (closed < min(eps_list)) == passes
             if passes:
                 assert got == m
-        tops = pw._limsups(balls, cell)
+        tops = pw._limsups(balls, f)
         up = max(tops.min(), lo)
-        assert _zero_at(balls, cell, lambda v: v > up)
+        assert _zero_at(balls, f, lambda v: v > up)
         # a ball too small to bound {f > t} makes every t pass: then up is the floor
-        assert _zero_at(balls, cell, lambda v: v > _next(up, -np.inf)) == np.isneginf(tops).any()
-        bottoms = -pw._limsups([(-v, vol) for v, vol in balls], cell)
+        assert _zero_at(balls, f, lambda v: v > _next(up, -np.inf)) == np.isneginf(tops).any()
+        bottoms = -pw._limsups([(-v, vol) for v, vol in balls], f)
         down = min(bottoms.max(), hi)
-        assert _zero_at(balls, cell, lambda v: v < down)
-        assert _zero_at(balls, cell, lambda v: v < _next(down, np.inf)) == np.isposinf(bottoms).any()
+        assert _zero_at(balls, f, lambda v: v < down)
+        assert _zero_at(balls, f, lambda v: v < _next(down, np.inf)) == np.isposinf(bottoms).any()
         if near.size and not passes and abs(up - down) <= min(eps_list):
             assert got == 0.5 * (up + down)
 
@@ -260,8 +260,9 @@ def test_limsup_with_a_count_exactly_on_the_band():
     # one sample of a ball of 20 cells is a ratio of exactly 0.05, which is
     # not below the band, so only the empty set has density zero there
     vals = np.array([3.0, 1.0, 2.0, 0.0])
-    assert pw._density_ratios([(vals > 2.0, 20.0)], 1.0)[0] == pw.DENSITY_ZERO_BAND
-    assert pw._limsups([(vals, 20.0)], 1.0).tolist() == [3.0]
+    unit = GridFunction(vals, [0.0], 1.0)  # cell weight 1
+    assert pw._density_ratios([(vals > 2.0, 20.0)], unit)[0] == pw.DENSITY_ZERO_BAND
+    assert pw._limsups([(vals, 20.0)], unit).tolist() == [3.0]
 
 
 def test_approx_limit_too_coarse_to_tell_is_a_resolution_error():
