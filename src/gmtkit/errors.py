@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import sys
 
 
 def _check_count(name: str, value, minimum: int, unit: str) -> None:
@@ -14,7 +15,7 @@ def _check_real(name: str, value, minimum: float | None = None, maximum: float =
     """A real is finite and > 0, or >= ``minimum`` when one is given, and at
     most ``maximum``, else a ValueError."""
     above = 0 < value if minimum is None else minimum <= value
-    if not (above and value < math.inf and value <= maximum):
+    if not (above and value <= sys.float_info.max and value <= maximum):  # no int past the float range
         bound = "positive" if minimum is None else "nonnegative" if minimum == 0 else f">= {minimum}"
         cap = "" if maximum == math.inf else f" and <= {maximum}"
         raise ValueError(f"{name} must be finite and {bound}{cap}, got {value}")

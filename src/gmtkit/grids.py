@@ -88,14 +88,20 @@ class _Lattice:
             raise ValueError(f"point {x.tolist()} must be finite")
         return x
 
-    def _index(self, t: np.ndarray, rounding=np.floor) -> np.ndarray:
-        """``rounding(t)`` as ints, t in cells per axis, clipped in float to [-1, extent]
-        first (NaN to -1): a far-off value still lands outside and no cast overflows."""
-        return rounding(np.fmin(np.fmax(t, -1), self.extents)).astype(int)
+    def _to_cells(self, length, shift: float = 0.0, rounding=np.floor):
+        """``rounding(length / h + shift)`` as ints (None: the float), for a length or
+        a point's offset from the origin, clipped in float first to one cell past the
+        box, |length| <= (max extent + 1) h, NaN to the low end: a far-off value lands
+        past the box, no division or cast overflows, and inside the box no bit moves."""
+        reach = (max(self.extents) + 1) * self.h
+        t = np.fmin(np.fmax(length, -reach), reach) / self.h
+        if shift:
+            t = t + shift
+        return t if rounding is None else rounding(t).astype(int)
 
     def _cell_index(self, x: np.ndarray) -> np.ndarray:
-        """Index of the cell containing each point; -1 or the extent where it is outside."""
-        return self._index((x - self.origin) / self.h)
+        """Index of the cell containing each point; below 0 or at least the extent outside."""
+        return self._to_cells(x - self.origin)
 
     def _center(self, idx: np.ndarray) -> np.ndarray:
         """Center of each integer index, (..., ndim)."""
@@ -116,7 +122,7 @@ class _Lattice:
         window's own indices are built, never a whole axis."""
         ext, n = np.array(self.extents), self.ndim
         lo = np.clip(self._cell_index(x - r), 0, ext)
-        hi = np.clip(self._index((x + r - self.origin) / self.h, np.ceil) + 1, 0, ext)
+        hi = np.clip(self._to_cells(x + r - self.origin, rounding=np.ceil) + 1, 0, ext)
         return tuple(map(slice, lo, hi)), [
             (_centers_1d(self.origin[k], hi[k], self.h, lo[k]) - x[k]).reshape(
                 (-1,) + (1,) * (n - 1 - k)) for k in range(n)
@@ -126,8 +132,8 @@ class _Lattice:
         """Index slices of the cube with the given side at corner ``lo``, rounded
         to a lattice line; a cube that escapes the box or spans no cell is a
         ValueError."""
-        i0 = self._index((np.asarray(lo, dtype=float) - self.origin) / self.h + 0.5)
-        m = int(round(np.fmin(side / self.h, max(self.extents) + 1)))
+        i0 = self._to_cells(np.asarray(lo, dtype=float) - self.origin, 0.5)
+        m = self._to_cells(side, rounding=np.rint)
         if m < 1:
             raise ValueError(f"cube side {side} spans no cell of spacing {self.h}")
         if np.any(i0 < 0) or np.any(i0 + m > np.array(self.extents)):
@@ -185,10 +191,9 @@ class GridFunction(_Lattice):
 
     def interpolate(self, x: Sequence[float]) -> float:
         """Multilinear interpolation between neighbouring cell centers."""
-        x = self._point(x)
-        t = (x - self.origin) / self.h - 0.5
-        lo = self._index(t)
-        frac = t - np.floor(t)
+        d = self._point(x) - self.origin
+        lo = self._to_cells(d, -0.5)
+        frac = self._to_cells(d, -0.5, rounding=None) - lo
         ext = np.array(self.extents)
         val = 0.0
         for corner in np.ndindex(*([2] * self.ndim)):

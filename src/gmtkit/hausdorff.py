@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -172,12 +173,13 @@ class DimensionEstimate:
 
 def omega(s: float) -> float:
     """Volume of the unit ball: pi^(s/2) / Gamma(1 + s/2), any real s >= 0;
-    through log Gamma where Gamma overflows, from about s = 341.25."""
+    through log Gamma where Gamma overflows, from about s = 341.25, and 0.0
+    where log Gamma overflows too, from about s = 5e305."""
     _check_real("s", s, 0)
     try:
         return math.pi ** (s / 2) / math.gamma(1 + s / 2)
     except OverflowError:
-        return math.exp(s / 2 * math.log(math.pi) - math.lgamma(1 + s / 2))
+        return math.exp(s / 2 * math.log(math.pi) - math.lgamma(1 + s / 2)) if s < 1e305 else 0.0
 
 
 def _distinct_rows(idx: np.ndarray) -> int:
@@ -228,7 +230,7 @@ def box_counts(
     occupied = np.zeros(limit, dtype=bool)
     counts = []
     for delta in scales:
-        _check_real("scales", delta)
+        _check_real("scales", delta, maximum=sys.float_info.max / n_offsets)  # delta * j is finite
         if reach >= 2.0**62 * delta:
             raise ValueError(f"box indices at scale {delta:g} overflow int64 (|x| up to {reach:g})")
         total = 0
@@ -276,6 +278,7 @@ def premeasure_delta(
     """
     _check_real("delta", delta)
     _check_real("s", s, 0)
+    s = float(s)  # an int s would meet exact big-int powers
     g_max = delta / math.sqrt(cloud.n)
     sizes = [g_max]
     if refine_floor is not None:
@@ -290,8 +293,16 @@ def premeasure_delta(
     if cloud.size == 0:
         return 0.0
     counts = box_counts(cloud, sizes, n_offsets=1)
-    return min(omega(s) / 2**s * float(c) * (g * math.sqrt(cloud.n)) ** s
-               for g, c in zip(sizes, counts))
+    diameters = [g * math.sqrt(cloud.n) for g in sizes]
+    try:
+        return min(omega(s) / 2**s * float(c) * d**s for d, c in zip(diameters, counts))
+    except OverflowError:  # 2^s or d^s alone leaves the float range: omega(s) c (d/2)^s in logs
+        half = math.lgamma(1 + s / 2) / s if s < 1e305 else (math.log(s / 2) - 1) / 2
+        top = min(s * (math.log(math.sqrt(math.pi) * d / 2) - half) + math.log(c)
+                  for d, c in zip(diameters, counts))
+        if top > 709:
+            raise ValueError(f"H^s_delta at s = {s}, delta = {delta} passes the float range")
+        return math.exp(top)
 
 
 def default_scales(k_min: int = 3, k_max: int = 10) -> np.ndarray:

@@ -111,11 +111,6 @@ def make_ball_mollifier(n: int, eps: float) -> MollifierKernel:
     return MollifierKernel("ball-indicator", n, eps, 1.0 / omega(n))
 
 
-def _kernel_radius(eps: float, h: float) -> int:
-    """Cells on each side of the center that the sampled kernel spans."""
-    return int(math.ceil(eps / h)) - 1
-
-
 def _next_fast_len(n: int) -> int:
     """The smallest 5-smooth integer 2^a 3^b 5^c that is at least n >= 1."""
     best = 1 << (n - 1).bit_length()
@@ -156,11 +151,9 @@ def mollify(f: GridFunction, kernel: MollifierKernel, eps: float | None = None) 
     eps, h = kernel.eps, f.h
     if eps < 2 * h:
         raise UnderResolvedKernelError(f"eps = {eps} must be at least 2h = {2 * h}")
-    kr = _kernel_radius(eps, h)
+    kr = f._to_cells(eps, rounding=np.ceil) - 1  # cells on each side of the kernel's center
     if min(f.extents) < 2 * kr + 1:
-        raise ValueError(
-            f"eps = {eps} spans {2 * kr + 1} cells, wider than the grid's {f.extents}"
-        )
+        raise ValueError(f"eps = {eps} makes the kernel wider than the grid's {f.extents}")
     offsets = np.arange(-kr, kr + 1) * h
     K = kernel.scaled(tensor_points([offsets] * f.ndim)).reshape((offsets.size,) * f.ndim)
     K /= f._midpoint_sum(K)
@@ -174,13 +167,13 @@ def difference_quotient(f: GridFunction, axis: int, step: float) -> GridFunction
     h = f.h
     f._check_axis(axis)
     _check_real("|step|", abs(step), h)  # at least one cell
-    s = int(round(step / h))
-    if not math.isclose(s * h, step, rel_tol=1e-9):
-        raise ValueError("step must be a lattice multiple of the spacing")
+    s = f._to_cells(step, rounding=np.rint)
     vals = f.values
     n = vals.shape[axis]
     if abs(s) >= n:
         raise ValueError("step exceeds the domain")
+    if not math.isclose(s * h, step, rel_tol=1e-9):
+        raise ValueError("step must be a lattice multiple of the spacing")
     # either sign: x runs over cells lo .. n + hi - 1 and x - s e_i over -hi .. n - lo - 1
     lo, hi = max(s, 0), min(s, 0)
     idx_cur, idx_back = [slice(None)] * f.ndim, [slice(None)] * f.ndim
@@ -323,7 +316,7 @@ def mollify_commutes_with_weak_derivative(
     f._check_axis(axis)
     f_eps = mollify(f, kernel)
     # drop another kernel radius so one-sided stencils never enter
-    kr = _kernel_radius(kernel.eps, f.h)
+    kr = f._to_cells(kernel.eps, rounding=np.ceil) - 1
     if min(f_eps.extents) <= 2 * kr:
         raise ValueError(
             f"eps = {kernel.eps} leaves no cell of the doubly-shrunken domain: "

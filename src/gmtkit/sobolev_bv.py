@@ -118,9 +118,13 @@ def poincare_cube_check(
     block = f.values[sl]
     mean = float(block.mean())
     lhs = _lp(block - mean, p, f)
+    p = float(p)  # the rule passed in _lp; an int p would meet an exact big-int power
     gn = _grad_norm(f)[sl]
-    rhs = (n ** (p + 1)) ** (1.0 / p) * side * _lp(gn, p, f)
-    return lhs, rhs
+    try:
+        C = (n ** (p + 1)) ** (1.0 / p)
+    except OverflowError:  # n^(p+1) leaves the float range
+        C = n ** ((p + 1) / p)
+    return lhs, C * side * _lp(gn, p, f)
 
 
 def _dyadic_blocks(f: GridFunction, generations: int):
@@ -128,7 +132,7 @@ def _dyadic_blocks(f: GridFunction, generations: int):
     _check_count("generations", generations, 1, "cube generation")
     side0 = float((np.array(f.extents) * f.h).min())
     for g in range(generations):
-        m = int(round(side0 / 2**g / f.h))
+        m = f._to_cells(side0 / 2**g, rounding=np.rint)
         if m < 2:
             break
         for idx in np.ndindex(*[s // m for s in f.extents]):
@@ -160,10 +164,11 @@ def morrey_check(
 ) -> float:
     """Worst |f(z)-f(y)| / (C |z-y|^{1-n/p} ||grad f||_p) over sampled pairs."""
     n = f.ndim
-    if not n < p < math.inf:
+    if not n < p <= sys.float_info.max:  # an int past the float range too
         raise RegimeError(f"Morrey needs n < p < inf; got p = {p}, n = {n}")
     _check_count("n_pairs", n_pairs, 1, "pair")
     C = 2.0 * n * p / (p - n)
+    C = C if C < math.inf else 2.0 * n / (1 - n / p)  # 2np overflowed
     grad_lp = _lp(_grad_norm(f), p, f)
     # one draw yields the integers of n_pairs successive (z, y) draws
     iz, iy = np.moveaxis(
@@ -219,7 +224,8 @@ def perimeter_calibration(n: int, h: float) -> float:
     """
     _check_count("n", n, 1, "axis")
     _check_real("h", h)
-    ext = int(math.ceil(2.4 / h))
+    _check_real("2.4 / h (cells per axis)", 2.4 / h)
+    ext = math.ceil(2.4 / h)
     ball = RasterSet.from_predicate(
         lambda *xs: sum(x**2 for x in xs) <= 1.0,
         origin=[-1.2] * n,

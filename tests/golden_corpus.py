@@ -34,10 +34,11 @@ GOLDEN = Path(__file__).parent / "golden"
 SEED = 7
 
 # (name, argv without --output and --no-timestamp, exit code): one job per
-# subcommand and branch, the exit-1 jobs of the CI smoke step, two inputs
+# subcommand and branch, exit-1 jobs for validation errors, two inputs
 # that break an argument rule (a NaN weight, a candidate on another lattice),
 # a 1-D bv on an offset grid, a p whose |v|^p overflows, a helix whose length
-# is near the float range and a square range whose image is not finite
+# is near the float range, a square range whose image is not finite, and a
+# kernel width, a point and a p near the float range
 JOBS = [
     ("measure-json", ["measure", "--input", "mu.json"], 0),
     ("measure-csv", ["measure", "--input", "mu.json", "--format", "csv"], 0),
@@ -69,6 +70,9 @@ JOBS = [
      ["weakdiff", "--input", "xplus.csv", "--input", "heaviside_moved.csv"], 1),
     ("area-helix-long", ["area", "--map", "helix", "--range", "0,1e308"], 0),
     ("area-square-overflow", ["area", "--map", "square", "--range", "-1e200,1e200"], 1),
+    ("mollify-eps-1e308", ["mollify", "--input", "f.csv", "--eps", "1e308"], 1),
+    ("density-far-point", ["density", "--input", "half.csv", "--point", "1e308,0"], 0),
+    ("sobolev-p-1e308", ["sobolev", "--input", "f.csv", "--p", "1e308"], 0),
 ]
 
 

@@ -420,6 +420,21 @@ def test_multiplicity_sin3_six_roots():
     assert prof.count == 6
 
 
+def test_multiplicity_that_never_settles_has_no_count():
+    # sin 40x takes 0.5 at 80 points, which depths 4-6 do not yet resolve
+    phi = ar.ParametricMap(lambda p: np.sin(40 * p), [0.0], [2 * math.pi], n=1)
+    prof = ar.multiplicity(phi, [0.5], depths=range(4, 7))
+    assert (prof.counts, prof.count, prof.stabilized) == ((0, 16, 48), None, False)
+    assert ar.multiplicity(phi, [0.5]).count == 80
+
+
+def test_signed_det_of_polar_is_r_and_needs_k_equal_n():
+    pts = np.array([[0.5, 0.3], [0.25, -2.0]])
+    assert ar.builtin_map("polar").signed_det(pts, 1e-4) == pytest.approx([0.5, 0.25], rel=1e-14)
+    with pytest.raises(ValueError, match="needs k = n"):
+        ar.builtin_map("helix").signed_det(np.array([[0.5]]), 1e-4)
+
+
 def test_multiplicity_monotone_on_growing_sets():
     phi = ar.ParametricMap(lambda p: np.sin(3 * p), [0.0], [2 * math.pi], n=1)
     counts = []

@@ -5,11 +5,12 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cantor_ifs_json
@@ -67,7 +68,7 @@ def test_area_helix(tmp_path):
         ["area", "--map", "helix", "--range", "0,1", "--output", str(out), "--no-timestamp"]
     )
     assert code == cli.EXIT_OK
-    assert read_report(out)["results"]["length"] == pytest.approx(math.sqrt(2), abs=1e-8)
+    assert read_report(out)["results"]["length"] == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
 def test_empty_input_is_validation_error(tmp_path):
@@ -235,6 +236,21 @@ def test_sobolev_morrey_regime_writes_report(tmp_path):
     assert isinstance(res["embedding"]["holds"], bool)
 
 
+def test_bmo_of_a_constant_is_exactly_zero_and_rerun_byte_identical(tmp_path):
+    grid = tmp_path / "const.csv"
+    GridFunction(np.full((64, 64), 1.5), [0.0, 0.0], 1 / 64).to_csv(grid)
+    reports = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        argv = ["sobolev", "--input", str(grid), "--p", "2", "--output", str(out), "--no-timestamp"]
+        assert cli.run(argv) == cli.EXIT_OK
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    res = json.loads(reports[0])["results"]
+    assert res["regime"] == "bmo"
+    assert res["embedding"]["bmo_seminorm"] == 0.0 and res["embedding"]["holds"] is True
+
+
 def test_negative_point_is_a_value(tmp_path):
     E = RasterSet.from_predicate(
         lambda x, y: x**2 + y**2 <= 0.25, [-1, -1], [128, 128], 2 / 128
@@ -293,6 +309,12 @@ def test_levels_plot_of_1d_bv_writes_only_error(tmp_path):
         ("sobolev", ["--p", "inf"]),
         ("area", ["--map", "polar", "--range", "0,1"]),
         ("area", ["--map", "fold", "--range", "0,1"]),
+        ("mollify", ["--eps", "1e308"]),  # an OverflowError traceback and no error.json
+        ("mollify", ["--eps", "5e-324"]),
+        ("sobolev", ["--p", "-1e308"]),
+        ("sobolev", ["--p", "5e-324"]),
+        ("dim", ["--scales", "3"]),
+        ("dim", ["--scales", "a..b"]),
     ],
 )
 def test_library_input_errors_write_error_json(tmp_path, command, flags):
@@ -317,6 +339,14 @@ def test_depth_flag_is_unknown(tmp_path):
     code = cli.run(["dim", "--input", str(ifs), "--depth", "3", "--output", str(out)])
     assert code == cli.EXIT_VALIDATION
     assert "--depth" in json.loads((out / "error.json").read_text())["error"]["message"]
+
+
+def test_a_usage_error_writes_error_json_into_an_output_given_with_equals(tmp_path):
+    out = tmp_path / "out"
+    code = cli.run(["dim", "--input", "cantor.json", "--bogus", f"--output={out}"])
+    assert code == cli.EXIT_VALIDATION
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    assert "--bogus" in json.loads((out / "error.json").read_text())["error"]["message"]
 
 
 def test_dim_checks_scales_before_building_the_attractor(tmp_path):
@@ -496,12 +526,13 @@ def test_no_command_loads_scipy(tmp_path):
 # flag without a value
 FUZZ_FLAG_VALUES = {
     "--seed": ["-1", "0", "7", "abc", None],
-    "--p": ["-1", "0", "0.5", "1", "2", "3", "inf", "nan", "abc", None],
-    "--eps": ["-1", "0", "1e-3", "0.25", "3", "inf", "nan", None],
+    "--p": ["-1", "0", "0.5", "1", "2", "3", "inf", "nan", "1e308", "-1e308", "5e-324", "abc",
+            None],
+    "--eps": ["-1", "0", "1e-3", "0.25", "3", "inf", "nan", "1e308", "-1e308", "5e-324", None],
     "--scales": ["3..6", "2..9", "3..4", "6..3", "-1..3", "a..b", "3"],
     "--map": ["helix", "polar", "sphere", "fold", "square", "nope", None],
-    "--range": ["0,1", "-0.5,0.5", "1,0", "0,0", "nan,1", "1", "abc"],
-    "--point": ["0.5,0.5", "-0.25,0.5", "3,3", "0.5", "nan,0", "abc", None],
+    "--range": ["0,1", "-0.5,0.5", "1,0", "0,0", "nan,1", "0,1e308", "1", "abc"],
+    "--point": ["0.5,0.5", "-0.25,0.5", "3,3", "0.5", "nan,0", "1e308,0", "abc", None],
     "--axis": ["-1", "0", "1", "2", "abc"],
     "--format": ["json", "csv", "xml"],
     "--plot": ["none", "svg", "png"],
@@ -577,6 +608,7 @@ def fuzzed_argv(draw):
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=fuzzed_argv())
+@example(case=("mollify", ["grid2.csv"], [("--eps", "1e308")]))  # an OverflowError traceback
 def test_exit_code_contract_under_fuzzed_argv(fuzz_files, case):
     command, inputs, options = case
     out = Path(tempfile.mkdtemp(dir=fuzz_files))
@@ -753,6 +785,26 @@ def test_area_ranges_near_the_float_range(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
     message = json.loads((out / "error.json").read_text())["error"]["message"]
     assert message == "square's image of ]-1e+200, 1e+200[ is not finite"
+
+
+def test_flags_near_the_float_range_answer_without_warnings(tmp_path):
+    grid, raster = tmp_path / "f.csv", tmp_path / "half.csv"
+    GridFunction.from_callable(lambda x, y: np.sin(3 * x) * y, [0, 0], [32, 32], 1 / 32).to_csv(grid)
+    RasterSet.from_predicate(lambda x, y: x < 0, [-1, -1], [64, 64], 2 / 64).to_csv(raster)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # an overflow warning from the ball window's (x + r - origin) / h
+        out = tmp_path / "density"
+        assert cli.run(["density", "--input", str(raster), "--point", "1e308,0",
+                        "--output", str(out)]) == cli.EXIT_OK
+        assert read_report(out)["results"]["classification"] == "density-0"
+        # C = 2np/(p - n) overflowed: worst_ratio 0.0
+        ratios = []
+        for p in ("1e308", "1e300"):
+            out = tmp_path / p
+            assert cli.run(["sobolev", "--input", str(grid), "--p", p, "--output", str(out)]) == 0
+            ratios.append(read_report(out)["results"]["embedding"]["worst_ratio"])
+        assert ratios[0] == ratios[1] > 0.0
 
 
 def test_non_convergence_writes_only_error_json(tmp_path, monkeypatch):

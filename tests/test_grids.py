@@ -161,6 +161,18 @@ def test_far_off_and_non_finite_points_never_reach_an_int_cast():
                 f.interpolate(x)
 
 
+def test_points_past_the_float_range_land_past_the_box():
+    # (x - origin) / h overflowed for these points: the clip now comes before the division
+    f = GridFunction.from_callable(lambda x, y: x + 2 * y, [0.0, 0.0], [16, 16], 1 / 16)
+    E = RasterSet(f.values < 1.0, f.origin, f.h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f.interpolate([1e308, 0.5]) == f.interpolate([100.0, 0.5]) == 1.96875
+        assert f.interpolate([-1e308, -1e308]) == f.value_at([-1e308, -1e308]) == f.values[0, 0]
+        assert f.index_of([1e308, -1e308]) == (15, 0)
+        assert E.contains([[1e308, 0.5], [-1e308, 0.5], [0.1, 1e308]]).tolist() == [False] * 3
+
+
 def test_raster_contains_is_cell_membership():
     E = RasterSet(mask=[[True, False], [False, True]], origin=[0.0, 0.0], h=0.5)
     pts = np.array([[0.1, 0.1], [0.1, 0.6], [0.75, 0.75], [0.5, 0.5], [1.0, 0.2], [-0.1, 0.1]])

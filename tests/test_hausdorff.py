@@ -70,9 +70,11 @@ def test_non_finite_input_is_a_value_error(call, value):
          lambda: hd.IfsSystem(hd.IfsSystem.from_json(cantor_ifs_json(0)).maps, depth=2.5)),
         # a depth of 2
         ("depth must be an int >= 0", lambda: hd.IfsSystem.from_json(cantor_ifs_json(2.7))),
+        # OverflowError: the grid phase shift delta * j overflowed
+        ("scales must be finite and positive and <=", lambda: hd.box_counts(_CLOUD, [1e308])),
     ],
     ids=["ifs-min-scale-0", "premeasure-empty-cloud-floor", "ifs-points-depth-2.5",
-         "ifs-points-depth--2", "ifs-system-depth-2.5", "ifs-json-depth-2.7"],
+         "ifs-points-depth--2", "ifs-system-depth-2.5", "ifs-json-depth-2.7", "box-scale-1e308"],
 )
 def test_bad_arguments_are_value_errors(match, call):
     with pytest.raises(ValueError, match=match):
@@ -85,6 +87,17 @@ def test_omega_past_the_gamma_overflow():
     assert hd.omega(342) == 8.295644363831656e-225
     assert hd.omega(400) == 3.4126040259155525e-276
     assert isinstance(hd.premeasure_delta(_CLOUD, 400, 0.5), float)
+
+
+def test_exponents_past_the_float_range():
+    # OverflowError from lgamma, from 2^s or d^s; an int s met exact big-int powers (MemoryError)
+    assert hd.omega(1e308) == hd.omega(10**30) == 0.0
+    assert hd.premeasure_delta(_CLOUD, 1e308, 0.5) == hd.premeasure_delta(_CLOUD, 10**30, 0.5) == 0.0
+    assert hd.premeasure_delta(_CLOUD, 1100, 3.0) == 0.0
+    with pytest.raises(ValueError, match="passes the float range"):
+        hd.premeasure_delta(_CLOUD, 400, 100.0)
+    with pytest.raises(ValueError, match="s must be finite"):
+        hd.premeasure_delta(_CLOUD, 10**400, 0.5)
 
 
 def test_point_cloud_csv_roundtrip(tmp_path):
@@ -105,6 +118,12 @@ def test_point_cloud_csv_bytes_match_savetxt(tmp_path, n, size):
     np.savetxt(want, pts, delimiter=",", header=header, comments="")
     hd.PointCloud(pts).to_csv(got)
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_point_cloud_translate_and_ifs_dimension():
+    cloud = hd.PointCloud([[0.0, 1.0], [2.0, -1.0]]).translate([0.5, -0.25])
+    assert cloud.points.tolist() == [[0.5, 0.75], [2.5, -1.25]]
+    assert hd.IfsSystem.from_json(cantor_ifs_json(3)).n == 1
 
 
 def test_point_cloud_csv_rejects_lattice_csv(tmp_path):

@@ -43,6 +43,28 @@ def test_alignment_error():
         ms.measure_of(mu, ms.AtomSubset(np.array([True])))
 
 
+def test_measure_sum_and_difference_need_one_atom_list_and_m():
+    mu, nu = real_measure([1.0, -2.0]), real_measure([0.5, 4.0])
+    assert (mu + nu).weights[:, 0].tolist() == [1.5, 2.0]
+    assert (mu - nu).weights[:, 0].tolist() == [0.5, -6.0]
+    other_atoms = ms.AtomicMeasure(("b0", "b1"), np.array([1.0, 2.0]))
+    other_m = ms.AtomicMeasure(mu.atoms, np.array([[1.0, 0.0], [2.0, 0.0]]))
+    for other in (other_atoms, other_m):
+        with pytest.raises(ms.AlignmentError, match="share the atom list and m"):
+            mu + other
+        with pytest.raises(ms.AlignmentError, match="share the atom list and m"):
+            mu - other
+
+
+def test_subset_from_atoms_and_intersection():
+    mu = real_measure([1.0, -2.0, 3.0, 4.0])
+    E = ms.AtomSubset.from_atoms(mu, ["a0", "a2", "zz"])
+    F = ms.AtomSubset.from_atoms(mu, ["a2", "a3"])
+    assert E.flags.tolist() == [True, False, True, False]
+    assert (E & F).flags.tolist() == [False, False, True, False]
+    assert ms.measure_of(mu, E & F).tolist() == [3.0]
+
+
 def test_json_roundtrip():
     mu = ms.AtomicMeasure(("x", "y"), np.array([[1.0, 2.0], [-3.0, 0.5]]))
     back = ms.AtomicMeasure.from_json(mu.to_json())

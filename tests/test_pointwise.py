@@ -29,6 +29,13 @@ def test_directional_derivative_of_homogeneous_ratio():
     assert d == pytest.approx(0.5, abs=1e-6)
 
 
+def test_directional_derivative_of_a_grid_function_interpolates():
+    # multilinear interpolation of a linear function is exact between cell centers
+    f = GridFunction.from_callable(lambda x, y: 2 * x - y, [0.0, 0.0], [32, 32], 1 / 32)
+    assert pw.directional_derivative(f, [0.5, 0.5], [1.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
+    assert pw.directional_derivative(f, [0.5, 0.5], [1.0, 0.0]) == pytest.approx(2.0, abs=1e-12)
+
+
 def test_directional_derivative_additivity_defect():
     t10 = pw.directional_derivative(ratio_function, [0.0, 0.0], [1.0, 0.0])
     t01 = pw.directional_derivative(ratio_function, [0.0, 0.0], [0.0, 1.0])

@@ -316,6 +316,19 @@ _BAD_ARGUMENTS = {
     # OverflowError, IndexError
     "difference-step-inf": ("step. must be finite", lambda: sm.difference_quotient(_WAVE, 0, math.inf)),
     "difference-axis-2": ("axis 2 out of range", lambda: sm.difference_quotient(_WAVE, 2, 1 / 32)),
+    # OverflowError from the int cast of step / h, for either sign
+    "difference-step-1e308": ("step exceeds the domain",
+                              lambda: sm.difference_quotient(_WAVE, 0, 1e308)),
+    "difference-step--1e308": ("step exceeds the domain",
+                               lambda: sm.difference_quotient(_WAVE, 1, -1e308)),
+    # off the lattice and past the domain: the domain is the reason given
+    "difference-step-off-lattice-and-too-long": ("step exceeds the domain",
+                                                 lambda: sm.difference_quotient(_WAVE, 0, 40.5 / 32)),
+    # OverflowError from the int cast of eps / h (the CLI wrote no error.json)
+    "mollify-eps-1e308": ("wider than the grid",
+                          lambda: sm.mollify(_WAVE, sm.make_standard_mollifier(2, 0.1), 1e308)),
+    "commute-eps-1e308": ("wider than the grid", lambda: sm.mollify_commutes_with_weak_derivative(
+        _WAVE, _WAVE, sm.make_standard_mollifier(2, 1e308))),
     "commute-axis-2": ("axis 2 out of range", lambda: sm.mollify_commutes_with_weak_derivative(
         _WAVE, _WAVE, sm.make_standard_mollifier(2, 0.1), axis=2)),
     # only the shapes were compared: residual 0.2314230364029199

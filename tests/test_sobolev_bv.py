@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,8 @@ def test_bmo_bounded_by_sup():
         ((0.3, 0.3), math.inf),  # no finite side
         ((math.nan, 0.3), 0.25),  # no finite corner
         ((1e300, 0.3), 0.25),  # a corner past any int
+        ((0.3, 0.3), -math.inf),  # OverflowError from the int cast of side / h
+        ((0.3, 0.3), math.nan),  # no side at all
     ],
 )
 def test_cubes_outside_the_lattice_are_rejected(lo, side):
@@ -144,6 +147,19 @@ def test_morrey_check_needs_a_finite_exponent(p):
     # nan compared False with n, so p = nan passed the regime guard
     with pytest.raises(ValueError, match="n < p < inf"):
         sb.morrey_check(bump_2d(32), p)
+
+
+def test_exponents_past_the_float_range():
+    f = bump_2d(32, 1 / 32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # OverflowError from (n^(p+1))^(1/p); an int p met an exact big-int power (MemoryError)
+        lhs, rhs = sb.poincare_cube_check(f, [0.0, 0.0], 0.5, 1e308)
+        assert math.isfinite(rhs) and lhs <= rhs
+        assert sb.poincare_cube_check(f, [0.0, 0.0], 0.5, 10**30) == \
+            sb.poincare_cube_check(f, [0.0, 0.0], 0.5, 1e30)
+        # C = 2np/(p - n) overflowed to inf: a worst ratio of 0.0
+        assert sb.morrey_check(f, 1e308) == sb.morrey_check(f, 1e300) > 0.0
 
 
 # --------------------------------------------------------------- 1-D variation
@@ -362,6 +378,16 @@ def test_lsc_oscillation_drops_variation():
     assert liminf == pytest.approx(4.0, abs=0.01)
 
 
+def test_lsc_on_two_dimensional_grids():
+    # f_k = sin(2 pi k x)/k on the unit square: variation 4 each, L1 limit 0
+    h = 1 / 64
+    seq = [GridFunction.from_callable(lambda x, y, k=k: np.sin(2 * math.pi * k * x) / k,
+                                      [0.0, 0.0], [64, 64], h) for k in (1, 2, 4)]
+    liminf, tv_limit = sb.lsc_check(seq, GridFunction(np.zeros((64, 64)), [0.0, 0.0], h))
+    assert tv_limit == 0.0
+    assert liminf == pytest.approx(4.0, abs=0.1)
+
+
 def test_lsc_rejects_mismatched_lattices():
     a = GridFunction(np.zeros(10), [0.0], 0.1)
     b = GridFunction(np.zeros(20), [0.0], 0.05)
@@ -387,6 +413,13 @@ _BAD_ARGUMENTS = {
     "bmo-generations-0": ("generations must be an int >= 1",
                           lambda: sb.bmo_seminorm(bump_2d(32), generations=0)),
     "perimeter-calibration-n-1.5": ("n must be an int >= 1", lambda: sb.perimeter_calibration(1.5, 0.1)),
+    # OverflowError from the int cast of 2.4 / h
+    "perimeter-calibration-h-1e-308": ("2.4 / h", lambda: sb.perimeter_calibration(2, 1e-308)),
+    "perimeter-calibration-h-5e-324": ("2.4 / h", lambda: sb.perimeter_calibration(2, 5e-324)),
+    # OverflowError: an int past the float range passed the p rule
+    "poincare-p-10**400": ("p must be finite and >= 1",
+                           lambda: sb.poincare_cube_check(bump_2d(32, 1 / 32), [0.0, 0.0], 0.5, 10**400)),
+    "morrey-p-10**400": ("n < p < inf", lambda: sb.morrey_check(bump_2d(32), 10**400)),
     # ZeroDivisionError, and (nan, nan)
     "poincare-p-0": ("p must be finite and >= 1",
                      lambda: sb.poincare_cube_check(bump_2d(32, 1 / 32), [0.0, 0.0], 0.5, 0.0)),
