@@ -6,6 +6,8 @@ built for that command's flags alone (``gmtkit -h`` lists the commands,
 the table names before the handler runs.  A run writes a versioned JSON
 (or CSV) report plus optional SVG plots.  All randomness flows from
 --seed; --no-timestamp drops the one timestamp field for byte-stable runs.
+A command imports the library modules it runs when it runs (its handler
+and its input readers), so a cold job loads no other module.
 
 Exit codes: 0 success, 1 validation error (argv usage errors and every
 library input error, i.e. any ValueError, included), 2 numerical
@@ -25,14 +27,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import area as ar
-from . import hausdorff as hd
-from . import measures as ms
-from . import pointwise as pw
-from . import smoothing as sm
-from . import sobolev_bv as sb
+import gmtkit
+
 from .errors import NonConvergenceError
-from .grids import GridFunction, RasterSet
 
 SCHEMA = "gmtkit/1"
 
@@ -60,16 +57,17 @@ def _parse_scales(text: str) -> np.ndarray:
         a, b = map(int, text.split(".."))
     except (ValueError, TypeError) as exc:
         raise ValidationFailure(f"bad --scales {text!r}; expected 'a..b'") from exc
-    return hd.default_scales(a, b)
+    return gmtkit.hausdorff.default_scales(a, b)
 
 
-# each --input kind's reader; it looks its class up per call, not at import
+# each --input kind's reader; it loads its module through the package's
+# first-access attributes and looks its class up per call, not at import
 _READERS = {
-    "measure JSON": lambda p: ms.AtomicMeasure.from_json(p.read_text()),
-    "IFS JSON": lambda p: hd.IfsSystem.from_json(p.read_text()),
-    "point CSV": lambda p: hd.PointCloud.from_csv(p),
-    "raster CSV": lambda p: RasterSet.from_csv(p),
-    "grid CSV": lambda p: GridFunction.from_csv(p),
+    "measure JSON": lambda p: gmtkit.measures.AtomicMeasure.from_json(p.read_text()),
+    "IFS JSON": lambda p: gmtkit.hausdorff.IfsSystem.from_json(p.read_text()),
+    "point CSV": lambda p: gmtkit.hausdorff.PointCloud.from_csv(p),
+    "raster CSV": lambda p: gmtkit.RasterSet.from_csv(p),
+    "grid CSV": lambda p: gmtkit.GridFunction.from_csv(p),
 }
 
 
@@ -92,7 +90,9 @@ def _load(path: str, kind: str):
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_measure(args, mu: ms.AtomicMeasure) -> dict:
+def _cmd_measure(args, mu: gmtkit.measures.AtomicMeasure) -> dict:
+    from . import measures as ms
+
     result = {
         "atoms": list(mu.atoms),
         "m": mu.m,
@@ -109,7 +109,9 @@ def _cmd_measure(args, mu: ms.AtomicMeasure) -> dict:
     return result
 
 
-def _cmd_dim(args, obj: hd.IfsSystem | hd.PointCloud) -> dict:
+def _cmd_dim(args, obj: gmtkit.hausdorff.IfsSystem | gmtkit.hausdorff.PointCloud) -> dict:
+    from . import hausdorff as hd
+
     est = hd.dimension_estimate(obj, _parse_scales(args.scales))
     return {
         "slope": est.slope,
@@ -121,7 +123,9 @@ def _cmd_dim(args, obj: hd.IfsSystem | hd.PointCloud) -> dict:
     }
 
 
-def _cmd_density(args, E: RasterSet) -> dict:
+def _cmd_density(args, E: gmtkit.RasterSet) -> dict:
+    from . import pointwise as pw
+
     x = _parse_floats(args.point, E.ndim)
     report = pw.density(E, x)
     return {
@@ -133,7 +137,9 @@ def _cmd_density(args, E: RasterSet) -> dict:
     }
 
 
-def _cmd_mollify(args, f: GridFunction) -> dict:
+def _cmd_mollify(args, f: gmtkit.GridFunction) -> dict:
+    from . import smoothing as sm
+
     kernel = sm.make_standard_mollifier(f.ndim, args.eps)
     out = sm.mollify(f, kernel)
     out_path = Path(args.output) / "mollified.csv"
@@ -147,13 +153,17 @@ def _cmd_mollify(args, f: GridFunction) -> dict:
     }
 
 
-def _cmd_weakdiff(args, f: GridFunction, g: GridFunction) -> dict:
+def _cmd_weakdiff(args, f: gmtkit.GridFunction, g: gmtkit.GridFunction) -> dict:
+    from . import smoothing as sm
+
     battery = sm.TestFunctionBattery.seeded(*f._box(), seed=args.seed)
     residual = sm.weak_derivative_residual(f, g, args.axis, battery)
     return {"axis": args.axis, "residual": residual, "battery_size": battery.count}
 
 
-def _cmd_sobolev(args, f: GridFunction) -> dict:
+def _cmd_sobolev(args, f: gmtkit.GridFunction) -> dict:
+    from . import sobolev_bv as sb
+
     p = args.p
     rep = sb.sobolev_norm(f, p)
     result = {
@@ -180,7 +190,9 @@ def _cmd_sobolev(args, f: GridFunction) -> dict:
     return result
 
 
-def _cmd_bv(args, f: GridFunction) -> dict:
+def _cmd_bv(args, f: gmtkit.GridFunction) -> dict:
+    from . import sobolev_bv as sb
+
     if f.ndim == 1:
         dec = sb.decompose_1d(f.values, h=f.h)
         return {
@@ -200,6 +212,8 @@ def _cmd_bv(args, f: GridFunction) -> dict:
 
 
 def _cmd_area(args) -> dict:
+    from . import area as ar
+
     params = {} if args.range is None else dict(zip(("lo", "hi"), _parse_floats(args.range, 2)))
     phi = ar.builtin_map(args.map, **params)
     if phi.k == 1 and phi.injective:

@@ -6,8 +6,9 @@ import sys
 
 
 def _check_count(name: str, value, minimum: int, unit: str) -> None:
-    """A count (cells, depth, levels, bumps) is an int >= ``minimum``, else a ValueError."""
-    if not isinstance(value, numbers.Integral) or value < minimum:
+    """A count (cells, depth, levels, bumps) is an int >= ``minimum`` and not a bool,
+    else a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an int >= {minimum} (at least one {unit}); got {value!r}")
 
 

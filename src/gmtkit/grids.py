@@ -65,8 +65,12 @@ class _Lattice:
 
     @property
     def _weight(self) -> float:
-        """The cell weight h^n of every midpoint sum."""
-        return self.h**self.ndim
+        """The cell weight h^n of every midpoint sum; a ValueError past the float range."""
+        try:
+            return float(self.h) ** self.ndim
+        except OverflowError:
+            raise ValueError(f"spacing h = {self.h} makes the cell weight h^{self.ndim} "
+                             "pass the float range") from None
 
     def _midpoint_sum(self, values: np.ndarray) -> float:
         """Midpoint sum over this lattice's cells: the sum of ``values`` times the cell weight."""

@@ -481,7 +481,16 @@ def lipschitz_image_bound_check(
     s = 0 (one point for a constant f).
     """
     _check_real("Lipschitz constant", lipschitz_const, 0)
-    bound = lipschitz_const**s * premeasure_delta(cloud, s, delta)
+    premeasure = premeasure_delta(cloud, s, delta)
+    try:
+        bound = lipschitz_const**s * premeasure
+    except OverflowError:  # L^s alone leaves the float range: L^s H^s_delta(E) in logs
+        try:
+            bound = 0.0 if premeasure == 0 else math.exp(
+                s * math.log(lipschitz_const) + math.log(premeasure))
+        except OverflowError:
+            raise ValueError(f"L^s H^s_delta at L = {lipschitz_const}, s = {s} "
+                             "passes the float range") from None
     image = PointCloud(f(cloud.points))
     if delta * lipschitz_const == 0:
         return (0.0 if s > 0 else float(_distinct_rows(image.points))), bound

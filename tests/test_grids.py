@@ -161,6 +161,18 @@ def test_far_off_and_non_finite_points_never_reach_an_int_cast():
                 f.interpolate(x)
 
 
+def test_a_cell_weight_past_the_float_range_is_a_value_error():
+    # h**ndim raised OverflowError; a weight inside the float range keeps its bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (1e308, np.float64(1e308)):
+            with pytest.raises(ValueError, match=r"^spacing h = 1e\+308 makes the cell weight h\^2"):
+                GridFunction(np.ones((2, 2)), [0, 0], h).integral()
+        assert GridFunction(np.ones(1), [0], 1e308).integral() == 1e308
+        assert GridFunction(np.ones((2, 2)), [0, 0], 0.1).integral() == 4 * 0.1**2
+        assert GridFunction(np.ones((1, 1, 1)), [0, 0, 0], 1e-150).integral() == 0.0
+
+
 def test_points_past_the_float_range_land_past_the_box():
     # (x - origin) / h overflowed for these points: the clip now comes before the division
     f = GridFunction.from_callable(lambda x, y: x + 2 * y, [0.0, 0.0], [16, 16], 1 / 16)

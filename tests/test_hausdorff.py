@@ -100,6 +100,23 @@ def test_exponents_past_the_float_range():
         hd.premeasure_delta(_CLOUD, 10**400, 0.5)
 
 
+def test_lipschitz_bound_with_l_to_the_s_past_the_float_range():
+    # lipschitz_const**s raised OverflowError, though the premeasure it multiplies may be 0.0
+    cloud = hd.PointCloud([[0.0, 0.0], [1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hd.lipschitz_image_bound_check(lambda p: 2 * p, 2.0, _CLOUD, 1e308, 0.5) == (0.0, 0.0)
+        assert hd.lipschitz_image_bound_check(lambda p: 2 * p, 2, _CLOUD, 2000, 0.5) == (0.0, 0.0)
+        # 10^320 is past the float range, 10^320 H^320_4(E) is not
+        premeasure = hd.premeasure_delta(cloud, 320, 4.0)
+        assert premeasure == pytest.approx(1.5853384862901636e-109, rel=1e-12)
+        image, bound = hd.lipschitz_image_bound_check(lambda p: 10 * p, 10.0, cloud, 320, 4.0)
+        assert bound == pytest.approx(1.5853384862901636e211, rel=1e-12)
+        assert image <= bound * (1 + 1e-12)
+        with pytest.raises(ValueError, match="L\\^s H\\^s_delta at L = 1e\\+100, s = 320 passes the float range"):
+            hd.lipschitz_image_bound_check(lambda p: p, 1e100, cloud, 320, 4.0)
+
+
 def test_point_cloud_csv_roundtrip(tmp_path):
     cloud = hd.PointCloud(np.array([[0.0, 1.0], [2.0, 3.0]]))
     p = tmp_path / "c.csv"
