@@ -2,7 +2,7 @@
 
 Modules
 -------
-grids       uniform-lattice scalar samples and boolean masks
+grids       lattice samples and masks, and the primitives the others share
 measures    finite atomic signed/vector measures and their decompositions
 hausdorff   premeasures, box-counting dimension, IFS attractors
 pointwise   derivatives, densities, approximate limits, Lebesgue points
@@ -11,9 +11,9 @@ sobolev_bv  Sobolev norms, embedding checks, BV variation and perimeter
 area        linear/parametric area formulas, multiplicity, substitution
 cli         batch front end (JSON/CSV reports, SVG plots)
 
-``import gmtkit`` loads none of them: each module (and ``GridFunction`` and
-``RasterSet``, from ``grids``) loads on first access (PEP 562), so a CLI job
-pays only for the modules its command runs.
+The others import only ``grids`` and ``errors``.  ``import gmtkit`` loads
+none of them: each (and ``GridFunction``, ``RasterSet``) loads on first
+access (PEP 562), so a CLI job pays only for its module and ``grids``.
 """
 
 __version__ = "0.1.0"

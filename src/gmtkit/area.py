@@ -18,10 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonConvergenceError, _check_count
-from .grids import GridFunction, RasterSet, _centers_1d, tensor_points
-from .hausdorff import SingularMapError, lebesgue_measure
-from .pointwise import _central_differences, gradient_fd
+from .errors import NonConvergenceError, SingularMapError, _check_count
+from .grids import (GridFunction, RasterSet, _central_differences, _centers_1d, gradient_fd,
+                    lebesgue_measure, tensor_points)
 
 __all__ = [
     "LinearMap",

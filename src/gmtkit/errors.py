@@ -30,6 +30,10 @@ class ResolutionError(ValueError):
     """Requested radius or step is below what the lattice resolves."""
 
 
+class SingularMapError(ValueError):
+    """Linear map is singular where a nonsingular one is required."""
+
+
 class RegimeError(ValueError):
     """Exponent (p, n) pair routed to the wrong embedding check."""
 

@@ -3,11 +3,14 @@
 Samples live at cell centers: the i-th cell of axis d covers
 ``[origin[d] + i*h, origin[d] + (i+1)*h)`` and its sample point is the
 midpoint.  Integrals are midpoint sums with cell weight ``h**n``.  Every
-conversion between points and cells of that convention is made here.
+conversion between points and cells of that convention is made here.  The
+feature modules import only this module and ``errors``, so the primitives
+two of them use (``omega``, ``gradient_fd``, the bump) live here too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -15,7 +18,7 @@ import numpy as np
 
 from .errors import _check_real
 
-__all__ = ["GridFunction", "RasterSet", "tensor_points"]
+__all__ = ["GridFunction", "RasterSet", "tensor_points", "omega", "lebesgue_measure", "gradient_fd"]
 
 
 def _centers_1d(origin: float, stop: int, h: float, start: int = 0) -> np.ndarray:
@@ -34,6 +37,17 @@ def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     order, shape (N, k)."""
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def omega(s: float) -> float:
+    """Volume of the unit ball: pi^(s/2) / Gamma(1 + s/2), any real s >= 0;
+    through log Gamma where Gamma overflows, from about s = 341.25, and 0.0
+    where log Gamma overflows too, from about s = 5e305."""
+    _check_real("s", s, 0)
+    try:
+        return math.pi ** (s / 2) / math.gamma(1 + s / 2)
+    except OverflowError:
+        return math.exp(s / 2 * math.log(math.pi) - math.lgamma(1 + s / 2)) if s < 1e305 else 0.0
 
 
 class _Lattice:
@@ -73,8 +87,13 @@ class _Lattice:
                              "pass the float range") from None
 
     def _midpoint_sum(self, values: np.ndarray) -> float:
-        """Midpoint sum over this lattice's cells: the sum of ``values`` times the cell weight."""
-        return float(values.sum() * self._weight)
+        """Midpoint sum over this lattice's cells: the sum of ``values`` times the cell
+        weight; a ValueError past the float range."""
+        with np.errstate(over="ignore"):
+            total = float(values.sum() * self._weight)
+        if not math.isfinite(total):
+            raise ValueError(f"a midpoint sum on spacing h = {self.h} passes the float range")
+        return total
 
     @property
     def extents(self) -> tuple[int, ...]:
@@ -271,6 +290,65 @@ class RasterSet(_Lattice):
     def from_csv(cls, path) -> "RasterSet":
         values, origin, h = _read_lattice_csv(path)
         return cls(mask=values != 0, origin=origin, h=h)
+
+
+def lebesgue_measure(raster: RasterSet) -> float:
+    """Cell-counting Lebesgue measure: (true cells) * h^n."""
+    return raster._midpoint_sum(raster.mask)
+
+
+def gradient_fd(f: GridFunction) -> np.ndarray:
+    """Finite-difference gradient field, shape (ndim, *extents).
+
+    Central differences in the interior (O(h^2)), second-order one-sided
+    stencils on the faces.
+    """
+    if any(s < 3 for s in f.extents):
+        raise ValueError("need at least 3 samples per axis")
+    return np.stack([np.gradient(f.values, f.h, axis=d, edge_order=2) for d in range(f.ndim)])
+
+
+def _central_differences(phi: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                         step: float) -> np.ndarray:
+    """Central-difference derivatives of ``phi`` along each coordinate of
+    ``x`` (the last axis of x), stacked on a new last axis: a (k,) point
+    gives an (n, k) Jacobian, an (N, k) point array an (N, n, k) one.
+    """
+    k = x.shape[-1]
+    cols = []
+    for j in range(k):
+        e = np.zeros(k)
+        e[j] = step
+        cols.append((np.asarray(phi(x + e)) - np.asarray(phi(x - e))) / (2 * step))
+    return np.stack(cols, axis=-1)
+
+
+def _bump_inside(u2: np.ndarray) -> np.ndarray:
+    """exp(1/(u^2 - 1)) at points with u^2 < 1, with no mask: the one bump formula."""
+    return np.exp(1.0 / (u2 - 1.0))
+
+
+def _unscaled_standard(r2: np.ndarray) -> np.ndarray:
+    """The bump on r^2 < 1, 0 outside (unnormalized): there r^2 is taken as the
+    largest double below 1, where the bump underflows to 0."""
+    return _bump_inside(np.where(r2 < 1.0, r2, np.nextafter(1.0, 0.0)))
+
+
+def _lattice_bump(f: GridFunction, center: np.ndarray, radius: float, axis: int
+                  ) -> tuple[tuple[slice, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The bump, u = |x - c| / r, and its ``axis`` partial at the cells of the
+    window ``f._ball_window(c, r)`` with u^2 < 1, row-major: ``(window, inside,
+    phi, grad)`` (every other cell is 0 in both).  The offsets and the
+    axis-order sum of their squares are the floats ``smoothing._bump``
+    computes from ``f.points()``: the same bits."""
+    window, offsets = f._ball_window(center, radius)
+    d = [dk / radius for dk in offsets]
+    u2 = sum(dk**2 for dk in d)
+    inside = u2 < 1.0
+    u2 = u2[inside]
+    phi = _bump_inside(u2)
+    offset = np.broadcast_to(d[axis], inside.shape)[inside]
+    return window, inside, phi, -2.0 * phi / (u2 - 1.0) ** 2 * offset / radius
 
 
 _CSV_BLOCK_ROWS = 4096

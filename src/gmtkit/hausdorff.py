@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ResolutionError, _check_count, _check_real
-from .grids import RasterSet, _write_csv_rows
+from .errors import ResolutionError, SingularMapError, _check_count, _check_real
+from .grids import RasterSet, _write_csv_rows, lebesgue_measure, omega
 
 __all__ = [
     "PointCloud",
@@ -37,10 +37,6 @@ __all__ = [
     "raster_diameter",
     "lipschitz_image_bound_check",
 ]
-
-
-class SingularMapError(ValueError):
-    """Linear map is singular where a nonsingular one is required."""
 
 
 @dataclass(frozen=True)
@@ -169,17 +165,6 @@ class DimensionEstimate:
     @property
     def degenerate(self) -> bool:
         return self.r2 == 0.0
-
-
-def omega(s: float) -> float:
-    """Volume of the unit ball: pi^(s/2) / Gamma(1 + s/2), any real s >= 0;
-    through log Gamma where Gamma overflows, from about s = 341.25, and 0.0
-    where log Gamma overflows too, from about s = 5e305."""
-    _check_real("s", s, 0)
-    try:
-        return math.pi ** (s / 2) / math.gamma(1 + s / 2)
-    except OverflowError:
-        return math.exp(s / 2 * math.log(math.pi) - math.lgamma(1 + s / 2)) if s < 1e305 else 0.0
 
 
 def _distinct_rows(idx: np.ndarray) -> int:
@@ -381,11 +366,6 @@ def dimension_estimate(
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - float((resid**2).sum()) / ss_tot if ss_tot > 0 else 0.0
     return DimensionEstimate(float(slope), float(intercept), scales, counts, r2)
-
-
-def lebesgue_measure(raster: RasterSet) -> float:
-    """Cell-counting Lebesgue measure: (true cells) * h^n."""
-    return raster._midpoint_sum(raster.mask)
 
 
 def linear_image_measure_check(raster: RasterSet, T: np.ndarray) -> tuple[float, float]:

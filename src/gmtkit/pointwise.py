@@ -16,8 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonConvergenceError, ResolutionError, _check_count, _check_real
-from .grids import GridFunction, RasterSet
-from .hausdorff import omega
+from .grids import GridFunction, RasterSet, _central_differences, gradient_fd, omega
 
 __all__ = [
     "DensityReport",
@@ -81,19 +80,6 @@ def directional_derivative(
     raise NonConvergenceError("directional derivative schedule did not converge")
 
 
-def gradient_fd(f: GridFunction) -> np.ndarray:
-    """Finite-difference gradient field, shape (ndim, *extents).
-
-    Central differences in the interior (O(h^2)), second-order one-sided
-    stencils on the faces.
-    """
-    if any(s < 3 for s in f.extents):
-        raise ValueError("need at least 3 samples per axis")
-    return np.stack(
-        [np.gradient(f.values, f.h, axis=d, edge_order=2) for d in range(f.ndim)]
-    )
-
-
 def jacobian_fd(
     phi: Callable[[np.ndarray], np.ndarray],
     x: Sequence[float],
@@ -107,22 +93,6 @@ def jacobian_fd(
     J = _central_differences(phi, np.asarray(x, dtype=float), step)
     det = float(np.linalg.det(J)) if J.shape[0] == J.shape[1] else None
     return J, det
-
-
-def _central_differences(
-    phi: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float
-) -> np.ndarray:
-    """Central-difference derivatives of ``phi`` along each coordinate of
-    ``x`` (the last axis of x), stacked on a new last axis: a (k,) point
-    gives an (n, k) Jacobian, an (N, k) point array an (N, n, k) one.
-    """
-    k = x.shape[-1]
-    cols = []
-    for j in range(k):
-        e = np.zeros(k)
-        e[j] = step
-        cols.append((np.asarray(phi(x + e)) - np.asarray(phi(x - e))) / (2 * step))
-    return np.stack(cols, axis=-1)
 
 
 def default_radii(f: GridFunction | RasterSet, x: Sequence[float], count: int = 8) -> np.ndarray:
@@ -168,13 +138,14 @@ def pointwise_lipschitz(
 
 
 def _schedule(f: GridFunction | RasterSet, x: Sequence[float], radii: Sequence[float] | None):
-    """The checked point and its radii (``default_radii`` when None), never empty."""
+    """The checked point and its radii (``default_radii`` when None), never empty;
+    r^(n+2) within the float range keeps r^2 and omega_n r^n far inside it."""
     x = f._point(x)
     radii = np.asarray(default_radii(f, x) if radii is None else radii, dtype=float)
     if radii.size == 0:
         raise ValueError("the radius schedule is empty")
     for r in radii:
-        _check_real("radius", r)
+        _check_real("radius", r, maximum=np.finfo(float).max ** (1 / (f.ndim + 2)))
     return x, radii
 
 

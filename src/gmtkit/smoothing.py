@@ -17,9 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UnderResolvedKernelError, _check_count, _check_real
-from .grids import GridFunction, tensor_points
-from .hausdorff import omega
-from .pointwise import gradient_fd
+from .grids import (GridFunction, _lattice_bump, _unscaled_standard, gradient_fd, omega,
+                    tensor_points)
 
 __all__ = [
     "MollifierKernel",
@@ -38,14 +37,6 @@ __all__ = [
 
 class BatteryError(ValueError):
     """A test-function support escapes the domain."""
-
-
-def _unscaled_standard(r2: np.ndarray) -> np.ndarray:
-    """exp(1/(r^2 - 1)) on r^2 < 1, 0 outside (unnormalized)."""
-    out = np.zeros_like(r2, dtype=float)
-    inside = r2 < 1.0
-    out[inside] = np.exp(1.0 / (r2[inside] - 1.0))
-    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -97,7 +88,7 @@ class MollifierKernel:
 def _standard_normalization(n: int, nodes: int = 64) -> float:
     # integral over the unit ball in spherical shells: n*omega_n*r^(n-1) dr
     r, w = _gauss_legendre(0.0, 1.0, nodes)
-    integral = n * omega(n) * float((w * np.exp(1.0 / (r**2 - 1.0)) * r ** (n - 1)).sum())
+    integral = n * omega(n) * float((w * _unscaled_standard(r**2) * r ** (n - 1)).sum())
     return 1.0 / integral
 
 
@@ -193,30 +184,6 @@ def _bump(pts: np.ndarray, center: np.ndarray, radius: float) -> tuple[np.ndarra
     denom = np.where(u2 < 1.0, (u2 - 1.0) ** 2, 1.0)
     scale = np.where(u2 < 1.0, -2.0 * phi / denom, 0.0)
     return phi, scale[..., None] * d / radius
-
-
-def _lattice_bump(
-    f: GridFunction, center: np.ndarray, radius: float, axis: int
-) -> tuple[tuple[slice, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """``_bump`` at the cell centers of f's lattice, evaluated only where
-    the bump lives.
-
-    Returns ``(window, inside, phi, grad)``: ``window`` slices the ball
-    window ``f._ball_window(c, r)``, ``inside`` marks the window cells with
-    u^2 < 1, and ``phi`` and ``grad`` hold the bump and its ``axis``
-    partial at those cells, in row-major order.  Every other cell of the grid is 0 in both.  The
-    per-axis offsets and the axis-order sum of their squares are the
-    floats ``_bump`` computes from ``f.points()``, so the values are the
-    same to the bit.
-    """
-    window, offsets = f._ball_window(center, radius)
-    d = [dk / radius for dk in offsets]
-    u2 = sum(dk**2 for dk in d)
-    inside = u2 < 1.0
-    u2 = u2[inside]
-    phi = np.exp(1.0 / (u2 - 1.0))
-    offset = np.broadcast_to(d[axis], inside.shape)[inside]
-    return window, inside, phi, -2.0 * phi / (u2 - 1.0) ** 2 * offset / radius
 
 
 def bump_value(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

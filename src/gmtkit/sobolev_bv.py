@@ -21,10 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import RegimeError, _check_count, _check_real
-from .grids import GridFunction, RasterSet
-from .hausdorff import omega
-from .pointwise import gradient_fd
-from .smoothing import _lattice_bump
+from .grids import GridFunction, RasterSet, _lattice_bump, gradient_fd, omega
 
 __all__ = [
     "SobolevReport",
@@ -75,8 +72,11 @@ class Bv1dDecomposition:
 def _lp(values: np.ndarray, p: float, f: GridFunction) -> float:
     _check_real("p", p, 1)  # every L^p norm here needs a finite p >= 1
     v = np.abs(values)
-    with np.errstate(over="ignore"):
-        total = f._midpoint_sum(v**p)
+    try:
+        with np.errstate(over="ignore"):
+            total = f._midpoint_sum(v**p)
+    except ValueError:  # |v|^p or its sum passed the float range
+        total = math.inf
     if sys.float_info.min <= total < math.inf:
         return total ** (1.0 / p)
     top = float(v.max())  # |v|^p overflowed or underflowed: scale by max |v|

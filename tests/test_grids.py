@@ -173,6 +173,17 @@ def test_a_cell_weight_past_the_float_range_is_a_value_error():
         assert GridFunction(np.ones((1, 1, 1)), [0, 0, 0], 1e-150).integral() == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_midpoint_sum_past_the_float_range_is_a_value_error():
+    # the product with h^n and the sum itself overflowed with only a RuntimeWarning
+    for f in (GridFunction(np.ones((2, 2)), [0, 0], 1e154),
+              GridFunction(np.full((4, 4), 1e308), [0, 0], 0.25)):
+        with pytest.raises(ValueError, match="passes the float range"):
+            f.integral()
+    assert GridFunction(np.ones((1, 1)), [0, 0], 1e154).integral() == 1e154**2
+    assert GridFunction(np.full((2, 2), 1e307), [0, 0], 0.5).integral() == 1e307
+
+
 def test_points_past_the_float_range_land_past_the_box():
     # (x - origin) / h overflowed for these points: the clip now comes before the division
     f = GridFunction.from_callable(lambda x, y: x + 2 * y, [0.0, 0.0], [16, 16], 1 / 16)

@@ -4,6 +4,7 @@ Every check runs in a fresh interpreter, since this process has loaded
 the whole package already.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -20,13 +21,17 @@ from golden_corpus import JOBS, write_inputs
 _CLOSURES = {
     "measure": {"measures"},
     "dim": {"grids", "hausdorff"},
-    "density": {"grids", "hausdorff", "pointwise"},
-    "mollify": {"grids", "hausdorff", "pointwise", "smoothing"},
-    "weakdiff": {"grids", "hausdorff", "pointwise", "smoothing"},
-    "sobolev": {"grids", "hausdorff", "pointwise", "smoothing", "sobolev_bv"},
-    "bv": {"grids", "hausdorff", "pointwise", "smoothing", "sobolev_bv"},
-    "area": {"area", "grids", "hausdorff", "pointwise"},
+    "density": {"grids", "pointwise"},
+    "mollify": {"grids", "smoothing"},
+    "weakdiff": {"grids", "smoothing"},
+    "sobolev": {"grids", "sobolev_bv"},
+    "bv": {"grids", "sobolev_bv"},
+    "area": {"area", "grids"},
 }
+
+# the layering errors <- grids <- feature modules: what each library module may import;
+# every module not named here is a feature module, which imports errors and grids only
+_MAY_IMPORT = {"errors": set(), "grids": {"errors"}}
 
 
 def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
@@ -60,8 +65,7 @@ def test_import_gmtkit_loads_no_submodule():
 def test_names_load_on_first_access():
     assert _submodules("import gmtkit; gmtkit.measures") == ["measures"]
     assert _submodules("import gmtkit; gmtkit.GridFunction") == ["errors", "grids"]
-    assert _submodules("from gmtkit import area") == \
-        ["area", "errors", "grids", "hausdorff", "pointwise"]
+    assert _submodules("from gmtkit import area") == ["area", "errors", "grids"]
     assert _submodules("from gmtkit.grids import RasterSet") == ["errors", "grids"]
     everything = _submodules(
         "from gmtkit import *\n"
@@ -91,9 +95,39 @@ def test_lazily_loaded_modules_appear_in_importtime():
                   "print(' '.join(m for m in sys.modules if m.startswith('gmtkit.')))")
     assert out.returncode == 0, out.stderr
     loaded = {m[len("gmtkit."):] for m in out.stdout.split()}
-    assert loaded == {"area", "errors", "grids", "hausdorff", "measures", "pointwise", "smoothing",
-                      "sobolev_bv"}
+    assert loaded == {"area", "errors", "grids", "measures", "sobolev_bv"}
     assert _importtime_modules(out.stderr) == loaded
+
+
+def _package_imports(source: str) -> set[str]:
+    """The gmtkit.* modules that ``source`` imports anywhere, without the prefix."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("gmtkit" + (f".{node.module}" if node.module else "")) if node.level \
+                else node.module
+            names.update([base] if base != "gmtkit" else [f"gmtkit.{a.name}" for a in node.names])
+    return {n.split(".")[1] for n in names if n.startswith("gmtkit.")}
+
+
+def test_package_imports_reads_every_import_form():
+    source = ("import numpy\nfrom typing import Callable\nfrom . import area\n"
+              "from .grids import omega\nimport gmtkit.smoothing as sm\n"
+              "def f():\n    from gmtkit.pointwise import density\n"
+              "    from gmtkit import measures\n")
+    assert _package_imports(source) == {"area", "grids", "smoothing", "pointwise", "measures"}
+
+
+def test_feature_modules_import_only_errors_and_grids():
+    library = {p.stem: _package_imports(p.read_text())
+               for p in Path(gmtkit.__file__).parent.glob("*.py")
+               if p.stem not in ("cli", "__init__")}
+    assert {"errors", "grids", "area", "hausdorff", "sobolev_bv"} <= set(library)
+    for name, imports in sorted(library.items()):
+        allowed = _MAY_IMPORT.get(name, {"errors", "grids"})
+        assert imports <= allowed, f"{name} imports {sorted(imports - allowed)}"
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -392,6 +393,24 @@ def test_density_far_off_answers_as_outside_and_a_non_finite_point_is_a_value_er
     assert huge.ratios.tolist() == far.ratios.tolist()
     with pytest.raises(ValueError, match="must be finite"):
         pw.density(E, [math.nan, 0.5])
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_radius_past_the_float_range_is_a_value_error():
+    # r * r and omega_n r^n overflowed with only a RuntimeWarning
+    E = RasterSet.from_predicate(lambda x, y: x < 0.5, [0.0, 0.0], [16, 16], 1 / 16)
+    f = GridFunction(E.mask.astype(float), E.origin, E.h)
+    calls = [lambda: pw.density(E, [0.5, 0.5], radii=[1e308, 0.5, 0.25]),
+             lambda: pw.density(E, [0.5, 0.5], radii=[1e200, 0.5, 0.25]),
+             lambda: pw.approx_limit(f, [0.5, 0.5], radii=[1e308, 0.5, 0.3]),
+             lambda: pw.lebesgue_point_check(f, [0.5, 0.5], radii=[1e200, 0.5]),
+             lambda: pw.pointwise_lipschitz(f, [0.5, 0.5], radii=[1e200, 0.5])]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^radius must be finite and positive and <= 1\.15"):
+            call()
+    top = sys.float_info.max ** (1 / 4)  # r^(n+2) at the float range's end, n = 2
+    ratios = pw.density(E, [0.5, 0.5], radii=[top, 0.5, 0.25]).ratios
+    assert 0 < ratios[0] < ratios[1]
 
 
 EMPTY_CALLS = {

@@ -162,6 +162,14 @@ def test_exponents_past_the_float_range():
         assert sb.morrey_check(f, 1e308) == sb.morrey_check(f, 1e300) > 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_lp_sum_past_the_float_range_is_rescaled_by_the_largest_value():
+    # the midpoint sum (p = 1) or |v|^p itself (p = 2) passes the float range: _lp rescales
+    f = GridFunction(np.full((4, 4), 1e308), [0.0, 0.0], 0.25)
+    assert sb._lp(f.values, 1, f) == 1e308
+    assert sb._lp(f.values, 2, f) == 1e308
+
+
 # --------------------------------------------------------------- 1-D variation
 
 
