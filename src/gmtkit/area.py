@@ -174,12 +174,16 @@ def _helix(lo: float = 0.0, hi: float = 1.0) -> ParametricMap:
 
 
 def _polar(r_hi: float = 1.0) -> ParametricMap:
-    """(r, theta) -> (r cos theta, r sin theta) on ]0, r_hi[ x ]-pi, pi[."""
+    """(r, theta) -> (r cos theta, r sin theta) on ]0, r_hi[ x ]-pi, pi[, whose
+    image's area pi r_hi^2 must be finite."""
+    r_hi = float(r_hi)
+    if math.pi * r_hi * r_hi == math.inf:
+        raise ValueError(f"polar's image of radius {r_hi:g} has an area past the float range")
     return ParametricMap(
         evaluator=lambda p: np.stack(
             [p[:, 0] * np.cos(p[:, 1]), p[:, 0] * np.sin(p[:, 1])], axis=1
         ),
-        domain_lo=[0.0, -math.pi], domain_hi=[float(r_hi), math.pi], n=2,
+        domain_lo=[0.0, -math.pi], domain_hi=[r_hi, math.pi], n=2,
         jacobian=lambda p: np.stack([
             np.stack([np.cos(p[:, 1]), -p[:, 0] * np.sin(p[:, 1])], axis=1),
             np.stack([np.sin(p[:, 1]), p[:, 0] * np.cos(p[:, 1])], axis=1),

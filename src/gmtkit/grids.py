@@ -2,10 +2,11 @@
 
 Samples live at cell centers: the i-th cell of axis d covers
 ``[origin[d] + i*h, origin[d] + (i+1)*h)`` and its sample point is the
-midpoint.  Integrals are midpoint sums with cell weight ``h**n``.  Every
-conversion between points and cells of that convention is made here.  The
-feature modules import only this module and ``errors``, so the primitives
-two of them use (``omega``, ``gradient_fd``, the bump) live here too.
+midpoint.  Integrals are midpoint sums with cell weight ``h**n``, and
+variations sums of |jumps| across cell faces with face weight ``h**(n-1)``.
+Every conversion between points and cells of that convention is made here.
+The feature modules import only this module and ``errors``, so the
+primitives two of them use (``omega``, ``gradient_fd``, the bump) live here too.
 """
 
 from __future__ import annotations
@@ -77,23 +78,33 @@ class _Lattice:
     def ndim(self) -> int:
         return self._cells.ndim
 
-    @property
-    def _weight(self) -> float:
-        """The cell weight h^n of every midpoint sum; a ValueError past the float range."""
+    def _weight(self, faces: bool = False) -> float:
+        """The one weight rule: the cell weight h^n, or with ``faces`` the face weight
+        h^(n-1); a ValueError past the float range."""
         try:
-            return float(self.h) ** self.ndim
+            return float(self.h) ** (self.ndim - faces)
         except OverflowError:
-            raise ValueError(f"spacing h = {self.h} makes the cell weight h^{self.ndim} "
-                             "pass the float range") from None
+            raise ValueError(f"spacing h = {self.h} makes the {'face' if faces else 'cell'} "
+                             f"weight h^{self.ndim - faces} pass the float range") from None
+
+    def _weighted(self, total: Callable[[], float], faces: bool = False) -> float:
+        """``total()`` times ``_weight(faces)``, with overflow let through: the one
+        float-range rule, where a sum or product past the range is a ValueError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = float(total() * self._weight(faces))
+        if not math.isfinite(out):
+            raise ValueError(f"a lattice sum on spacing h = {self.h} passes the float range")
+        return out
 
     def _midpoint_sum(self, values: np.ndarray) -> float:
-        """Midpoint sum over this lattice's cells: the sum of ``values`` times the cell
-        weight; a ValueError past the float range."""
-        with np.errstate(over="ignore"):
-            total = float(values.sum() * self._weight)
-        if not math.isfinite(total):
-            raise ValueError(f"a midpoint sum on spacing h = {self.h} passes the float range")
-        return total
+        """Midpoint sum over this lattice's cells: the sum of ``values`` times the cell weight."""
+        return self._weighted(values.sum)
+
+    def _variation(self, axes: Sequence[int] = ()) -> float:
+        """The discrete variation: sum |jump| over the faces normal to ``axes`` (all by
+        default), all axes first, times the face weight; on a mask, the face count."""
+        return self._weighted(lambda: sum(np.abs(np.diff(self._cells, axis=d)).sum()
+                                          for d in axes or range(self.ndim)), faces=True)
 
     @property
     def extents(self) -> tuple[int, ...]:

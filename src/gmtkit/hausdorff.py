@@ -270,9 +270,10 @@ def premeasure_delta(
         _check_real("refine_floor", refine_floor)
         if refine_floor > g_max:
             raise ValueError("refine_floor exceeds the admissible grid size")
-        j = math.ceil(-math.log2(g_max) - 1e-12)
-        k_end = math.floor(-math.log2(refine_floor)) + 2  # past the finest size, with a margin
-        sizes = [2.0**-k for k in range(j, k_end) if 2.0**-k >= refine_floor]
+        # frexp: x = m 2^e with 1/2 <= m < 1, exactly.  2^-k <= g_max from k = 1 - e on;
+        # 2^-k >= the floor up to k = 1 - e at m = 1/2 (a power of two), else up to -e
+        (_, e), (m, f) = math.frexp(g_max), math.frexp(refine_floor)
+        sizes = default_scales(1 - e, (m == 0.5) - f).tolist()
         if not sizes:
             raise ValueError(f"no dyadic grid size lies in [{refine_floor}, {g_max}]")
     if cloud.size == 0:

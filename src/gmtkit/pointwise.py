@@ -10,6 +10,7 @@ on a lattice.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -57,6 +58,11 @@ def directional_derivative(
         raise ValueError("direction must be nonzero")
     _check_real("h0", h0)
     _check_count("levels", levels, 1, "step size")
+    with np.errstate(over="ignore"):
+        reach = np.append(np.abs(x) + h0 * np.abs(v), 2 * h0)
+    if not np.all(np.isfinite(reach)) or math.ldexp(h0, 1 - levels) < sys.float_info.min:
+        raise ValueError(f"h0 = {h0} must keep x +- h0 v and 2 h0 finite, and its smallest "
+                         f"step h0 / 2^{levels - 1} a positive normal double")
     if isinstance(f, GridFunction):
         evaluate = lambda p: f.interpolate(p)
     else:
@@ -171,10 +177,15 @@ class DensityReport:
 
 def _balls(f: GridFunction | RasterSet, samples: list, radii: np.ndarray):
     """(samples in B(x, r), omega_n r^n) per radius from ``_ball_samples``;
-    radii under 3h are a ResolutionError."""
-    if radii.min() < 3 * f.h:
-        raise ResolutionError(f"radius {radii.min()} below lattice resolution {f.h}")
+    radii under 3h, or a ball volume or cell weight under the normal doubles,
+    are a ResolutionError."""
+    r_min = radii.min()
+    if r_min < 3 * f.h:
+        raise ResolutionError(f"radius {r_min} below lattice resolution {f.h}")
     wn = omega(f.ndim)
+    if min(wn * r_min**f.ndim, f._weight()) < sys.float_info.min:
+        raise ResolutionError(f"radius {r_min} on spacing h = {f.h}: omega_n r^n or h^n "
+                              "is not a positive normal double")
     return [(vals, wn * r**f.ndim) for (_, vals), r in zip(samples, radii)]
 
 
@@ -206,7 +217,7 @@ def _limsups(balls: list[tuple[np.ndarray, float]], f: GridFunction) -> np.ndarr
     largest sample, where k samples are the fewest that fail the predicate
     of ``_density_ratios`` (counts past the band plus one cell all fail it
     and are not built), or -inf when the ball holds fewer than k."""
-    out, cell = [], f._weight
+    out, cell = [], f._weight()
     for v, vol in balls:
         counts = np.arange(min(v.size, int(DENSITY_ZERO_BAND * vol / cell) + 2) + 1)
         k = int(np.searchsorted(counts * cell / vol, DENSITY_ZERO_BAND))

@@ -149,7 +149,7 @@ def mollify(f: GridFunction, kernel: MollifierKernel, eps: float | None = None) 
     K = kernel.scaled(tensor_points([offsets] * f.ndim)).reshape((offsets.size,) * f.ndim)
     K /= f._midpoint_sum(K)
     # K is even, so convolution and correlation coincide
-    out = _fft_convolve_valid(f.values, K) * f._weight
+    out = _fft_convolve_valid(f.values, K) * f._weight()
     return GridFunction(values=out, origin=f._corner(kr), h=h)
 
 

@@ -182,25 +182,25 @@ def morrey_check(
     return float((diff / denom[ok]).max(initial=0.0))
 
 
-def _samples_1d(samples: Sequence[float], h: float | None = None) -> tuple[np.ndarray, float]:
-    """The one 1-D sample rule: a row of at least 2 finite samples, h finite and > 0 (None: 1/N)."""
+def _samples_1d(samples: Sequence[float], h: float | None = None) -> GridFunction:
+    """The one 1-D sample rule: 2 or more finite samples, h finite, > 0 (None: 1/N), origin 0."""
     v = np.asarray(samples, dtype=float)
     if v.ndim != 1 or v.size < 2 or not np.all(np.isfinite(v)):
         raise ValueError(f"need a row of at least 2 samples, all finite; got shape {v.shape}")
     if h is not None:
         _check_real("h", h)
-    return v, 1.0 / v.size if h is None else h
+    return GridFunction(v, [0.0], 1.0 / v.size if h is None else h)
 
 
 def variation_1d(samples: Sequence[float]) -> float:
     """Total variation of sampled values: sum of |successive differences|."""
-    return float(np.abs(np.diff(_samples_1d(samples)[0])).sum())
+    return _samples_1d(samples)._variation()
 
 
 def bv_norm(samples: Sequence[float], h: float | None = None) -> float:
     """||f||_BV = L1 norm + variation for samples on ]0,1[."""
-    v, h = _samples_1d(samples, h)
-    return float(np.abs(v).sum() * h) + float(np.abs(np.diff(v)).sum())
+    f = _samples_1d(samples, h)
+    return f._midpoint_sum(np.abs(f.values)) + f._variation()
 
 
 def perimeter(E: RasterSet, corrected: bool = False) -> float:
@@ -208,13 +208,8 @@ def perimeter(E: RasterSet, corrected: bool = False) -> float:
     the mask changes (the l1 perimeter).  With ``corrected`` the Manhattan
     bias is divided out using the per-resolution disk calibration.
     """
-    faces = 0
-    for d in range(E.ndim):
-        faces += int(np.abs(np.diff(E.mask.astype(np.int8), axis=d)).sum())
-    raw = faces * E.h ** (E.ndim - 1)
-    if corrected and E.ndim >= 2:
-        raw /= perimeter_calibration(E.ndim, E.h)
-    return raw
+    raw = E._variation()
+    return raw / perimeter_calibration(E.ndim, E.h) if corrected and E.ndim >= 2 else raw
 
 
 @functools.lru_cache(maxsize=None)
@@ -328,7 +323,8 @@ def decompose_1d(
     h follow the rule of ``variation_1d`` and ``bv_norm``; each position is
     measured from the left edge of the first sample's cell.
     """
-    f, h = _samples_1d(samples, h)
+    g = _samples_1d(samples, h)
+    f, h = g.values, g.h
     _check_real("jump_threshold", jump_threshold)
     _check_real("dominance", dominance, maximum=1)
     if window is not None:
@@ -378,9 +374,7 @@ def tonelli_variation(f: GridFunction) -> tuple[float, float]:
     """(int of per-row variation dy, int of per-column variation dx)."""
     if f.ndim != 2:
         raise ValueError("Tonelli variation is defined for 2-D grids")
-    var_rows = np.abs(np.diff(f.values, axis=0)).sum()  # variation along x per y
-    var_cols = np.abs(np.diff(f.values, axis=1)).sum()  # variation along y per x
-    return float(var_rows * f.h), float(var_cols * f.h)
+    return f._variation([0]), f._variation([1])  # along x per y, along y per x
 
 
 def lsc_check(

@@ -155,6 +155,20 @@ def test_square_needs_a_finite_image(lo, hi):
         ar.builtin_map("square", lo=lo, hi=hi)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r_hi", [1e308, 1e200, 7.6e153])
+def test_polar_needs_a_finite_area(r_hi):
+    # r^2 overflowed in the Jacobian: surface_measure warned and returned inf
+    with pytest.raises(ValueError, match="polar's image of radius .* has an area past the float range"):
+        ar.builtin_map("polar", r_hi=r_hi)
+
+
+@pytest.mark.filterwarnings("error")
+def test_polar_at_the_end_of_the_float_range_keeps_its_area():
+    r_hi = 7.56e153  # pi r_hi^2 = 1.7955e308
+    assert ar.surface_measure(ar.builtin_map("polar", r_hi=r_hi)) == pytest.approx(math.pi * r_hi**2)
+
+
 def test_curve_length_near_the_float_range_stays_finite():
     # 4 * fine overflowed in the Richardson step: inf for a length of sqrt(2) * 1e308
     length = ar.curve_length(ar.builtin_map("helix", lo=0.0, hi=1e308))

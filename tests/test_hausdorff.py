@@ -220,6 +220,21 @@ def test_premeasure_refined_monotone_above_dimension():
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+def test_premeasure_refined_sizes_stay_admissible():
+    # delta / sqrt(n) just below 2^-3: log2 with a 1e-12 margin admitted the size 2^-3, whose
+    # boxes have diameter > delta (64.0, 46.43 and 27.95)
+    cloud = hd.PointCloud(np.random.default_rng(1).random((400, 2)))
+    delta = 2.0**-3 * math.sqrt(2) * (1 - 1e-13)
+    for s, want in ((0.0, 211.0), (0.2, 133.27), (0.5, 30.88)):
+        got = hd.premeasure_delta(cloud, s, delta, refine_floor=2.0**-8)
+        assert got == min(hd.premeasure_delta(cloud, s, 2.0**-k * math.sqrt(2)) for k in range(4, 9))
+        assert got == pytest.approx(want, abs=0.005)
+    # a floor that is a power of two is a size; one just above it is not
+    at = {k: hd.premeasure_delta(cloud, 3.0, 2.0**-k * math.sqrt(2)) for k in (2, 3)}
+    assert hd.premeasure_delta(cloud, 3.0, 0.5, refine_floor=2.0**-3) == at[3]
+    assert hd.premeasure_delta(cloud, 3.0, 0.5, refine_floor=2.0**-3 * (1 + 1e-15)) == at[2] > at[3]
+
+
 def test_premeasure_refine_floor_validation():
     cloud = hd.PointCloud(np.zeros((1, 1)))
     with pytest.raises(ValueError):

@@ -59,6 +59,14 @@ def test_directional_derivative_no_limit():
         )
 
 
+@pytest.mark.filterwarnings("error")
+def test_steps_at_the_ends_of_the_float_range_stay_finite():
+    assert pw.directional_derivative(lambda x, y: x * y, [0.1, 0.2], [1, 0], h0=8e307) \
+        == pytest.approx(0.2)
+    # x +- h0 v rounds to x here: a finite 0.0, not a division by a step of 0
+    assert pw.directional_derivative(lambda x, y: x * y, [0.1, 0.2], [1, 0], h0=1e-300) == 0.0
+
+
 def test_zero_direction_rejected():
     with pytest.raises(ValueError):
         pw.directional_derivative(lambda x: x, [0.0], [0.0])
@@ -413,6 +421,24 @@ def test_a_radius_past_the_float_range_is_a_value_error():
     assert 0 < ratios[0] < ratios[1]
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_ball_volume_under_the_normal_doubles_is_a_resolution_error():
+    # h^2 = 1e-340 and omega_2 r^2 underflow: each ratio was 0/0 with only a RuntimeWarning
+    E = RasterSet.from_predicate(lambda x, y: x < 32e-170, [0.0, 0.0], [64, 64], 1e-170)
+    f = GridFunction(E.mask.astype(float), E.origin, E.h)
+    center = [32e-170, 32e-170]
+    for call in (lambda: pw.density(E, center), lambda: pw.approx_limit(f, center),
+                 lambda: pw.lebesgue_point_check(f, center)):
+        with pytest.raises(ResolutionError, match=r"^radius [0-9.e-]+ on spacing h = 1e-170: "
+                                                  r"omega_n r\^n or h\^n is not a positive normal"):
+            call()
+    # a cell weight just inside the normal doubles keeps the ratios of the unit lattice
+    h = 1e-150
+    scaled = RasterSet(E.mask, E.origin, h)
+    assert pw.density(scaled, [32 * h, 32 * h]).ratios == pytest.approx(
+        pw.density(RasterSet(E.mask, E.origin, 1.0), [32.0, 32.0]).ratios, rel=1e-12)
+
+
 EMPTY_CALLS = {
     "density": lambda: pw.density(HALF, [0.1, 0.1], radii=[]),
     "approx_limit": lambda: pw.approx_limit(LINEAR, [0.1, 0.1], radii=[]),
@@ -479,12 +505,25 @@ def _smooth_limit(eps):
     return pw.approx_limit(SMOOTH, [0.1, -0.2], eps_list=(eps,), radii=(0.32, 0.16, 0.08))
 
 
+_STEP_RULE = r"^h0 = .* must keep x \+- h0 v and 2 h0 finite"
+
+
+def _product_derivative(h0, levels=10):
+    return lambda: pw.directional_derivative(lambda x, y: x * y, [0.1, 0.2], [1, 0], h0=h0, levels=levels)
+
+
 _BAD_ARGUMENTS = {
     # TypeError, NonConvergenceError, IndexError
     "directional-levels-2.5": ("levels must be an int >= 1", lambda: pw.directional_derivative(
         lambda x, y: x * y, [0.5, 0.5], [1.0, 0.0], levels=2.5)),
     "directional-h0-0": ("h0 must be finite and positive", lambda: pw.directional_derivative(
         lambda x, y: x * y, [0.5, 0.5], [1.0, 0.0], h0=0.0)),
+    # 2 h0 overflowed in a scalar multiply, or a step underflowed to 0 in the difference quotient
+    "directional-h0-1e308": (_STEP_RULE, _product_derivative(1e308)),
+    "directional-h0-9e307": (_STEP_RULE, _product_derivative(9e307)),
+    "directional-h0-5e-324": (_STEP_RULE, _product_derivative(5e-324)),
+    "directional-h0-1e-300-levels-30": (_STEP_RULE, _product_derivative(1e-300, levels=30)),
+    "directional-levels-2000": (_STEP_RULE, _product_derivative(0.1, levels=2000)),
     "approx-partials-max-steps-2.5": ("max_steps must be an int >= 1",
                                       lambda: pw.approx_partials(LINEAR, [0.1, 0.1], max_steps=2.5)),
     # one radius for count = 0

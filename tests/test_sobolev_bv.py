@@ -250,6 +250,20 @@ def _full_grid_bump_field(f, seed, n_bumps=3):
     return field, div
 
 
+def test_the_lattice_variation_keeps_the_hand_written_face_sums():
+    # the sums perimeter, tonelli_variation, variation_1d and bv_norm wrote by hand
+    mask = np.random.default_rng(0).random((5, 6, 7)) < 0.5
+    faces = sum(int(np.abs(np.diff(mask.astype(np.int8), axis=d)).sum()) for d in range(3))
+    assert sb.perimeter(RasterSet(mask, [0, 0, 0], 0.1)) == faces * 0.1 ** 2
+    f = GridFunction(np.random.default_rng(1).standard_normal((9, 11)), [0.0, 0.0], 0.3)
+    assert sb.tonelli_variation(f) == tuple(float(np.abs(np.diff(f.values, axis=d)).sum() * 0.3)
+                                            for d in (0, 1))
+    v = np.random.default_rng(2).standard_normal(50)
+    assert sb.variation_1d(v) == float(np.abs(np.diff(v)).sum())
+    for h, weight in ((None, 1 / 50), (0.3, 0.3)):
+        assert sb.bv_norm(v, h) == float(np.abs(v).sum() * weight) + float(np.abs(np.diff(v)).sum())
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_seeded_bump_field_matches_full_grid_reference(seed):
     shape = [(301,), (37, 52), (11, 9, 13)][seed % 3]
@@ -403,6 +417,8 @@ def test_lsc_rejects_mismatched_lattices():
         sb.lsc_check([a], b)
 
 
+_CUBE_AT_1E200 = RasterSet(np.indices((2, 2, 2)).sum(axis=0) % 2 == 1, [0, 0, 0], 1e200)  # 12 faces
+_ROW_PAST_THE_RANGE = GridFunction([1e308, -1e308], [0.0], 0.5)
 _UNIT_STEP = np.r_[np.zeros(20), np.ones(20)] + 0.01 * np.sin(np.arange(40))
 
 _BAD_ARGUMENTS = {
@@ -453,6 +469,19 @@ _BAD_ARGUMENTS = {
     "decompose-dominance-nan": ("dominance must be finite and positive and <= 1",
                                 lambda: sb.decompose_1d(_UNIT_STEP, dominance=math.nan)),
     "decompose-window-2.5": ("window must be an int >= 1", lambda: sb.decompose_1d(_UNIT_STEP, window=2.5)),
+    # OverflowError (34, 'Numerical result out of range') from h ** (n - 1)
+    "perimeter-h-1e200": ("^spacing h = 1e\\+200 makes the face weight h\\^2 pass the float range",
+                          lambda: sb.perimeter(_CUBE_AT_1E200)),
+    "perimeter-corrected-h-1e200": ("face weight h\\^2", lambda: sb.perimeter(_CUBE_AT_1E200, corrected=True)),
+    # overflow encountered in reduce
+    "tonelli-past-the-float-range": ("^a lattice sum on spacing h = 10.0 passes the float range",
+                                     lambda: sb.tonelli_variation(
+                                         GridFunction([[0, 1e308], [-1e308, 0]], [0, 0], 10.0))),
+    "bv-norm-past-the-float-range": ("passes the float range", lambda: sb.bv_norm([1e308, 1e308], h=1e308)),
+    # overflow encountered in subtract
+    "variation-past-the-float-range": ("passes the float range", lambda: sb.variation_1d([1e308, -1e308])),
+    "lsc-1d-past-the-float-range": ("passes the float range",
+                                    lambda: sb.lsc_check([_ROW_PAST_THE_RANGE], _ROW_PAST_THE_RANGE)),
 }
 
 
