@@ -14,7 +14,7 @@ import inspect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -95,8 +95,10 @@ class ParametricMap:
     """Black-box map Phi: box in R^k -> R^n with optional analytic Jacobian.
 
     ``evaluator`` maps an (N, k) array of points to an (N, n) array;
-    ``jacobian`` (optional) maps it to (N, n, k).  Injectivity is asserted
-    by the caller, never detected.
+    ``jacobian`` (optional) maps it to (N, n, k).  The cell sums and the
+    preimage scans call both on one block of points at a time, so both
+    must be pointwise: row i of the result depends on row i of the points
+    only.  Injectivity is asserted by the caller, never detected.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -179,15 +181,20 @@ def _polar(r_hi: float = 1.0) -> ParametricMap:
     r_hi = float(r_hi)
     if math.pi * r_hi * r_hi == math.inf:
         raise ValueError(f"polar's image of radius {r_hi:g} has an area past the float range")
+
+    def polar_jac(p):
+        r, cos_t, sin_t = p[:, 0], np.cos(p[:, 1]), np.sin(p[:, 1])
+        J = np.empty((len(p), 2, 2))
+        J[:, 0, 0], J[:, 0, 1] = cos_t, -r * sin_t
+        J[:, 1, 0], J[:, 1, 1] = sin_t, r * cos_t
+        return J
+
     return ParametricMap(
         evaluator=lambda p: np.stack(
             [p[:, 0] * np.cos(p[:, 1]), p[:, 0] * np.sin(p[:, 1])], axis=1
         ),
         domain_lo=[0.0, -math.pi], domain_hi=[r_hi, math.pi], n=2,
-        jacobian=lambda p: np.stack([
-            np.stack([np.cos(p[:, 1]), -p[:, 0] * np.sin(p[:, 1])], axis=1),
-            np.stack([np.sin(p[:, 1]), p[:, 0] * np.cos(p[:, 1])], axis=1),
-        ], axis=1),
+        jacobian=polar_jac,
         injective=True,
     )
 
@@ -197,13 +204,17 @@ def _sphere() -> ParametricMap:
 
     def sphere_eval(p):
         th, ph = p[:, 0], p[:, 1]
-        return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1)
+        sin_th = np.sin(th)
+        return np.stack([sin_th * np.cos(ph), sin_th * np.sin(ph), np.cos(th)], axis=1)
 
     def sphere_jac(p):
         th, ph = p[:, 0], p[:, 1]
-        d_th = np.stack([np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph), -np.sin(th)], axis=1)
-        d_ph = np.stack([-np.sin(th) * np.sin(ph), np.sin(th) * np.cos(ph), np.zeros(len(p))], axis=1)
-        return np.stack([d_th, d_ph], axis=2)
+        sin_th, cos_th, sin_ph, cos_ph = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+        # columns d/dtheta and d/dphi
+        J = np.empty((len(p), 3, 2))
+        J[:, 0, 0], J[:, 1, 0], J[:, 2, 0] = cos_th * cos_ph, cos_th * sin_ph, -sin_th
+        J[:, 0, 1], J[:, 1, 1], J[:, 2, 1] = -sin_th * sin_ph, sin_th * cos_ph, 0.0
+        return J
 
     return ParametricMap(
         evaluator=sphere_eval,
@@ -281,8 +292,19 @@ def _cell_centers(phi: ParametricMap, m: int, rows: slice = slice(None)) -> np.n
     return tensor_points(axes)
 
 
-# cells per block of ``_cell_sum``: bounds the Jacobian and its temporaries
+# cells per block of ``_cell_sum`` and of the preimage scan, and simplices
+# per chunk of the scan's tests: bounds the arrays and their temporaries
 _BLOCK_CELLS = 32768
+
+
+def _pointwise_values(u: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray:
+    """u at the (N, k) points pts as an (N,) array; a ValueError naming
+    the shape u returned unless it holds one value per point."""
+    values = np.asarray(u(pts), dtype=float)
+    if values.size != len(pts):
+        raise ValueError(f"u must return one value per point; on {len(pts)} points "
+                         f"it returned shape {values.shape}")
+    return values.reshape(-1)
 
 
 def _cell_sum(
@@ -307,7 +329,7 @@ def _cell_sum(
         block = J[r * row : r * row + len(pts)]
         block[:] = phi.j_at(pts, step=float(steps.min()) / 4)
         if u is not None:
-            block *= np.asarray(u(pts), dtype=float).reshape(-1)
+            block *= _pointwise_values(u, pts)
         if E is not None:
             block[~E.contains(pts)] = 0.0
     return float(J.sum() * np.prod(steps))
@@ -352,7 +374,7 @@ class MultiplicityProfile:
 
 def _simplex_preimages(
     phi: ParametricMap, E: RasterSet | None, depth: int, y_axes: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Preimages under the piecewise-linear (PL) interpolant of phi (k = n
     <= 2) on the depth-indexed partition, for every y of the tensor grid
     ``y_axes[0] x ... x y_axes[n-1]`` (each axis ascending); with E, only
@@ -367,12 +389,19 @@ def _simplex_preimages(
     from its lower-index end, so two triangles sharing an edge see exactly
     opposite signs, and a zero is broken as for y + (eps, eps^2)
     (Simulation of Simplicity): a y on a vertex or edge image is counted
-    once per sheet.  Only the y in a cell's image box are tested, so
-    memory grows with the hits, not with the grid.
+    once per sheet.
 
-    Returns ``(y, x)``: the row-major flat y index of every (y, preimage)
-    pair, in simplex order (cell, then triangle), and the preimages,
-    shape (pairs, k).
+    The partition is scanned in blocks of whole first-axis cell rows,
+    about ``_BLOCK_CELLS`` cells each, with Phi evaluated on the block's
+    own rows of vertices; so Phi, called once per block, must be
+    pointwise.  Only the y in a cell's image box are candidates, and a
+    block's candidate (cell, y) pairs are tested in chunks of at most
+    ``_BLOCK_CELLS`` simplices (``_BLOCK_CELLS // k`` pairs).  Memory
+    holds one block or one chunk, never the whole lattice or all pairs.
+
+    Yields ``(y, x)`` per chunk: the row-major flat y index of every (y,
+    preimage) pair and the preimages, shape (pairs, k), in simplex order
+    (cell, then triangle) within and across chunks.
     """
     _check_count("depth", depth, 0, "cell per axis")
     k = phi.k
@@ -380,19 +409,63 @@ def _simplex_preimages(
     lo, hi = phi.domain_lo, phi.domain_hi
     steps = (hi - lo) / m
     corners = [lo[d] + np.arange(m + 1) * steps[d] for d in range(k)]
-    V = phi(tensor_points(corners)).reshape(*(m + 1,) * k, k)
-    cell = np.arange(m**k)
-    if E is not None:
-        cell = cell[E.contains(_cell_centers(phi, m))]
-    # candidates: the y in each cell's half-open image box [min, max) per
-    # axis, which holds the boxes of the cell's simplices; cells are dropped
-    # as soon as an axis leaves their range empty (a NaN bound sorts past
-    # the end and always does)
+    row = m ** (k - 1)
+    rows = max(1, _BLOCK_CELLS // row)
+    chunk = max(1, _BLOCK_CELLS // k)
+    for r in range(0, m, rows):
+        extent = (min(rows, m - r),) + (m,) * (k - 1)
+        block_corners = [corners[0][r : r + extent[0] + 1], *corners[1:]]
+        V = phi(tensor_points(block_corners)).reshape(*(e + 1 for e in extent), k)
+        cell = np.arange(extent[0] * row)
+        if E is not None:
+            cell = cell[E.contains(_cell_centers(phi, m, slice(r, r + extent[0])))]
+        cell, first, width = _box_candidates(V, extent, cell, y_axes)
+        per_cell = functools.reduce(np.multiply, width)
+        end = np.cumsum(per_cell)
+        start = end - per_cell
+        pairs = int(end[-1]) if len(end) else 0
+        if k == 2:
+            X, Y = V[..., 0].ravel(), V[..., 1].ravel()
+        for p in range(0, pairs, chunk):
+            q = min(p + chunk, pairs)
+            # the chunk's cells, each repeated for its share of the pairs [p, q)
+            c0, c1 = np.searchsorted(end, [p, q - 1], side="right")
+            share = np.minimum(end[c0 : c1 + 1], q) - np.maximum(start[c0 : c1 + 1], p)
+            owner = np.repeat(np.arange(c0, c1 + 1), share)
+            # a pair's rank in its cell's block of y, split into one offset
+            # per axis (the last axis fastest)
+            rank = np.arange(p, q) - start[owner]
+            y = np.zeros(q - p, dtype=np.int64)
+            stride = 1
+            for d in reversed(range(k)):
+                w = width[d][owner]
+                y += (first[d][owner] + rank % w) * stride
+                rank //= w
+                stride *= len(y_axes[d])
+            c = cell[owner]
+            if k == 1:
+                fa, fb = V[c, 0], V[c + 1, 0]
+                x = block_corners[0][c] + (y_axes[0][y] - fa) / (fb - fa) * steps[0]
+                yield y, x[:, None]
+            else:
+                yield _triangle_preimages(X, Y, m, c, y, y_axes, block_corners, steps)
+
+
+def _box_candidates(
+    V: np.ndarray, extent: tuple[int, ...], cell: np.ndarray, y_axes: Sequence[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """The cells of a block, from the flat indices ``cell`` into its
+    ``extent`` cells, whose half-open image box [min, max) holds a y of
+    the grid on every axis, with the first y index and the count of y per
+    axis in that box.  The box holds the boxes of the cell's simplices.
+    V holds the block's vertex images; cells are dropped as soon as an
+    axis leaves their range empty (a NaN bound sorts past the end and
+    always does)."""
     first, width = [], []
     for d, ax in enumerate(y_axes):
         cell_corners = [
-            V[tuple(slice(o, m + o) for o in offset) + (d,)]
-            for offset in itertools.product((0, 1), repeat=k)
+            V[tuple(slice(o, e + o) for o, e in zip(offset, extent)) + (d,)]
+            for offset in itertools.product((0, 1), repeat=len(extent))
         ]
         box_lo = functools.reduce(np.minimum, cell_corners).reshape(-1)[cell]
         box_hi = functools.reduce(np.maximum, cell_corners).reshape(-1)[cell]
@@ -402,25 +475,23 @@ def _simplex_preimages(
         cell = cell[keep]
         first = [a[keep] for a in first] + [f[keep]]
         width = [a[keep] for a in width] + [w[keep]]
-    del cell_corners, box_lo, box_hi
-    per_cell = functools.reduce(np.multiply, width)
-    owner = np.repeat(np.arange(len(cell)), per_cell)
-    # a pair's rank in its cell's block of y, split into one offset per axis
-    # (the last axis fastest)
-    rank = np.arange(len(owner)) - np.repeat(np.cumsum(per_cell) - per_cell, per_cell)
-    y = np.zeros(len(owner), dtype=np.int64)
-    stride = 1
-    for d in reversed(range(k)):
-        w = width[d][owner]
-        y += (first[d][owner] + rank % w) * stride
-        rank //= w
-        stride *= len(y_axes[d])
-    cell = cell[owner]
-    del owner, rank
-    if k == 1:
-        y_pts = y_axes[0][y]
-        fa, fb = V[cell, 0], V[cell + 1, 0]
-        return y, (corners[0][cell] + (y_pts - fa) / (fb - fa) * steps[0])[:, None]
+    return cell, first, width
+
+
+def _triangle_preimages(
+    X: np.ndarray,
+    Y: np.ndarray,
+    m: int,
+    cell: np.ndarray,
+    y: np.ndarray,
+    y_axes: Sequence[np.ndarray],
+    corners: Sequence[np.ndarray],
+    steps: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_simplex_preimages``'s k = 2 test of one chunk of candidate (cell,
+    y) pairs of a block: X and Y are the row-major vertex images of the
+    block's m + 1 wide rows, ``corners`` their coordinates per axis and
+    ``cell`` a flat cell index in the block."""
     # both triangles of each candidate cell: t = 0 is (i, j), (i+1, j),
     # (i, j+1) and t = 1 is (i+1, j+1), (i, j+1), (i+1, j), both positively
     # oriented in R^2
@@ -428,7 +499,6 @@ def _simplex_preimages(
     t = np.tile([0, 1], len(cell) // 2)
     i, j = np.divmod(cell, m)
     y0, y1 = (ax[iy] for ax, iy in zip(y_axes, np.unravel_index(y, [len(ax) for ax in y_axes])))
-    X, Y = V[..., 0].ravel(), V[..., 1].ravel()
     row = m + 1
 
     def edge(p, q):
@@ -466,11 +536,18 @@ def _preimage_sums(
     number of PL preimages at partition depth ``depth``
     (``_simplex_preimages``), or with u the sum of u over them, as an
     array of that shape; a y-grid integral is its whole sum times the
-    cell volume."""
-    y, x = _simplex_preimages(phi, E, depth, y_axes)
+    cell volume.
+
+    Each chunk of preimages is added into one y-grid array in pair order
+    (``np.add.at``), so the sums have the bits of one pass over all pairs,
+    and memory holds that array and one chunk.  u, called once per chunk
+    that has preimages, must be pointwise."""
     shape = tuple(len(ax) for ax in y_axes)
-    weights = None if u is None else np.asarray(u(x), dtype=float).reshape(-1)
-    return np.bincount(y, weights=weights, minlength=math.prod(shape)).reshape(shape)
+    sums = np.zeros(math.prod(shape), dtype=np.int64 if u is None else float)
+    for y, x in _simplex_preimages(phi, E, depth, y_axes):
+        if len(y):
+            np.add.at(sums, y, 1 if u is None else _pointwise_values(u, x))
+    return sums.reshape(shape)
 
 
 def multiplicity(
@@ -574,9 +651,11 @@ def change_of_variables(
 
     The lhs is a midpoint sum of u J(Phi): ``m_cells`` cells for k = 1;
     for k = 2, max(512, round(sqrt(m_cells))) cells per axis.
-    It calls u once per block of cells (``_cell_sum``), so u must be
-    pointwise: row i of its (N,) result depends on row i of the points only.
-    The rhs sums u over the preimages of each y of a y-grid under the PL
+    The lhs calls u once per block of cells (``_cell_sum``) and the rhs
+    once per chunk of preimages (``_preimage_sums``), so u, like Phi, must
+    be pointwise: value i of its result depends on row i of the points
+    only, and a result without one value per point is a ValueError.  The
+    rhs sums u over the preimages of each y of a y-grid under the PL
     interpolant of Phi (half-open simplices, ties broken as for
     y + (eps, eps^2), so a y on a vertex or edge image is counted once per
     sheet and a critical value, a null set, gets an arbitrary count), and

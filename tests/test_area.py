@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ellipeinc
 
 from conftest import z_squared_map
 from gmtkit import area as ar
@@ -180,24 +179,30 @@ def _plane_curve(f, a, b, jacobian=None):
                             jacobian=jacobian, injective=True)
 
 
+def _sin20_length():
+    # sqrt(401 - 400 sin^2 u) integrates to an incomplete elliptic integral
+    # of the second kind; only this reference needs scipy
+    ellipeinc = pytest.importorskip("scipy.special").ellipeinc
+    return math.sqrt(401) / 20 * float(ellipeinc(20.0, 400 / 401))
+
+
 @pytest.mark.parametrize(
     "curve, exact",
     [
         # central-difference speed
-        (_plane_curve(lambda p: [p, p**2], 0.0, 10.0), 5 * math.sqrt(401) + math.asinh(20) / 4),
+        (_plane_curve(lambda p: [p, p**2], 0.0, 10.0),
+         lambda: 5 * math.sqrt(401) + math.asinh(20) / 4),
         # the speed |t| sqrt(9t^2 + 4) has a kink at 0
         (_plane_curve(lambda p: [p**3, p**2], -1.0, 2.0,
                       lambda p: np.stack([3 * p**2, 2 * p], axis=1)),
-         (40**1.5 + 13**1.5 - 16) / 27),
-        # central-difference speed; sqrt(401 - 400 sin^2 u) integrates to an
-        # incomplete elliptic integral of the second kind
-        (_plane_curve(lambda p: [p, np.sin(20 * p)], 0.0, 1.0),
-         math.sqrt(401) / 20 * float(ellipeinc(20.0, 400 / 401))),
+         lambda: (40**1.5 + 13**1.5 - 16) / 27),
+        # central-difference speed
+        (_plane_curve(lambda p: [p, np.sin(20 * p)], 0.0, 1.0), _sin20_length),
     ],
     ids=["parabola-fd", "cusp-kink", "sin20-fd"],
 )
 def test_curve_length_closed_forms(curve, exact):
-    assert abs(ar.curve_length(curve) - exact) <= 1e-10
+    assert abs(ar.curve_length(curve) - exact()) <= 1e-10
 
 
 # ---------------------------------------------------------------- graph area
@@ -405,13 +410,17 @@ def test_closed_form_gram_determinant_of_rank_deficient_jacobians_is_zero(n):
 )
 def test_cell_sums_stay_under_eight_mib(call):
     # one block of cells, not all 512^2 of them, holds its Jacobian
+    assert _traced_peak(call) < 8 * 2**20
+
+
+def _traced_peak(call):
+    """The peak of the memory that tracemalloc traces while call runs."""
     tracemalloc.start()
     try:
         call()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
 
 
 # --------------------------------------------------------------- multiplicity
@@ -624,6 +633,28 @@ def test_one_dimensional_change_of_variables_of_one_is_multiplicity_integral(nam
     assert ar.change_of_variables(phi, lambda p: np.ones(len(p)), n_y=n_y)[1] == lhs
 
 
+@pytest.mark.parametrize(
+    "call, shape",
+    [
+        (lambda: ar.change_of_variables(_POLAR, lambda p: 1.0), r"\(\)"),
+        (lambda: ar.change_of_variables(_POLAR, lambda p: p), r"\(32768, 2\)"),
+        (lambda: ar.change_of_variables(ar.builtin_map("fold"), lambda p: 1.0), r"\(\)"),
+        (lambda: ar._preimage_sums(_POLAR, None, 3, [np.array([0.1]), np.array([0.2])],
+                                   lambda p: np.ones(len(p) + 1)), r"\(2,\)"),
+    ],
+    ids=["cov-2d-scalar", "cov-2d-points", "cov-1d-scalar", "scan-one-too-many"],
+)
+def test_u_must_return_one_value_per_point(call, shape):
+    with pytest.raises(ValueError, match=f"^u must return one value per point; .* shape {shape}$"):
+        call()
+
+
+def test_u_may_return_a_column():
+    fold = ar.builtin_map("fold", laps=3)
+    assert (ar.change_of_variables(fold, lambda p: p[:, :1] ** 2)
+            == ar.change_of_variables(fold, lambda p: p[:, 0] ** 2))
+
+
 def test_jacobian_l1_identity_map():
     phi = ar.ParametricMap(lambda p: p.copy(), [0.0], [1.0], n=1, injective=True)
     lhs, rhs = ar.jacobian_l1_check(phi)
@@ -815,9 +846,60 @@ def test_vertex_and_edge_images_are_counted_once(shear):
     for x in itertools.product(np.arange(1, 2 * m) / (2 * m), repeat=2):
         x = np.array(x)
         y = phi(x[None])[0]
-        hit_y, preimage = ar._simplex_preimages(phi, None, depth, y[:, None])
+        hit_y, preimage = map(np.concatenate,
+                              zip(*ar._simplex_preimages(phi, None, depth, y[:, None])))
         assert len(hit_y) == 1, (x, len(hit_y))
         assert np.allclose(preimage[0], x, rtol=0, atol=1e-12)
+
+
+# map, raster, depth and y-cells per axis of the blocked-scan cases
+_SCAN_CASES = {
+    "polar": (ar.builtin_map("polar"), _polar_disk(0.6), 4, 12),
+    "z2": (z_squared_map([-1.0, -1.0], [1.0, 1.0]),
+           RasterSet.from_predicate(lambda a, b: a + b < 0.3, [-1.0, -1.0], [16, 16], 0.125),
+           4, 12),
+    "fold": (ar.builtin_map("fold", laps=3), FOLD_FRAGMENTS, 7, 64),
+    "square": (ar.builtin_map("square"), FOLD_FRAGMENTS, 7, 64),
+}
+
+
+@pytest.mark.parametrize("block", [1, 67], ids=["one-row-one-pair", "seams"])
+@pytest.mark.parametrize("restricted", [False, True], ids=["box", "raster"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["N", "u"])
+@pytest.mark.parametrize("name", list(_SCAN_CASES))
+def test_blocked_preimage_sums_keep_their_bits(name, weighted, restricted, block, monkeypatch):
+    # _BLOCK_CELLS = 1 scans one cell row per block and tests one (cell, y)
+    # pair per chunk; 67 leaves a short last block and splits cells' pairs
+    # across chunks.  The sums keep every bit of the default scan.
+    phi, E, depth, n_y = _SCAN_CASES[name]
+    E = E if restricted else None
+    u = (lambda p: np.cos(3 * p[:, 0]) + p[:, -1]) if weighted else None
+    axes = _with_vertex_images(phi, depth, ar._y_grid(phi, n_y)[0], np.random.default_rng(3))
+    want = ar._preimage_sums(phi, E, depth, axes, u)
+    monkeypatch.setattr(ar, "_BLOCK_CELLS", block)
+    got = ar._preimage_sums(phi, E, depth, axes, u)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.count_nonzero(want) > 10
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ar.change_of_variables(_POLAR, lambda p: np.ones(len(p)), n_y=128),
+        lambda: ar.change_of_variables(_POLAR, lambda p: np.ones(len(p)), n_y=256),
+        lambda: ar.change_of_variables(_POLAR, lambda p: np.ones(len(p)), n_y=512),
+        lambda: ar.multiplicity(_POLAR, (0.3, 0.2), depths=range(10, 12)),
+        lambda: ar.area_formula_with_multiplicity(ar.builtin_map("fold", laps=256), n_y=8192),
+    ],
+    ids=["cov-polar-128", "cov-polar-256", "cov-polar-512", "multiplicity-polar-10-11",
+         "area-formula-fold-256"],
+)
+def test_preimage_scans_stay_under_sixteen_mib(call):
+    # one block of cells or one chunk of (cell, y) pairs at a time, not the
+    # 2049^2 partition vertices of depth 11 or the 2 million (cell, y)
+    # pairs of the 256-lap fold
+    assert _traced_peak(call) < 16 * 2**20
 
 
 @pytest.mark.parametrize("laps", [64, 128])
