@@ -13,7 +13,7 @@ import functools
 import inspect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -90,6 +90,16 @@ def image_measure_linear(T: LinearMap, E: RasterSet) -> float:
     return J * lebesgue_measure(E)
 
 
+def _gram_j(d0: Sequence[np.ndarray], d1: Sequence[np.ndarray]) -> np.ndarray:
+    """J of a k = 2 Jacobian from its columns d0 and d1, one array per target
+    axis (numpy reduces the short axis of an (N, n) array far slower):
+    sqrt(max(a c - b^2, 0)) with a = |d0|^2, b = d0 . d1 and c = |d1|^2."""
+    a = sum(x * x for x in d0)
+    b = sum(x * y for x, y in zip(d0, d1))
+    c = sum(y * y for y in d1)
+    return np.sqrt(np.maximum(a * c - b * b, 0.0))
+
+
 @dataclass(frozen=True)
 class ParametricMap:
     """Black-box map Phi: box in R^k -> R^n with optional analytic Jacobian.
@@ -98,7 +108,9 @@ class ParametricMap:
     ``jacobian`` (optional) maps it to (N, n, k).  The cell sums and the
     preimage scans call both on one block of points at a time, so both
     must be pointwise: row i of the result depends on row i of the points
-    only.  Injectivity is asserted by the caller, never detected.
+    only.  Injectivity is asserted by the caller, never detected.  A map
+    built here is called on such (N, k) blocks only; a ``builtin_map`` is
+    evaluated once per axis value on the sums' and scans' tensor grids.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -107,6 +119,8 @@ class ParametricMap:
     n: int
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     injective: bool = False
+    # a builtin map's (value, jacobian) formula on per-axis arrays (_from_columns)
+    _columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.domain_lo, dtype=float))
@@ -143,15 +157,24 @@ class ParametricMap:
         if self.k == 1:
             return np.sqrt((J[:, :, 0] ** 2).sum(axis=1))
         if self.k == 2:
-            # one column pair per target axis: numpy reduces the short
-            # axis of an (N, n) array far slower
-            d0, d1 = J[:, :, 0].T, J[:, :, 1].T
-            a = sum(x * x for x in d0)
-            b = sum(x * y for x, y in zip(d0, d1))
-            c = sum(y * y for y in d1)
-            return np.sqrt(np.maximum(a * c - b * b, 0.0))
+            return _gram_j(J[:, :, 0].T, J[:, :, 1].T)
         G = np.einsum("pik,pil->pkl", J, J)
         return np.sqrt(np.maximum(np.linalg.det(G), 0.0))
+
+    def _on_grid(self, axes: Sequence[np.ndarray], step: float | None = None) -> np.ndarray:
+        """Phi (N, n), or with a step ``j_at``'s J(Phi) (N,), on the tensor grid
+        axes[0] x ... x axes[k-1] in row-major order: a builtin map's formula
+        on np.ix_(*axes), broadcast, or any other map on the grid's points."""
+        value, jacobian = self._columns or (None, None)
+        if value is None or (step is not None and (jacobian is None or self.k != 2)):
+            pts = tensor_points(axes)
+            return self(pts) if step is None else self.j_at(pts, step)
+        x = np.ix_(*axes)
+        if step is None:
+            return np.stack(np.broadcast_arrays(*value(*x)), axis=-1).reshape(-1, self.n)
+        D = jacobian(*x)
+        J = _gram_j([d[0] for d in D], [d[1] for d in D])
+        return np.broadcast_to(J, tuple(len(ax) for ax in axes)).ravel()
 
     def _check_scannable(self) -> None:
         if self.k != self.n or self.k > 2:
@@ -163,16 +186,36 @@ class ParametricMap:
         return np.linalg.det(self.jacobian_at(pts, step))
 
 
+def _from_columns(value: Callable[..., list], jacobian: Callable[..., list] | None,
+                  lo: Sequence[float], hi: Sequence[float], n: int,
+                  injective: bool) -> ParametricMap:
+    """A builtin map from its one formula on per-axis arrays x that
+    broadcast: value(*x) gives Phi's n coordinates and jacobian(*x), if
+    given, DPhi's entries as n rows of k.  The point form calls them on
+    the columns p[:, d] and stacks; ``_on_grid`` calls them on np.ix_ of a
+    tensor grid's axes."""
+
+    def evaluator(p):
+        return np.stack(value(*p.T), axis=1)
+
+    def point_jacobian(p):
+        J = np.empty((len(p), n, len(lo)))
+        for i, row in enumerate(jacobian(*p.T)):
+            for j, entry in enumerate(row):
+                J[:, i, j] = entry
+        return J
+
+    phi = ParametricMap(evaluator, lo, hi, n, injective=injective,
+                        jacobian=None if jacobian is None else point_jacobian)
+    object.__setattr__(phi, "_columns", (value, jacobian))
+    return phi
+
+
 def _helix(lo: float = 0.0, hi: float = 1.0) -> ParametricMap:
     """x -> (cos x, sin x, x) on ]lo, hi[."""
-    return ParametricMap(
-        evaluator=lambda p: np.stack([np.cos(p[:, 0]), np.sin(p[:, 0]), p[:, 0]], axis=1),
-        domain_lo=[float(lo)], domain_hi=[float(hi)], n=3,
-        jacobian=lambda p: np.stack(
-            [-np.sin(p[:, 0]), np.cos(p[:, 0]), np.ones(len(p))], axis=1
-        )[:, :, None],
-        injective=True,
-    )
+    return _from_columns(lambda x: [np.cos(x), np.sin(x), x],
+                         lambda x: [[-np.sin(x)], [np.cos(x)], [1.0]],
+                         [float(lo)], [float(hi)], n=3, injective=True)
 
 
 def _polar(r_hi: float = 1.0) -> ParametricMap:
@@ -182,64 +225,43 @@ def _polar(r_hi: float = 1.0) -> ParametricMap:
     if math.pi * r_hi * r_hi == math.inf:
         raise ValueError(f"polar's image of radius {r_hi:g} has an area past the float range")
 
-    def polar_jac(p):
-        r, cos_t, sin_t = p[:, 0], np.cos(p[:, 1]), np.sin(p[:, 1])
-        J = np.empty((len(p), 2, 2))
-        J[:, 0, 0], J[:, 0, 1] = cos_t, -r * sin_t
-        J[:, 1, 0], J[:, 1, 1] = sin_t, r * cos_t
-        return J
+    def polar_jac(r, t):
+        cos_t, sin_t = np.cos(t), np.sin(t)
+        return [[cos_t, -r * sin_t], [sin_t, r * cos_t]]
 
-    return ParametricMap(
-        evaluator=lambda p: np.stack(
-            [p[:, 0] * np.cos(p[:, 1]), p[:, 0] * np.sin(p[:, 1])], axis=1
-        ),
-        domain_lo=[0.0, -math.pi], domain_hi=[r_hi, math.pi], n=2,
-        jacobian=polar_jac,
-        injective=True,
-    )
+    return _from_columns(lambda r, t: [r * np.cos(t), r * np.sin(t)], polar_jac,
+                         [0.0, -math.pi], [r_hi, math.pi], n=2, injective=True)
 
 
 def _sphere() -> ParametricMap:
     """(theta, phi) -> the unit sphere on ]0, pi[ x ]0, 2 pi[."""
 
-    def sphere_eval(p):
-        th, ph = p[:, 0], p[:, 1]
+    def sphere_eval(th, ph):
         sin_th = np.sin(th)
-        return np.stack([sin_th * np.cos(ph), sin_th * np.sin(ph), np.cos(th)], axis=1)
+        return [sin_th * np.cos(ph), sin_th * np.sin(ph), np.cos(th)]
 
-    def sphere_jac(p):
-        th, ph = p[:, 0], p[:, 1]
+    def sphere_jac(th, ph):
         sin_th, cos_th, sin_ph, cos_ph = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
         # columns d/dtheta and d/dphi
-        J = np.empty((len(p), 3, 2))
-        J[:, 0, 0], J[:, 1, 0], J[:, 2, 0] = cos_th * cos_ph, cos_th * sin_ph, -sin_th
-        J[:, 0, 1], J[:, 1, 1], J[:, 2, 1] = -sin_th * sin_ph, sin_th * cos_ph, 0.0
-        return J
+        return [[cos_th * cos_ph, -sin_th * sin_ph],
+                [cos_th * sin_ph, sin_th * cos_ph],
+                [-sin_th, 0.0]]
 
-    return ParametricMap(
-        evaluator=sphere_eval,
-        domain_lo=[0.0, 0.0], domain_hi=[math.pi, 2 * math.pi], n=3,
-        jacobian=sphere_jac,
-        injective=True,
-    )
+    return _from_columns(sphere_eval, sphere_jac, [0.0, 0.0], [math.pi, 2 * math.pi], n=3,
+                         injective=True)
 
 
 def _fold(laps: int = 2) -> ParametricMap:
     """Piecewise-linear tent with ``laps`` laps on ]0, 1[."""
     _check_count("laps", laps, 1, "lap")
 
-    def fold_eval(p):
-        u = np.clip(p[:, 0], 0.0, 1.0) * laps
+    def fold_eval(x):
+        u = np.clip(x, 0.0, 1.0) * laps
         m = np.floor(u).astype(int)
         frac = u - m
-        val = np.where(m % 2 == 0, frac, 1.0 - frac)
-        return val[:, None]
+        return [np.where(m % 2 == 0, frac, 1.0 - frac)]
 
-    return ParametricMap(
-        evaluator=fold_eval,
-        domain_lo=[0.0], domain_hi=[1.0], n=1,
-        injective=laps == 1,
-    )
+    return _from_columns(fold_eval, None, [0.0], [1.0], n=1, injective=laps == 1)
 
 
 def _square(lo: float = -1.0, hi: float = 1.0) -> ParametricMap:
@@ -247,12 +269,8 @@ def _square(lo: float = -1.0, hi: float = 1.0) -> ParametricMap:
     lo, hi = float(lo), float(hi)
     if not math.isfinite(max(lo * lo, hi * hi)):
         raise ValueError(f"square's image of ]{lo:g}, {hi:g}[ is not finite")
-    return ParametricMap(
-        evaluator=lambda p: p[:, :1] ** 2,
-        domain_lo=[lo], domain_hi=[hi], n=1,
-        jacobian=lambda p: (2 * p[:, :1])[:, :, None],
-        injective=lo >= 0 or hi <= 0,
-    )
+    return _from_columns(lambda x: [x**2], lambda x: [[2 * x]], [lo], [hi], n=1,
+                         injective=lo >= 0 or hi <= 0)
 
 
 _BUILTIN_MAPS = dict(helix=_helix, polar=_polar, sphere=_sphere, fold=_fold, square=_square)
@@ -261,7 +279,10 @@ _BUILTIN_MAPS = dict(helix=_helix, polar=_polar, sphere=_sphere, fold=_fold, squ
 def builtin_map(name: str, **params) -> ParametricMap:
     """Named maps and the keyword parameters each takes: helix (lo, hi),
     polar (r_hi), sphere (none), fold (laps), square (lo, hi).  An unknown
-    name, or a parameter the named map does not take, is a ValueError."""
+    name, or a parameter the named map does not take, is a ValueError.
+    Each map is one formula on per-axis arrays, evaluated once per axis
+    value on the tensor grids of the cell sums and preimage scans and on
+    the columns of a point block otherwise, with the same bits."""
     factory = _BUILTIN_MAPS.get(name)
     if factory is None:
         raise ValueError(f"unknown builtin map {name!r}")
@@ -282,14 +303,15 @@ def graph_area(f: GridFunction, mask: np.ndarray | None = None) -> float:
     return f._midpoint_sum(integrand)
 
 
-def _cell_centers(phi: ParametricMap, m: int, rows: slice = slice(None)) -> np.ndarray:
-    """Centers of the cells in the first-axis rows ``rows`` of the m cells
-    per axis of phi's domain box, shape (cells, k) in row-major order."""
+def _cell_axes(phi: ParametricMap, m: int, rows: slice = slice(None)) -> list[np.ndarray]:
+    """Per-axis centers of the m cells per axis of phi's domain box, the
+    first axis cut to the rows ``rows``: the cell centers are their tensor
+    grid."""
     lo, hi = phi.domain_lo, phi.domain_hi
     steps = (hi - lo) / m
     axes = [_centers_1d(lo[d], m, steps[d]) for d in range(phi.k)]
     axes[0] = axes[0][rows]
-    return tensor_points(axes)
+    return axes
 
 
 # cells per block of ``_cell_sum`` and of the preimage scan, and simplices
@@ -318,16 +340,19 @@ def _cell_sum(
 
     Cells are evaluated in blocks of whole first-axis rows, about
     ``_BLOCK_CELLS`` cells each, into one array that is summed once, so u
-    (called once per block) must be pointwise."""
+    (called once per block, on the block's centers) must be pointwise."""
     _check_count("m", m, 1, "cell per axis")
     row = m ** (phi.k - 1)
     rows = max(1, _BLOCK_CELLS // row)
     steps = (phi.domain_hi - phi.domain_lo) / m
     J = np.empty(m * row)
     for r in range(0, m, rows):
-        pts = _cell_centers(phi, m, slice(r, r + rows))
-        block = J[r * row : r * row + len(pts)]
-        block[:] = phi.j_at(pts, step=float(steps.min()) / 4)
+        axes = _cell_axes(phi, m, slice(r, r + rows))
+        block = J[r * row : (r + len(axes[0])) * row]
+        block[:] = phi._on_grid(axes, step=float(steps.min()) / 4)
+        if u is None and E is None:
+            continue
+        pts = tensor_points(axes)
         if u is not None:
             block *= _pointwise_values(u, pts)
         if E is not None:
@@ -415,10 +440,10 @@ def _simplex_preimages(
     for r in range(0, m, rows):
         extent = (min(rows, m - r),) + (m,) * (k - 1)
         block_corners = [corners[0][r : r + extent[0] + 1], *corners[1:]]
-        V = phi(tensor_points(block_corners)).reshape(*(e + 1 for e in extent), k)
+        V = phi._on_grid(block_corners).reshape(*(e + 1 for e in extent), k)
         cell = np.arange(extent[0] * row)
         if E is not None:
-            cell = cell[E.contains(_cell_centers(phi, m, slice(r, r + extent[0])))]
+            cell = cell[E.contains(tensor_points(_cell_axes(phi, m, slice(r, r + extent[0]))))]
         cell, first, width = _box_candidates(V, extent, cell, y_axes)
         per_cell = functools.reduce(np.multiply, width)
         end = np.cumsum(per_cell)
@@ -587,7 +612,7 @@ def _y_grid(phi: ParametricMap, n_y: int) -> tuple[list[np.ndarray], float]:
     _check_count("n_y", n_y, 1, "y-cell per axis")
     probe, pad = _Y_GRID[phi.k][:2]
     lo, hi = phi.domain_lo, phi.domain_hi
-    img = phi(tensor_points([np.linspace(lo[d], hi[d], probe) for d in range(phi.k)]))
+    img = phi._on_grid([np.linspace(lo[d], hi[d], probe) for d in range(phi.k)])
     # one reduction per column: numpy reduces an (N, n) array along axis 0
     # about 15 times slower
     y_lo = np.array([col.min() for col in img.T])

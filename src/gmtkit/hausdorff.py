@@ -374,6 +374,8 @@ def linear_image_measure_check(raster: RasterSet, T: np.ndarray) -> tuple[float,
 
     The image is re-rasterized at the same spacing by inverse mapping: an
     image cell belongs to T(E) iff its center pulls back into a true cell.
+    An image thinner than one cell (T's smallest singular value times E's
+    width along its singular vector, below h) is a ResolutionError.
     """
     T = np.asarray(T, dtype=float)
     n = raster.ndim
@@ -386,10 +388,19 @@ def linear_image_measure_check(raster: RasterSet, T: np.ndarray) -> tuple[float,
         raise SingularMapError("T is singular")
     rhs = abs(det) * lebesgue_measure(raster)
 
-    img = raster.true_centers() @ T.T
-    if len(img) == 0:
+    centers = raster.true_centers()
+    if len(centers) == 0:
         return 0.0, rhs
-    h, inverse = raster.h, np.linalg.inv(T).T
+    h = raster.h
+    _, sigma, vt = np.linalg.svd(T)
+    width = sigma[-1] * (np.ptp(centers @ vt[-1]) + h * np.abs(vt[-1]).sum())
+    if width < h:
+        raise ResolutionError(
+            f"T's smallest singular value {sigma[-1]:g} maps the raster to a band "
+            f"{width:g} wide, thinner than one cell (h = {h:g}); the image needs a "
+            f"spacing below {width:g}")
+    img = centers @ T.T
+    inverse = np.linalg.inv(T).T
     lo = img.min(axis=0) - h
     ext = np.maximum(1, np.ceil((img.max(axis=0) + h - lo) / h).astype(int))
     image = RasterSet.from_predicate(

@@ -422,6 +422,23 @@ def test_linear_image_rejects_singular():
         hd.linear_image_measure_check(E, np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("angle, stretch, squeeze", [(0.0, 1e6, 1e-6), (0.6, 2.0, 0.2)])
+def test_linear_image_thinner_than_a_cell_is_a_resolution_error(angle, stretch, squeeze):
+    # T is not singular, but its image of the unit square is a band
+    # ``squeeze`` wide, thinner than the 0.25 lattice: diag(1e6, 1e-6) once
+    # rasterized to nothing and returned (0.0, 1.0)
+    c, s = math.cos(angle), math.sin(angle)
+    T = np.array([[c, -s], [s, c]]) @ np.diag([stretch, squeeze])
+    with pytest.raises(ResolutionError, match="thinner than one cell"):
+        hd.linear_image_measure_check(_SQUARE, T)
+
+
+def test_linear_image_one_cell_thick_still_answers():
+    # diag(4, 1/4): the image is exactly one cell (h = 0.25) thick
+    lhs, rhs = hd.linear_image_measure_check(_SQUARE, np.diag([4.0, 0.25]))
+    assert rhs == 1.0 and lhs > 0.0
+
+
 def test_isodiametric_ball_near_equality():
     E = RasterSet.from_predicate(
         lambda x, y: x**2 + y**2 <= 1.0, [-1.1, -1.1], [220, 220], 0.01
