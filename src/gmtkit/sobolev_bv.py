@@ -6,8 +6,10 @@ C(n,p) = p(n-1)/(n-p); p = n is checked through BMO boundedness; p > n
 through the Morrey Hölder bound with C(n,p) = 2np/(p-n).
 
 Face counting measures the l1 (Manhattan) perimeter; a per-resolution
-calibration factor (rasterized disk against 2*pi) corrects it for smooth
-level sets in the coarea consistency check.
+calibration factor (rasterized ball against its surface measure) corrects
+it for smooth level sets in the coarea consistency check.  Both count
+faces without an n-D raster: the ball's from (n-1)-D projections, the
+level sets' in one pass over the grid's faces.
 """
 
 from __future__ import annotations
@@ -216,18 +218,25 @@ def perimeter(E: RasterSet, corrected: bool = False) -> float:
 def perimeter_calibration(n: int, h: float) -> float:
     """Face-count perimeter of the rasterized unit ball over its true
     surface measure; ~4/pi for the disk.  Cached per (n, h).
+
+    The ball is the cells of ceil(2.4 / h)^n from -1.2 whose centers have
+    ``sum(x**2 for x in xs) <= 1``.  c^2 falls, then rises along an axis and
+    float sums are monotone, so each line holds one run of them, counted
+    from (n-1)-D sums, in that axis order, with the line's term at min c^2
+    (the run is nonempty) and at its two ends (the run touches the box).
     """
     _check_count("n", n, 1, "axis")
     _check_real("h", h)
     _check_real("2.4 / h (cells per axis)", 2.4 / h)
-    ext = math.ceil(2.4 / h)
-    ball = RasterSet.from_predicate(
-        lambda *xs: sum(x**2 for x in xs) <= 1.0,
-        origin=[-1.2] * n,
-        extents=[ext] * n,
-        h=h,
-    )
-    return perimeter(ball) / (n * omega(n))
+    line = RasterSet(np.zeros((math.ceil(2.4 / h),) + (1,) * (n - 1), bool), [-1.2] * n, h)
+    c2 = line.axis_centers(0) ** 2
+    axes = [c2.reshape([-1 if j == k else 1 for j in range(n)]) for k in range(n)]
+
+    def run(d: int, c2d: float) -> np.ndarray:  # the sum <= 1 with axis d's term c2d
+        return sum(c2d if k == d else axes[k] for k in range(n)) <= 1.0
+
+    faces = sum(np.sum(2 * run(d, c2.min()) - run(d, c2[0]) - run(d, c2[-1])) for d in range(n))
+    return line._weighted(lambda: faces, faces=True) / (n * omega(n))
 
 
 def seeded_bump_field(
@@ -284,11 +293,18 @@ def variation_nd(
             return VariationReport(0.0, method, [])
         dt = (tmax - tmin) / n_levels
         levels = tmin + dt * (np.arange(n_levels) + 0.5)
+        # a cell lies in {f > levels[l]} iff l < k, and a face bounds that
+        # set iff min k <= l < max k of its two cells: one pass for all levels
+        k = np.searchsorted(levels, f.values, side="left")
+        starts = np.zeros(n_levels + 1, dtype=np.int64)
+        for kd in (np.moveaxis(k, d, 0) for d in range(f.ndim)):
+            starts += np.bincount(np.minimum(kd[:-1], kd[1:]).ravel(), minlength=n_levels + 1)
+            starts -= np.bincount(np.maximum(kd[:-1], kd[1:]).ravel(), minlength=n_levels + 1)
         per_level = []
         total = 0.0
-        for t in levels:
-            E = RasterSet(mask=f.values > t, origin=f.origin, h=f.h)
-            pe = perimeter(E, corrected=f.ndim >= 2)
+        for t, faces in zip(levels, np.cumsum(starts)):
+            pe = f._weighted(lambda: faces, faces=True)
+            pe = pe / perimeter_calibration(f.ndim, f.h) if f.ndim >= 2 else pe
             per_level.append((float(t), pe))
             total += pe * dt
         return VariationReport(total, method, per_level)

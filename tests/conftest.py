@@ -1,5 +1,7 @@
 """Shared test helpers: reference functions computed by independent routes."""
 
+import tracemalloc
+
 import numpy as np
 
 
@@ -42,3 +44,13 @@ def z_squared_map(lo, hi):
         hi,
         n=2,
     )
+
+
+def traced_peak(call):
+    """The peak of the memory that tracemalloc traces while call runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -37,8 +37,8 @@ SEED = 7
 # subcommand and branch, exit-1 jobs for validation errors, two inputs
 # that break an argument rule (a NaN weight, a candidate on another lattice),
 # a 1-D bv on an offset grid, a p whose |v|^p overflows, a helix whose length
-# is near the float range, a square range whose image is not finite, and a
-# kernel width, a point and a p near the float range
+# is near the float range, a square range whose image is not finite, a
+# kernel width, a point and a p near the float range, and a 3-D bv
 JOBS = [
     ("measure-json", ["measure", "--input", "mu.json"], 0),
     ("measure-csv", ["measure", "--input", "mu.json", "--format", "csv"], 0),
@@ -73,6 +73,7 @@ JOBS = [
     ("mollify-eps-1e308", ["mollify", "--input", "f.csv", "--eps", "1e308"], 1),
     ("density-far-point", ["density", "--input", "half.csv", "--point", "1e308,0"], 0),
     ("sobolev-p-1e308", ["sobolev", "--input", "f.csv", "--p", "1e308"], 0),
+    ("bv-3d", ["bv", "--input", "bump3d.csv"], 0),
 ]
 
 
@@ -126,6 +127,10 @@ def write_inputs(where: Path, seed: int = SEED) -> None:
     # the shape of heaviside.csv on another lattice: origin 5, h = 7e-3
     GridFunction.from_callable(
         lambda x: (x > 0).astype(float), [5], [2000], 7e-3).to_csv(where / "heaviside_moved.csv")
+    GridFunction.from_callable(
+        lambda x, y, z: np.exp(-9 * ((x - 0.45) ** 2 + (y - 0.5) ** 2 + (z - 0.55) ** 2)),
+        [0, 0, 0], [24, 24, 24], 1 / 24,
+    ).to_csv(where / "bump3d.csv")
 
 
 def run_jobs(where: Path) -> dict[str, int]:

@@ -1,11 +1,10 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import z_squared_map
+from conftest import traced_peak, z_squared_map
 from gmtkit import area as ar
 from gmtkit.errors import NonConvergenceError
 from gmtkit.grids import GridFunction, RasterSet
@@ -410,17 +409,7 @@ def test_closed_form_gram_determinant_of_rank_deficient_jacobians_is_zero(n):
 )
 def test_cell_sums_stay_under_eight_mib(call):
     # one block of cells, not all 512^2 of them, holds its Jacobian
-    assert _traced_peak(call) < 8 * 2**20
-
-
-def _traced_peak(call):
-    """The peak of the memory that tracemalloc traces while call runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    assert traced_peak(call) < 8 * 2**20
 
 
 # --------------------------------------------------------------- multiplicity
@@ -899,7 +888,7 @@ def test_preimage_scans_stay_under_sixteen_mib(call):
     # one block of cells or one chunk of (cell, y) pairs at a time, not the
     # 2049^2 partition vertices of depth 11 or the 2 million (cell, y)
     # pairs of the 256-lap fold
-    assert _traced_peak(call) < 16 * 2**20
+    assert traced_peak(call) < 16 * 2**20
 
 
 @pytest.mark.parametrize("laps", [64, 128])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cantor_ifs_json
+from conftest import cantor_ifs_json, traced_peak
 from gmtkit import hausdorff as hd
 from gmtkit.errors import ResolutionError
 from gmtkit.grids import RasterSet, tensor_points
@@ -315,13 +315,7 @@ def test_box_counts_past_the_occupancy_limit_stay_small():
     # 3-D at fine scales the index box holds far more than 4N boxes; the
     # counts then come from sorting, and no array grows with the span
     cloud = hd.PointCloud(np.random.default_rng(5).random((20000, 3)))
-    tracemalloc.start()
-    try:
-        hd.box_counts(cloud, hd.default_scales(3, 10))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert traced_peak(lambda: hd.box_counts(cloud, hd.default_scales(3, 10))) < 4 * 2**20
 
 
 def test_premeasure_scaling_law():

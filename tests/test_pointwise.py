@@ -1,6 +1,5 @@
 import math
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from gmtkit import pointwise as pw
 from gmtkit.errors import NonConvergenceError, ResolutionError
 from gmtkit.grids import GridFunction, RasterSet
@@ -489,13 +489,7 @@ def test_ball_samples_match_the_whole_lattice(case):
 
 def test_density_of_a_tiny_ball_reads_only_its_window():
     E = RasterSet(np.arange(2**23) % 3 == 0, [0.0], 2.0**-23)
-    tracemalloc.start()
-    try:
-        pw.density(E, E.origin, radii=[2.0**-12])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert traced_peak(lambda: pw.density(E, E.origin, radii=[2.0**-12])) < 2**20
 
 
 SMOOTH = GridFunction.from_callable(lambda x, y: np.sin(x) + y * y, [-1, -1], [128, 128], 2 / 128)

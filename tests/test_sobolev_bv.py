@@ -3,11 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import cantor_function
+from conftest import cantor_function, traced_peak
 from gmtkit import sobolev_bv as sb
 from gmtkit.errors import RegimeError
-from gmtkit.grids import GridFunction, RasterSet
+from gmtkit.grids import GridFunction, RasterSet, omega
 from gmtkit.smoothing import bump_grad, bump_value
 
 
@@ -226,6 +229,101 @@ def test_perimeter_calibration_is_cached_per_lattice():
 def test_perimeter_calibration_rejects_bad_lattices(n, h):
     with pytest.raises(ValueError, match="^(n must be an int >= 1 |h must be finite and positive)"):
         sb.perimeter_calibration(n, h)
+
+
+def _raster_calibration(n, h):
+    """perimeter_calibration from the face count of the whole rasterized ball."""
+    ball = RasterSet.from_predicate(
+        lambda *xs: sum(x**2 for x in xs) <= 1.0, origin=[-1.2] * n, extents=[math.ceil(2.4 / h)] * n, h=h
+    )
+    return sb.perimeter(ball) / (n * omega(n))
+
+
+# at h >= 0.4 a run of ball cells touches the box; the 3-D reference at
+# 1/256 would be a raster of 615^3 cells, so it stops at 0.0173 (139^3)
+@pytest.mark.parametrize("n, h", [(n, h) for n in (1, 2, 3)
+                                  for h in (1.0, 0.5, 0.41, 0.4, 0.1, 1 / 16, 0.0173, 1 / 256)
+                                  if n < 3 or h > 0.01])
+def test_perimeter_calibration_keeps_the_raster_bits(n, h):
+    assert sb.perimeter_calibration.__wrapped__(n, h) == _raster_calibration(n, h)
+
+
+def test_perimeter_calibration_past_the_float_range_is_a_value_error():
+    # the ball's one cell center squares to inf (a RuntimeWarning) before
+    # the face weight h^2 passes the float range
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="face weight h\\^2"):
+        sb.perimeter_calibration.__wrapped__(3, 1e200)
+
+
+def _coarea_fields():
+    rng = np.random.default_rng(11)
+    for shape in [(61,), (13, 17), (7, 9, 11)]:
+        for n_levels in (1, 7, 64):
+            yield GridFunction(rng.standard_normal(shape), [0.1] * len(shape), 0.0625), n_levels
+            # integers 0 .. 2 n_levels: every odd one is a level, tied with cells
+            ints = rng.integers(0, 2 * n_levels + 1, shape).astype(float)
+            ints.flat[:2] = 0, 2 * n_levels
+            yield GridFunction(ints, [-0.5] * len(shape), 0.1), n_levels
+
+
+@pytest.mark.parametrize("f, n_levels", list(_coarea_fields()))
+def test_coarea_levels_keep_the_raster_bits(f, n_levels):
+    rep = sb.variation_nd(f, "coarea", n_levels=n_levels)
+    assert len(rep.per_level) == n_levels
+    total = 0.0
+    for t, pe in rep.per_level:
+        want = sb.perimeter(RasterSet(f.values > t, f.origin, f.h), corrected=f.ndim >= 2)
+        assert pe == want
+        total += want * ((f.values.max() - f.values.min()) / n_levels)
+    assert rep.tv == total
+
+
+def test_calibration_and_coarea_stay_under_four_mib():
+    bump = bump_2d(256, 1 / 256)
+    # the 3-D ball at 1/96 was a raster of 231^3 cells (470 MiB traced)
+    assert traced_peak(lambda: sb.perimeter_calibration.__wrapped__(3, 1 / 96)) < 4 * 2**20
+    sb.perimeter_calibration.cache_clear()
+    assert traced_peak(lambda: sb.variation_nd(bump, "coarea")) < 4 * 2**20
+
+
+_masks = hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=8))
+
+
+def _moved(cells, data):
+    """cells with its axes permuted and some of them flipped."""
+    perm = data.draw(st.permutations(range(cells.ndim)))
+    flips = data.draw(st.lists(st.sampled_from(range(cells.ndim)), unique=True))
+    return np.flip(cells.transpose(perm), axis=tuple(flips))
+
+
+@given(_masks, st.sampled_from([0.1, 0.25, 1 / 48]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_perimeter_is_invariant_under_transposes_and_flips(mask, h, data):
+    E, moved = RasterSet(mask, [0.0] * mask.ndim, h), _moved(mask, data)
+    F = RasterSet(moved, [0.0] * mask.ndim, h)
+    assert sb.perimeter(F) == sb.perimeter(E)
+    assert sb.perimeter(F, corrected=True) == sb.perimeter(E, corrected=True)
+
+
+@given(_masks, st.floats(1e-3, 1e3))
+@settings(max_examples=200, deadline=None)
+def test_perimeter_doubles_per_face_dimension_with_the_spacing(mask, h):
+    n = mask.ndim
+    assert sb.perimeter(RasterSet(mask, [0.0] * n, 2 * h)) == 2 ** (n - 1) * sb.perimeter(
+        RasterSet(mask, [0.0] * n, h))
+
+
+@given(hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, min_side=2, max_side=7),
+                  elements=st.integers(-4, 4).map(float) | st.floats(-10, 10)),
+       st.sampled_from([1, 7, 64]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_coarea_is_invariant_under_transposes_and_flips(values, n_levels, data):
+    origin = [0.0] * values.ndim
+    rep = sb.variation_nd(GridFunction(values, origin, 0.125), "coarea", n_levels=n_levels)
+    moved = sb.variation_nd(GridFunction(_moved(values, data), origin, 0.125), "coarea",
+                            n_levels=n_levels)
+    assert moved.tv == rep.tv
+    assert moved.per_level == rep.per_level
 
 
 def _full_grid_bump_field(f, seed, n_bumps=3):
