@@ -476,6 +476,33 @@ def _simplex_preimages(
                 yield _triangle_preimages(X, Y, m, c, y, y_axes, block_corners, steps)
 
 
+def _count_below(ax: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(ax, v)`` for an ascending axis ax: per entry of v,
+    the count of entries of ax below it; -1 where v is NaN.  The count is
+    guessed from ax's mean spacing and kept where ``ax[i-1] < v <= ax[i]``
+    confirms it, so it is exact for any ascending ax and rarely searched
+    on a uniform one; only the misses are searched, and NaN always
+    misses."""
+    n = len(ax)
+    v = np.ascontiguousarray(v)  # comparisons on a strided view take twice as long
+    with np.errstate(all="ignore"):  # the check below catches any guess, from inf or NaN too
+        guess = (v - ax[0]) * ((n - 1) / (ax[-1] - ax[0]))
+        np.ceil(guess, out=guess)
+        np.fmin(guess, n, out=guess)
+        np.fmax(guess, 0, out=guess)
+    i = guess.astype(np.intp)
+    bounds = np.concatenate(([-np.inf], ax, [np.inf]))
+    # guess holds ax[i-1], then ax[i]; i is in [0, n], so "clip" clips nothing
+    # and spares take the copy it makes of ``out`` in its default mode
+    hit = np.take(bounds, i, out=guess, mode="clip") < v
+    hit &= v <= np.take(bounds[1:], i, out=guess, mode="clip")
+    if not hit.all():
+        miss = ~hit
+        v = v[miss]
+        i[miss] = np.where(np.isnan(v), -1, np.searchsorted(ax, v))
+    return i
+
+
 def _box_candidates(
     V: np.ndarray, extent: tuple[int, ...], cell: np.ndarray, y_axes: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
@@ -483,24 +510,25 @@ def _box_candidates(
     ``extent`` cells, whose half-open image box [min, max) holds a y of
     the grid on every axis, with the first y index and the count of y per
     axis in that box.  The box holds the boxes of the cell's simplices.
-    V holds the block's vertex images; cells are dropped as soon as an
-    axis leaves their range empty (a NaN bound sorts past the end and
-    always does)."""
-    first, width = [], []
+    V holds the block's vertex images.  A count of y below a value is
+    monotone in it, so per axis the box's first index and end are the min
+    and max over the cell's corners of their ``_count_below``, taken one
+    lattice axis at a time; a NaN corner (count -1) leaves the cell out."""
+    lows, highs = [], []
+    keep = np.ones(extent, dtype=bool)
     for d, ax in enumerate(y_axes):
-        cell_corners = [
-            V[tuple(slice(o, e + o) for o, e in zip(offset, extent)) + (d,)]
-            for offset in itertools.product((0, 1), repeat=len(extent))
-        ]
-        box_lo = functools.reduce(np.minimum, cell_corners).reshape(-1)[cell]
-        box_hi = functools.reduce(np.maximum, cell_corners).reshape(-1)[cell]
-        f = np.searchsorted(ax, box_lo)
-        w = np.searchsorted(ax, box_hi) - f
-        keep = np.flatnonzero(w > 0)
-        cell = cell[keep]
-        first = [a[keep] for a in first] + [f[keep]]
-        width = [a[keep] for a in width] + [w[keep]]
-    return cell, first, width
+        lo = hi = _count_below(ax, V[..., d])
+        for a in range(len(extent)):
+            head = (slice(None),) * a + (slice(None, -1),)
+            tail = (slice(None),) * a + (slice(1, None),)
+            lo, hi = np.minimum(lo[head], lo[tail]), np.maximum(hi[head], hi[tail])
+        keep &= lo >= 0
+        keep &= hi > lo
+        lows.append(lo.reshape(-1))
+        highs.append(hi.reshape(-1))
+    cell = cell[keep.reshape(-1)[cell]]
+    first = [lo[cell] for lo in lows]
+    return cell, first, [hi[cell] - f for hi, f in zip(highs, first)]
 
 
 def _triangle_preimages(

@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 
+# (S, B) pairs per numpy chunk of partition_variation_sup
+_PAIR_CHUNK = 1 << 16
+
+
 class AlignmentError(ValueError):
     """Subset or measure does not share the atom list it is applied to."""
 
@@ -221,38 +225,47 @@ def is_absolutely_continuous(mu: AtomicMeasure, nu: AtomicMeasure) -> bool:
 def partition_variation_sup(mu: AtomicMeasure) -> float:
     """Exhaustive supremum of sum_j ||mu(E_j)|| over all set partitions.
 
-    Dynamic program over atom subsets: every partition of the atoms is
-    represented by repeatedly splitting off the block that contains the
-    lowest remaining atom, so the maximum over all partitions is exact.
-    Intended as an independent oracle for :func:`total_variation`; cost
-    grows like 3^k, keep k small.
+    Dynamic program over atom subsets (Held & Karp, *J. SIAM* 10, 1962):
+    every partition of a subset S splits off the block B that holds the
+    lowest atom of S, so best[S] = max over B of ||mu(B)|| + best[S - B],
+    and the maximum over all partitions is exact.  The subsets are taken
+    one size at a time, their (S, B) pairs in numpy chunks of about
+    ``_PAIR_CHUNK``: (3^k - 1)/2 pairs in all, so k = 16, the limit,
+    answers in under a second.  Each candidate is one float addition and
+    a maximum is exact, so no order of the pairs changes a bit.  Intended
+    as an independent oracle for :func:`total_variation`.
     """
     k = mu.size
     if k == 0:
         return 0.0
     if k > 16:
         raise ValueError("exhaustive partition supremum is limited to 16 atoms")
-    # subset_sums[S] = mu(S) for every bitmask S
+    # subset_sums[S] = mu(S) and size[S] = |S| for every bitmask S
     subset_sums = np.zeros((1 << k, mu.m))
+    size = np.zeros(1 << k, dtype=np.int8)
     for i in range(k):
         bit = 1 << i
-        half = subset_sums[:bit]
-        subset_sums[bit : 2 * bit] = half + mu.weights[i]
-    # Python floats: the 3^k-step loop below indexes and adds about twice
-    # as fast on lists as on numpy scalars, with the same roundings
-    norms = np.linalg.norm(subset_sums, axis=1).tolist()
-    best = [0.0] * (1 << k)
-    for S in range(1, 1 << k):
-        low = S & -S  # block containing the lowest atom of S
-        rest = S ^ low
-        # enumerate sub-blocks B of S with low in B: B = low | T, T subset of rest
-        T = rest
-        val = norms[low] + best[rest]
-        while T:
-            B = low | T
-            cand = norms[B] + best[S ^ B]
-            if cand > val:
-                val = cand
-            T = (T - 1) & rest
-        best[S] = val
-    return float(best[(1 << k) - 1])
+        subset_sums[bit : 2 * bit] = subset_sums[:bit] + mu.weights[i]
+        size[bit : 2 * bit] = size[:bit] + 1
+    norms = np.linalg.norm(subset_sums, axis=1)
+    best = np.zeros(1 << k)
+    for p in range(1, k + 1):
+        subsets = np.flatnonzero(size == p)
+        rows = max(1, _PAIR_CHUNK >> (p - 1))  # each S of size p has 2^(p-1) blocks B
+        for r in range(0, len(subsets), rows):
+            S = subsets[r : r + rows]
+            low = S & -S
+            rest = S ^ low
+            # B = low | T for every subset T of rest, depositing rest's bits one at a time
+            B = np.empty((len(S), 1 << (p - 1)), dtype=S.dtype)
+            B[:, 0] = low
+            for j in range(p - 1):
+                bit = rest & -rest
+                rest ^= bit
+                np.bitwise_or(B[:, : 1 << j], bit[:, None], out=B[:, 1 << j : 2 << j])
+            cand = norms[B]
+            np.bitwise_xor(B, S[:, None], out=B)  # the rest S - B of each block
+            with np.errstate(over="ignore"):  # a candidate past the float range is inf, silently
+                cand += best[B]
+            best[S] = cand.max(axis=1)
+    return float(best[-1])

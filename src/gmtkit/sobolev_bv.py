@@ -224,19 +224,27 @@ def perimeter_calibration(n: int, h: float) -> float:
     float sums are monotone, so each line holds one run of them, counted
     from (n-1)-D sums, in that axis order, with the line's term at min c^2
     (the run is nonempty) and at its two ends (the run touches the box).
+    A lattice whose ball has no face (one cell per axis, or every cell in
+    it) has no calibration: ``ValueError``.
     """
     _check_count("n", n, 1, "axis")
     _check_real("h", h)
     _check_real("2.4 / h (cells per axis)", 2.4 / h)
     line = RasterSet(np.zeros((math.ceil(2.4 / h),) + (1,) * (n - 1), bool), [-1.2] * n, h)
-    c2 = line.axis_centers(0) ** 2
-    axes = [c2.reshape([-1 if j == k else 1 for j in range(n)]) for k in range(n)]
+    weight = line._weight(faces=True)  # a ValueError past the float range, before any square
+    faces = 0
+    if line.extents[0] > 1:  # one cell has no face, and its center's square may overflow
+        c2 = line.axis_centers(0) ** 2
+        axes = [c2.reshape([-1 if j == k else 1 for j in range(n)]) for k in range(n)]
 
-    def run(d: int, c2d: float) -> np.ndarray:  # the sum <= 1 with axis d's term c2d
-        return sum(c2d if k == d else axes[k] for k in range(n)) <= 1.0
+        def run(d: int, c2d: float) -> np.ndarray:  # the sum <= 1 with axis d's term c2d
+            return sum(c2d if k == d else axes[k] for k in range(n)) <= 1.0
 
-    faces = sum(np.sum(2 * run(d, c2.min()) - run(d, c2[0]) - run(d, c2[-1])) for d in range(n))
-    return line._weighted(lambda: faces, faces=True) / (n * omega(n))
+        faces = sum(np.sum(2 * run(d, c2.min()) - run(d, c2[0]) - run(d, c2[-1])) for d in range(n))
+    if faces == 0:
+        raise ValueError(f"the rasterized unit ball has no face at n = {n}, h = {h}: "
+                         "no perimeter calibration")
+    return float(faces) * weight / (n * omega(n))
 
 
 def seeded_bump_field(

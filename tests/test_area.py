@@ -891,6 +891,98 @@ def test_preimage_scans_stay_under_sixteen_mib(call):
     assert traced_peak(call) < 16 * 2**20
 
 
+def _searchsorted_count(ax, v):
+    """Reference for ``ar._count_below``: one binary search per value."""
+    return np.where(np.isnan(v), -1, np.searchsorted(ax, v))
+
+
+def _searchsorted_box(V, extent, cell, y_axes):
+    """Reference for ``ar._box_candidates``: per axis, a binary search of
+    each cell's min and max corner image, dropping a cell as soon as an axis
+    leaves its box empty (a NaN bound sorts past the end)."""
+    first, width = [], []
+    for d, ax in enumerate(y_axes):
+        corners = [V[tuple(slice(o, e + o) for o, e in zip(offset, extent)) + (d,)]
+                   for offset in itertools.product((0, 1), repeat=len(extent))]
+        f = np.searchsorted(ax, np.minimum.reduce(corners).reshape(-1)[cell])
+        w = np.searchsorted(ax, np.maximum.reduce(corners).reshape(-1)[cell]) - f
+        keep = np.flatnonzero(w > 0)
+        cell = cell[keep]
+        first = [a[keep] for a in first] + [f[keep]]
+        width = [a[keep] for a in width] + [w[keep]]
+    return cell, first, width
+
+
+_UNIFORM_AXIS = ar._y_grid(_POLAR, 128)[0][0]
+_COUNT_AXES = {
+    "uniform": _UNIFORM_AXIS,
+    # a rounding guess from the mean spacing misses most of these
+    "geometric": np.geomspace(1e-3, 10.0, 50) - 1.0,
+    "repeated-entries": np.array([-1.0, -0.5, -0.5, -0.5, 0.0, 0.25, 0.25, 2.0]),
+    "single-y": np.array([0.3]),
+    "two-y": np.array([-0.7, 0.4]),
+}
+
+
+def _count_probes(ax, rng):
+    """Every entry of ax and one ulp either side, random values over and
+    past its span, and the special values."""
+    span = ax[-1] - ax[0] or 1.0
+    return np.concatenate([
+        ax, np.nextafter(ax, -np.inf), np.nextafter(ax, np.inf),
+        rng.uniform(ax[0] - span, ax[-1] + span, 200),
+        [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308, 5e-324],
+    ])
+
+
+@pytest.mark.parametrize("name", list(_COUNT_AXES))
+def test_vertex_counts_keep_the_searchsorted_bits(name):
+    ax = _COUNT_AXES[name]
+    v = _count_probes(ax, np.random.default_rng(5))
+    assert np.array_equal(ar._count_below(ax, v), _searchsorted_count(ax, v))
+    # a strided view of (vertex, axis) images, as the scan passes them
+    V = np.stack([v, v[::-1]], axis=-1)
+    assert np.array_equal(ar._count_below(ax, V[..., 1]), _searchsorted_count(ax, V[..., 1]))
+
+
+def _box_cases():
+    """(name, V, extent, y_axes): vertex images of one block, drawn from the
+    count probes so that corners sit on, and one ulp off, the y entries;
+    one case maps the partition with a user map that gives NaN and +-inf."""
+    rng = np.random.default_rng(9)
+    for name, ax in _COUNT_AXES.items():
+        probes = _count_probes(ax, rng)
+        yield name + "-1d", rng.choice(probes, (65, 1)), (64,), [ax]
+        other = _UNIFORM_AXIS if name != "uniform" else _COUNT_AXES["geometric"]
+        V = np.stack([rng.choice(probes, (17, 33)), rng.choice(_count_probes(other, rng), (17, 33))],
+                     axis=-1)
+        yield name + "-2d", V, (16, 32), [ax, other]
+
+    def wild(p):
+        x, y = p[:, 0], p[:, 1]
+        return np.stack([np.where(x > 0.8, np.nan, np.where(x < 0.1, -np.inf, x - y)),
+                         np.where(y > 0.9, np.inf, x * y)], axis=-1)
+
+    phi = ar.ParametricMap(wild, [0.0, 0.0], [1.0, 1.0], n=2)
+    corners = [np.linspace(0.0, 1.0, 33)] * 2
+    yield "user-map-nan-inf", phi._on_grid(corners).reshape(33, 33, 2), (32, 32), [
+        _UNIFORM_AXIS, _COUNT_AXES["geometric"]]
+
+
+@pytest.mark.parametrize("case", list(_box_cases()), ids=lambda c: c[0])
+@pytest.mark.parametrize("restricted", [False, True], ids=["all-cells", "some-cells"])
+def test_box_candidates_keep_the_searchsorted_bits(case, restricted):
+    _, V, extent, y_axes = case
+    cell = np.arange(math.prod(extent))
+    if restricted:
+        cell = cell[np.random.default_rng(2).random(len(cell)) < 0.5]
+    got, want = ar._box_candidates(V, extent, cell, y_axes), _searchsorted_box(V, extent, cell, y_axes)
+    assert len(want[0]) > 0
+    assert np.array_equal(got[0], want[0])
+    for g, w in zip(got[1] + got[2], want[1] + want[2]):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 @pytest.mark.parametrize("laps", [64, 128])
 def test_area_formula_fold_many_laps(laps):
     lhs, rhs = ar.area_formula_with_multiplicity(ar.builtin_map("fold", laps=laps), n_y=8192)

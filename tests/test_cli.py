@@ -296,6 +296,19 @@ def test_levels_plot_of_1d_bv_writes_only_error(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
+def test_bv_on_a_lattice_without_a_calibration_writes_only_error(tmp_path):
+    # the coarea route divided by a 0.0 ball calibration: a ZeroDivisionError
+    # traceback, exit 1 and an empty output directory
+    grid = tmp_path / "g.csv"
+    GridFunction.from_callable(lambda x, y: x + y, [0, 0], [3, 3], 3.0).to_csv(grid)
+    out = tmp_path / "out"
+    code = cli.run(["bv", "--input", str(grid), "--output", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["kind"] == "validation" and "no face at n = 2, h = 3.0" in err["message"]
+
+
 @pytest.mark.parametrize(
     "command, flags",
     [

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -253,6 +254,24 @@ def test_perimeter_calibration_past_the_float_range_is_a_value_error():
     # the face weight h^2 passes the float range
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="face weight h\\^2"):
         sb.perimeter_calibration.__wrapped__(3, 1e200)
+
+
+@pytest.mark.parametrize("n, h", [(2, 3.0), (2, 1e308), (3, 1e150), (2, 2.4), (2, 1.2), (3, 1.2),
+                                  (1, 0.8)])
+def test_perimeter_calibration_without_a_face_is_a_value_error(n, h):
+    # one cell per axis, or a box the ball fills: no face, and the calibration
+    # was 0.0 (with "overflow encountered in square" at h = 1e308)
+    with pytest.raises(ValueError, match=re.escape(f"no face at n = {n}, h = {h}:")):
+        sb.perimeter_calibration.__wrapped__(n, h)
+
+
+def test_corrected_perimeter_and_coarea_without_a_calibration_are_value_errors():
+    # both divided by the 0.0 calibration: ZeroDivisionError
+    f = GridFunction.from_callable(lambda x, y: x + y, [0, 0], [3, 3], 3.0)
+    with pytest.raises(ValueError, match="no face at n = 2, h = 3.0"):
+        sb.perimeter(RasterSet(np.eye(3, dtype=bool), [0, 0], 3.0), corrected=True)
+    with pytest.raises(ValueError, match="no face at n = 2, h = 3.0"):
+        sb.variation_nd(f, "coarea")
 
 
 def _coarea_fields():
