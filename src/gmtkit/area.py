@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NonConvergenceError, SingularMapError, _check_count
+from .errors import NonConvergenceError, SingularMapError, _check_count, _finite
 from .grids import (GridFunction, RasterSet, _central_differences, _centers_1d, gradient_fd,
                     lebesgue_measure, tensor_points)
 
@@ -357,30 +357,32 @@ def _cell_sum(
             block *= _pointwise_values(u, pts)
         if E is not None:
             block[~E.contains(pts)] = 0.0
-    return float(J.sum() * np.prod(steps))
+    return _finite(lambda: J.sum() * np.prod(steps),
+                   lambda: f"a cell sum of J(Phi) on {m} cells per axis passes the float range")
 
 
 def surface_measure(
     phi: ParametricMap, E: RasterSet | None = None, m: int = 256
 ) -> float:
     """H^k(Phi(E)) = int_E J(Phi) for injective Phi: midpoint cell sums at
-    m and 2m cells per axis, Richardson-combined as (4 fine - coarse) / 3,
-    or as fine + (fine - coarse) / 3 where 4 fine overflows.  Every k uses
-    it, curve length (k = 1) included.
+    m and 2m cells per axis, Richardson-combined as (4 fine - coarse) / 3.
+    Every k uses it, curve length (k = 1) included.  A sum or 4 fine past
+    the float range is a ValueError.
     """
     if not phi.injective:
         raise ValueError("surface_measure needs the injectivity flag; "
                          "use the multiplicity-weighted operations otherwise")
     coarse = _cell_sum(phi, E, m)
     fine = _cell_sum(phi, E, 2 * m)
-    extrapolated = (4 * fine - coarse) / 3
-    return extrapolated if math.isfinite(extrapolated) else fine + (fine - coarse) / 3
+    return _finite(lambda: (4 * fine - coarse) / 3,
+                   lambda: f"H^{phi.k}(Phi(E)) = (4 fine - coarse) / 3 passes the float range")
 
 
 def curve_length(phi: ParametricMap, nodes: int = 1024) -> float:
     """H^1 of an injective curve: ``surface_measure`` for k = 1, midpoint
     sums of |dPhi/dt| on ``nodes`` and 2 * ``nodes`` cells, Richardson-combined
-    (which also cancels the O(step^2) error of a central-difference speed)."""
+    (which also cancels the O(step^2) error of a central-difference speed);
+    a length whose sums or 4 fine pass the float range is a ValueError."""
     if phi.k != 1:
         raise ValueError("curve_length needs a 1-parameter map")
     _check_count("nodes", nodes, 1, "cell")

@@ -1,8 +1,11 @@
-"""Exception types and the argument rules shared across modules: counts and bounded reals."""
+"""Exception types and the rules shared across modules: counts, bounded reals
+and the float range of a result."""
 
 import math
 import numbers
 import sys
+
+import numpy as np
 
 
 def _check_count(name: str, value, minimum: int, unit: str) -> None:
@@ -20,6 +23,20 @@ def _check_real(name: str, value, minimum: float | None = None, maximum: float =
         bound = "positive" if minimum is None else "nonnegative" if minimum == 0 else f">= {minimum}"
         cap = "" if maximum == math.inf else f" and <= {maximum}"
         raise ValueError(f"{name} must be finite and {bound}{cap}, got {value}")
+
+
+def _finite(compute, message) -> float:
+    """The one float-range rule: ``float(compute())``, or ``ValueError(message())``
+    where it overflows (``OverflowError``, or numpy overflow or invalid) or is not
+    finite.  No second formula stands in past the range; ``message`` runs only then."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = float(compute())
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(message())
+    return out
 
 
 class NonConvergenceError(RuntimeError):

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import _check_real
+from .errors import _check_real, _finite
 
 __all__ = ["GridFunction", "RasterSet", "tensor_points", "omega", "lebesgue_measure", "gradient_fd"]
 
@@ -41,14 +41,11 @@ def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def omega(s: float) -> float:
-    """Volume of the unit ball: pi^(s/2) / Gamma(1 + s/2), any real s >= 0;
-    through log Gamma where Gamma overflows, from about s = 341.25, and 0.0
-    where log Gamma overflows too, from about s = 5e305."""
+    """Volume of the unit ball: pi^(s/2) / Gamma(1 + s/2), any real s >= 0 for
+    which Gamma(1 + s/2) is a double (s up to about 341.25); a ValueError past it."""
     _check_real("s", s, 0)
-    try:
-        return math.pi ** (s / 2) / math.gamma(1 + s / 2)
-    except OverflowError:
-        return math.exp(s / 2 * math.log(math.pi) - math.lgamma(1 + s / 2)) if s < 1e305 else 0.0
+    return _finite(lambda: math.pi ** (s / 2) / math.gamma(1 + s / 2),
+                   lambda: f"omega(s) at s = {s}: Gamma(1 + s/2) passes the float range")
 
 
 class _Lattice:
@@ -81,20 +78,15 @@ class _Lattice:
     def _weight(self, faces: bool = False) -> float:
         """The one weight rule: the cell weight h^n, or with ``faces`` the face weight
         h^(n-1); a ValueError past the float range."""
-        try:
-            return float(self.h) ** (self.ndim - faces)
-        except OverflowError:
-            raise ValueError(f"spacing h = {self.h} makes the {'face' if faces else 'cell'} "
-                             f"weight h^{self.ndim - faces} pass the float range") from None
+        return _finite(lambda: float(self.h) ** (self.ndim - faces),
+                       lambda: f"spacing h = {self.h} makes the {'face' if faces else 'cell'} "
+                               f"weight h^{self.ndim - faces} pass the float range")
 
     def _weighted(self, total: Callable[[], float], faces: bool = False) -> float:
-        """``total()`` times ``_weight(faces)``, with overflow let through: the one
-        float-range rule, where a sum or product past the range is a ValueError."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = float(total() * self._weight(faces))
-        if not math.isfinite(out):
-            raise ValueError(f"a lattice sum on spacing h = {self.h} passes the float range")
-        return out
+        """``total()`` times ``_weight(faces)``; a sum or product past the float
+        range is a ValueError."""
+        return _finite(lambda: total() * self._weight(faces),
+                       lambda: f"a lattice sum on spacing h = {self.h} passes the float range")
 
     def _midpoint_sum(self, values: np.ndarray) -> float:
         """Midpoint sum over this lattice's cells: the sum of ``values`` times the cell weight."""

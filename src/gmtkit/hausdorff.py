@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ResolutionError, SingularMapError, _check_count, _check_real
+from .errors import ResolutionError, SingularMapError, _check_count, _check_real, _finite
 from .grids import RasterSet, _write_csv_rows, lebesgue_measure, omega
 
 __all__ = [
@@ -280,15 +280,8 @@ def premeasure_delta(
         return 0.0
     counts = box_counts(cloud, sizes, n_offsets=1)
     diameters = [g * math.sqrt(cloud.n) for g in sizes]
-    try:
-        return min(omega(s) / 2**s * float(c) * d**s for d, c in zip(diameters, counts))
-    except OverflowError:  # 2^s or d^s alone leaves the float range: omega(s) c (d/2)^s in logs
-        half = math.lgamma(1 + s / 2) / s if s < 1e305 else (math.log(s / 2) - 1) / 2
-        top = min(s * (math.log(math.sqrt(math.pi) * d / 2) - half) + math.log(c)
-                  for d, c in zip(diameters, counts))
-        if top > 709:
-            raise ValueError(f"H^s_delta at s = {s}, delta = {delta} passes the float range")
-        return math.exp(top)
+    return _finite(lambda: min(omega(s) / 2**s * float(c) * d**s for d, c in zip(diameters, counts)),
+                   lambda: f"H^s_delta at s = {s}, delta = {delta} passes the float range")
 
 
 def default_scales(k_min: int = 3, k_max: int = 10) -> np.ndarray:
@@ -474,15 +467,8 @@ def lipschitz_image_bound_check(
     """
     _check_real("Lipschitz constant", lipschitz_const, 0)
     premeasure = premeasure_delta(cloud, s, delta)
-    try:
-        bound = lipschitz_const**s * premeasure
-    except OverflowError:  # L^s alone leaves the float range: L^s H^s_delta(E) in logs
-        try:
-            bound = 0.0 if premeasure == 0 else math.exp(
-                s * math.log(lipschitz_const) + math.log(premeasure))
-        except OverflowError:
-            raise ValueError(f"L^s H^s_delta at L = {lipschitz_const}, s = {s} "
-                             "passes the float range") from None
+    bound = _finite(lambda: lipschitz_const**s * premeasure,
+                    lambda: f"L^s H^s_delta at L = {lipschitz_const}, s = {s} passes the float range")
     image = PointCloud(f(cloud.points))
     if delta * lipschitz_const == 0:
         return (0.0 if s > 0 else float(_distinct_rows(image.points))), bound

@@ -67,22 +67,20 @@ def directional_derivative(
         evaluate = lambda p: f.interpolate(p)
     else:
         evaluate = lambda p: float(f(*p))
-    steps = h0 / 2.0 ** np.arange(levels)
-    diffs = np.array(
-        [(evaluate(x + t * v) - evaluate(x - t * v)) / (2 * t) for t in steps]
-    )
-    # Richardson table for the h^2 expansion of the central difference
-    table = diffs.copy()
-    prev_best = None
-    for col in range(1, levels):
-        factor = 4.0**col
-        table = (factor * table[1:] - table[:-1]) / (factor - 1)
-        best = table[0]
-        if prev_best is not None and abs(best - prev_best) < RICHARDSON_RTOL * (
-            1 + abs(best)
-        ):
+    # Richardson table for the h^2 expansion of the central difference, built one
+    # anti-diagonal T[0][k], T[1][k-1], ..., T[k][0] per step h0 / 2^k, up to column
+    # 511, where 4^col is still finite
+    diagonal = []
+    for k in range(min(levels, 512)):
+        t = float(h0) / 2.0**k
+        best = (evaluate(x + t * v) - evaluate(x - t * v)) / (2 * t)
+        row = [best]
+        for col, below in enumerate(diagonal, 1):
+            best = (4.0**col * best - below) / (4.0**col - 1)
+            row.append(best)
+        if k >= 2 and abs(best - diagonal[-1]) < RICHARDSON_RTOL * (1 + abs(best)):
             return float(best)
-        prev_best = best
+        diagonal = row
     raise NonConvergenceError("directional derivative schedule did not converge")
 
 

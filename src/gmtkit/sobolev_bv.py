@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import RegimeError, _check_count, _check_real
+from .errors import RegimeError, _check_count, _check_real, _finite
 from .grids import GridFunction, RasterSet, _lattice_bump, gradient_fd, omega
 
 __all__ = [
@@ -122,10 +122,8 @@ def poincare_cube_check(
     lhs = _lp(block - mean, p, f)
     p = float(p)  # the rule passed in _lp; an int p would meet an exact big-int power
     gn = _grad_norm(f)[sl]
-    try:
-        C = (n ** (p + 1)) ** (1.0 / p)
-    except OverflowError:  # n^(p+1) leaves the float range
-        C = n ** ((p + 1) / p)
+    C = _finite(lambda: (n ** (p + 1)) ** (1.0 / p),
+                lambda: f"the Poincaré constant's n^(p+1) at n = {n}, p = {p} passes the float range")
     return lhs, C * side * _lp(gn, p, f)
 
 
@@ -169,8 +167,8 @@ def morrey_check(
     if not n < p <= sys.float_info.max:  # an int past the float range too
         raise RegimeError(f"Morrey needs n < p < inf; got p = {p}, n = {n}")
     _check_count("n_pairs", n_pairs, 1, "pair")
-    C = 2.0 * n * p / (p - n)
-    C = C if C < math.inf else 2.0 * n / (1 - n / p)  # 2np overflowed
+    C = _finite(lambda: 2.0 * n * p / (p - n),
+                lambda: f"the Morrey constant 2np/(p - n) at n = {n}, p = {p} passes the float range")
     grad_lp = _lp(_grad_norm(f), p, f)
     # one draw yields the integers of n_pairs successive (z, y) draws
     iz, iy = np.moveaxis(
@@ -202,7 +200,8 @@ def variation_1d(samples: Sequence[float]) -> float:
 def bv_norm(samples: Sequence[float], h: float | None = None) -> float:
     """||f||_BV = L1 norm + variation for samples on ]0,1[."""
     f = _samples_1d(samples, h)
-    return f._midpoint_sum(np.abs(f.values)) + f._variation()
+    return _finite(lambda: f._midpoint_sum(np.abs(f.values)) + f._variation(),
+                   lambda: f"the BV norm on spacing h = {f.h} passes the float range")
 
 
 def perimeter(E: RasterSet, corrected: bool = False) -> float:

@@ -163,14 +163,34 @@ def test_polar_needs_a_finite_area(r_hi):
 
 @pytest.mark.filterwarnings("error")
 def test_polar_at_the_end_of_the_float_range_keeps_its_area():
-    r_hi = 7.56e153  # pi r_hi^2 = 1.7955e308
+    r_hi = 3.78e153  # 4 fine of the Richardson step = 4 pi r_hi^2 = 1.7955e308
     assert ar.surface_measure(ar.builtin_map("polar", r_hi=r_hi)) == pytest.approx(math.pi * r_hi**2)
 
 
 def test_curve_length_near_the_float_range_stays_finite():
     # 4 * fine overflowed in the Richardson step: inf for a length of sqrt(2) * 1e308
-    length = ar.curve_length(ar.builtin_map("helix", lo=0.0, hi=1e308))
-    assert length == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+    length = ar.curve_length(ar.builtin_map("helix", lo=0.0, hi=3e307))
+    assert length == pytest.approx(math.sqrt(2) * 3e307, rel=1e-15)
+
+
+_PAST_THE_FLOAT_RANGE = {
+    # sqrt(2) 1e308 from fine + (fine - coarse) / 3, where 4 fine overflowed
+    "helix-1e308": ("^H\\^1\\(Phi\\(E\\)\\) = \\(4 fine - coarse\\) / 3 passes the float range",
+                    lambda: ar.curve_length(ar.builtin_map("helix", lo=0.0, hi=1e308))),
+    # "overflow encountered in scalar multiply" from the cell sum's weight
+    "helix-1.5e308": ("^a cell sum of J\\(Phi\\) on 1024 cells per axis passes the float range",
+                      lambda: ar.curve_length(ar.builtin_map("helix", lo=0.0, hi=1.5e308))),
+    # pi r_hi^2 = 1.7955e308, where 4 fine overflowed
+    "polar-7.56e153": ("^H\\^2\\(Phi\\(E\\)\\) = \\(4 fine - coarse\\) / 3 passes the float range",
+                       lambda: ar.surface_measure(ar.builtin_map("polar", r_hi=7.56e153))),
+}
+
+
+@pytest.mark.parametrize("name", list(_PAST_THE_FLOAT_RANGE))
+def test_results_past_the_float_range_are_value_errors(name):
+    match, call = _PAST_THE_FLOAT_RANGE[name]
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def _plane_curve(f, a, b, jacobian=None):
@@ -339,6 +359,7 @@ _BLOCKED_CASES = {
 }
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("name", list(_BLOCKED_CASES))
 @pytest.mark.parametrize("seam", [False, True], ids=["one-block", "seams"])
 @pytest.mark.parametrize("restricted", [False, True], ids=["box", "raster"])
@@ -353,6 +374,7 @@ def test_blocked_cell_sum_matches_whole_array_sum(name, seam, restricted, weight
     assert ar._cell_sum(phi, E, m, u) == _whole_array_cell_sum(phi, E, m, u)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("name", list(_BLOCKED_CASES))
 def test_blocked_cell_sum_with_one_row_per_block(name, monkeypatch):
     phi, E, m, _ = _BLOCKED_CASES[name]
@@ -520,6 +542,7 @@ def _preimage_sum_per_y(phi, u, E, n_y, depth):
     return float(np.sum(totals)) * dy
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("laps", [3, 5])
 @pytest.mark.parametrize("restricted", [False, True])
 def test_change_of_variables_rhs_matches_per_y_scan(laps, restricted):
@@ -774,6 +797,7 @@ def _with_vertex_images(phi, depth, axes, rng, count=4):
 FOLD_FRAGMENTS = RasterSet.from_predicate(lambda x: np.sin(20 * x) > 0, [-1.0], [128], 1 / 64)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize(
     "name, restricted",
     [("polar", False), ("polar", True), ("fold", False), ("fold", True), ("z2", False),
@@ -852,6 +876,7 @@ _SCAN_CASES = {
 }
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("block", [1, 67], ids=["one-row-one-pair", "seams"])
 @pytest.mark.parametrize("restricted", [False, True], ids=["box", "raster"])
 @pytest.mark.parametrize("weighted", [False, True], ids=["N", "u"])
@@ -935,6 +960,7 @@ def _count_probes(ax, rng):
     ])
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("name", list(_COUNT_AXES))
 def test_vertex_counts_keep_the_searchsorted_bits(name):
     ax = _COUNT_AXES[name]
@@ -969,6 +995,7 @@ def _box_cases():
         _UNIFORM_AXIS, _COUNT_AXES["geometric"]]
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("case", list(_box_cases()), ids=lambda c: c[0])
 @pytest.mark.parametrize("restricted", [False, True], ids=["all-cells", "some-cells"])
 def test_box_candidates_keep_the_searchsorted_bits(case, restricted):

@@ -16,6 +16,8 @@ import pytest
 from gmtkit import area as ar
 from gmtkit.grids import RasterSet, tensor_points
 
+pytestmark = pytest.mark.bits
+
 _BUILTINS = {
     "helix": ar.builtin_map("helix", lo=-1.0, hi=2.5),
     "polar": ar.builtin_map("polar", r_hi=1.5),

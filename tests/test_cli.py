@@ -790,8 +790,14 @@ def test_a_non_finite_report_writes_only_error_json(tmp_path, monkeypatch):
 def test_area_ranges_near_the_float_range(tmp_path):
     # helix wrote "length": Infinity and square Infinity and NaN, both with exit 0
     out = tmp_path / "helix"
-    assert cli.run(["area", "--map", "helix", "--range", "0,1e308", "--output", str(out)]) == 0
-    assert read_report(out)["results"]["length"] == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+    assert cli.run(["area", "--map", "helix", "--range", "0,3e307", "--output", str(out)]) == 0
+    assert read_report(out)["results"]["length"] == pytest.approx(math.sqrt(2) * 3e307, rel=1e-15)
+    out = tmp_path / "helix-long"
+    code = cli.run(["area", "--map", "helix", "--range", "0,1e308", "--output", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    message = json.loads((out / "error.json").read_text())["error"]["message"]
+    assert message == "H^1(Phi(E)) = (4 fine - coarse) / 3 passes the float range"
     out = tmp_path / "square"
     code = cli.run(["area", "--map", "square", "--range", "-1e200,1e200", "--output", str(out)])
     assert code == cli.EXIT_VALIDATION
@@ -812,12 +818,14 @@ def test_flags_near_the_float_range_answer_without_warnings(tmp_path):
                         "--output", str(out)]) == cli.EXIT_OK
         assert read_report(out)["results"]["classification"] == "density-0"
         # C = 2np/(p - n) overflowed: worst_ratio 0.0
-        ratios = []
-        for p in ("1e308", "1e300"):
-            out = tmp_path / p
-            assert cli.run(["sobolev", "--input", str(grid), "--p", p, "--output", str(out)]) == 0
-            ratios.append(read_report(out)["results"]["embedding"]["worst_ratio"])
-        assert ratios[0] == ratios[1] > 0.0
+        out = tmp_path / "1e300"
+        assert cli.run(["sobolev", "--input", str(grid), "--p", "1e300", "--output", str(out)]) == 0
+        assert read_report(out)["results"]["embedding"]["worst_ratio"] > 0.0
+        out = tmp_path / "1e308"
+        code = cli.run(["sobolev", "--input", str(grid), "--p", "1e308", "--output", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        message = json.loads((out / "error.json").read_text())["error"]["message"]
+        assert message.endswith("at n = 2, p = 1e+308 passes the float range")
 
 
 def test_non_convergence_writes_only_error_json(tmp_path, monkeypatch):

@@ -72,9 +72,19 @@ def test_non_finite_input_is_a_value_error(call, value):
         ("depth must be an int >= 0", lambda: hd.IfsSystem.from_json(cantor_ifs_json(2.7))),
         # OverflowError: the grid phase shift delta * j overflowed
         ("scales must be finite and positive and <=", lambda: hd.box_counts(_CLOUD, [1e308])),
+        # 3.4126040259155525e-276 through log Gamma, and 0.0 from s = 1e305
+        ("float range", lambda: hd.omega(400)),
+        ("float range", lambda: hd.omega(1e308)),
+        # 0.0 through logs
+        ("float range", lambda: hd.premeasure_delta(_CLOUD, 1100, 3.0)),
+        # 1.5853384862901636e211 through logs, where 10^320 alone overflows
+        ("^L\\^s H\\^s_delta at L = 10.0, s = 320 passes the float range",
+         lambda: hd.lipschitz_image_bound_check(lambda p: 10 * p, 10.0,
+                                                hd.PointCloud([[0.0, 0.0], [1.0, 0.0]]), 320, 4.0)),
     ],
     ids=["ifs-min-scale-0", "premeasure-empty-cloud-floor", "ifs-points-depth-2.5",
-         "ifs-points-depth--2", "ifs-system-depth-2.5", "ifs-json-depth-2.7", "box-scale-1e308"],
+         "ifs-points-depth--2", "ifs-system-depth-2.5", "ifs-json-depth-2.7", "box-scale-1e308",
+         "omega-400", "omega-1e308", "premeasure-s-1100-delta-3", "lipschitz-l-10-s-320"],
 )
 def test_bad_arguments_are_value_errors(match, call):
     with pytest.raises(ValueError, match=match):
@@ -82,18 +92,18 @@ def test_bad_arguments_are_value_errors(match, call):
 
 
 def test_omega_past_the_gamma_overflow():
-    # Gamma(1 + s/2) overflows from about s = 341.25; omega is tiny there
+    # Gamma(1 + s/2) overflows from about s = 341.25, where omega itself is tiny
     assert hd.omega(341) == math.pi ** 170.5 / math.gamma(171.5)
-    assert hd.omega(342) == 8.295644363831656e-225
-    assert hd.omega(400) == 3.4126040259155525e-276
-    assert isinstance(hd.premeasure_delta(_CLOUD, 400, 0.5), float)
+    with pytest.raises(ValueError, match="^omega\\(s\\) at s = 342: Gamma\\(1 \\+ s/2\\) passes the float range"):
+        hd.omega(342)
 
 
 def test_exponents_past_the_float_range():
     # OverflowError from lgamma, from 2^s or d^s; an int s met exact big-int powers (MemoryError)
-    assert hd.omega(1e308) == hd.omega(10**30) == 0.0
-    assert hd.premeasure_delta(_CLOUD, 1e308, 0.5) == hd.premeasure_delta(_CLOUD, 10**30, 0.5) == 0.0
-    assert hd.premeasure_delta(_CLOUD, 1100, 3.0) == 0.0
+    with pytest.raises(ValueError, match="float range"):
+        hd.omega(10**30)
+    with pytest.raises(ValueError, match="float range"):
+        hd.premeasure_delta(_CLOUD, 10**30, 0.5)
     with pytest.raises(ValueError, match="passes the float range"):
         hd.premeasure_delta(_CLOUD, 400, 100.0)
     with pytest.raises(ValueError, match="s must be finite"):
@@ -105,13 +115,11 @@ def test_lipschitz_bound_with_l_to_the_s_past_the_float_range():
     cloud = hd.PointCloud([[0.0, 0.0], [1.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert hd.lipschitz_image_bound_check(lambda p: 2 * p, 2.0, _CLOUD, 1e308, 0.5) == (0.0, 0.0)
-        assert hd.lipschitz_image_bound_check(lambda p: 2 * p, 2, _CLOUD, 2000, 0.5) == (0.0, 0.0)
-        # 10^320 is past the float range, 10^320 H^320_4(E) is not
         premeasure = hd.premeasure_delta(cloud, 320, 4.0)
         assert premeasure == pytest.approx(1.5853384862901636e-109, rel=1e-12)
-        image, bound = hd.lipschitz_image_bound_check(lambda p: 10 * p, 10.0, cloud, 320, 4.0)
-        assert bound == pytest.approx(1.5853384862901636e211, rel=1e-12)
+        # 2^320 is in range, 10^320 is not (a row of the bad-argument table)
+        image, bound = hd.lipschitz_image_bound_check(lambda p: 2 * p, 2.0, cloud, 320, 4.0)
+        assert bound == 2.0**320 * premeasure
         assert image <= bound * (1 + 1e-12)
         with pytest.raises(ValueError, match="L\\^s H\\^s_delta at L = 1e\\+100, s = 320 passes the float range"):
             hd.lipschitz_image_bound_check(lambda p: p, 1e100, cloud, 320, 4.0)
@@ -514,6 +522,7 @@ def _diameter_rasters(draw):
     return RasterSet(mask, origin, h)
 
 
+@pytest.mark.bits
 @given(_diameter_rasters())
 @settings(max_examples=300, deadline=None)
 def test_raster_diameter_equals_all_pairs(E):
@@ -565,6 +574,7 @@ _coordinate = st.one_of(
 )
 
 
+@pytest.mark.bits
 @given(
     st.integers(1, 3).flatmap(
         lambda n: st.lists(st.lists(_coordinate, min_size=n, max_size=n), max_size=40)

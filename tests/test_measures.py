@@ -217,6 +217,7 @@ _atom_kinds = st.lists(st.sampled_from(["fresh", "duplicate", "parallel", "antip
                        max_size=12)
 
 
+@pytest.mark.bits
 @given(st.integers(min_value=0, max_value=2**32 - 1), _atom_kinds, st.integers(1, 3))
 @example(7, ["fresh", "duplicate", "antiparallel", "zero"] * 3, 3)
 @example(8, ["fresh"] + ["parallel"] * 11, 1)
@@ -234,6 +235,7 @@ def test_partition_sup_keeps_the_loop_bits(seed, kinds, m):
     assert ms.partition_variation_sup(mu) == _loop_partition_sup(mu)
 
 
+@pytest.mark.bits
 def test_partition_sup_keeps_the_loop_bits_where_a_rounded_block_wins():
     # the block of the lowest and highest atoms sums to 1 + 2^-52 (1 + 1.5 *
     # 2^-53 rounds up), and adding 2^-53 ties to even at 1 + 2^-51; every other

@@ -59,6 +59,68 @@ def test_directional_derivative_no_limit():
         )
 
 
+def _table_derivative(f, x, v, h0, levels):
+    """The whole-table Richardson loop that ``directional_derivative`` replaced:
+    every step evaluated first, then one column of the table at a time."""
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    steps = h0 / 2.0 ** np.arange(levels)
+    table = np.array([(float(f(*(x + t * v))) - float(f(*(x - t * v)))) / (2 * t) for t in steps])
+    prev_best = None
+    for col in range(1, levels):
+        factor = 4.0**col
+        table = (factor * table[1:] - table[:-1]) / (factor - 1)
+        best = table[0]
+        if prev_best is not None and abs(best - prev_best) < pw.RICHARDSON_RTOL * (1 + abs(best)):
+            return float(best)
+        prev_best = best
+    raise NonConvergenceError("directional derivative schedule did not converge")
+
+
+_DERIVATIVE_CASES = {
+    "sin-cos": lambda x, y: math.sin(3 * x) * math.cos(y),
+    "exp": lambda x, y: math.exp(x - 2 * y),
+    "cubic": lambda x, y: x**3 - 4 * x * y + y,
+    "ratio": ratio_function,
+    "kink": lambda x, y: abs(x) + abs(y),
+    # no limit: x sin(log|x|) and sign(x) sqrt|x| along the first axis
+    "log-oscillation": lambda x, y: x * math.sin(math.log(abs(x))) if x else 0.0,
+    "sqrt": lambda x, y: math.copysign(math.sqrt(abs(x)), x),
+}
+
+
+@pytest.mark.bits
+@given(st.sampled_from(sorted(_DERIVATIVE_CASES)), st.floats(-1, 1), st.floats(-1, 1),
+       st.floats(0, 2 * math.pi), st.floats(0.1, 2.0), st.floats(1e-4, 2.0), st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_directional_derivative_keeps_the_table_bits(name, x0, x1, angle, length, h0, levels):
+    f, v = _DERIVATIVE_CASES[name], [length * math.cos(angle), length * math.sin(angle)]
+    x = [0.0 if name in ("log-oscillation", "sqrt") else x0, x1]
+    try:
+        expected = _table_derivative(f, x, v, h0, levels)
+    except NonConvergenceError:
+        with pytest.raises(NonConvergenceError):
+            pw.directional_derivative(f, x, v, h0=h0, levels=levels)
+    else:
+        assert pw.directional_derivative(f, x, v, h0=h0, levels=levels) == expected
+
+
+def test_directional_derivative_evaluates_only_the_steps_it_uses():
+    # a quadratic's table settles at column 2: three steps, two calls each
+    calls = []
+    square = lambda x: calls.append(x) or x * x
+    assert pw.directional_derivative(square, [0.5], [1.0], levels=30) == pytest.approx(1.0)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("h0, levels", [(0.1, 600), (1e300, 1100)])
+def test_a_table_past_column_511_does_not_converge(h0, levels):
+    # 4.0**col raised OverflowError at column 512, and 2.0 ** np.arange(levels)
+    # warned "overflow encountered in power" from 1024 steps on
+    with pytest.raises(NonConvergenceError):
+        pw.directional_derivative(_DERIVATIVE_CASES["log-oscillation"], [0.0, 0.0], [1.0, 0.0],
+                                  h0=h0, levels=levels)
+
+
 @pytest.mark.filterwarnings("error")
 def test_steps_at_the_ends_of_the_float_range_stay_finite():
     assert pw.directional_derivative(lambda x, y: x * y, [0.1, 0.2], [1, 0], h0=8e307) \

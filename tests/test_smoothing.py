@@ -218,6 +218,7 @@ WINDOW_CASES = [
 ]
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("origin,extents,h,center,radius", WINDOW_CASES)
 def test_lattice_bump_is_the_full_grid_bump_sliced(origin, extents, h, center, radius):
     f = GridFunction(np.zeros(extents), origin, h)
